@@ -11,11 +11,9 @@ references.
 __version__ = "0.1.0"
 
 from .system_model import (  # noqa: F401
-    AugmentedSystem,
     BarrierProblem,
     ControlSystem,
     Policy,
-    build_augmented,
     check_cbf_constraint,
     closed_loop_control,
     d_phi,
@@ -28,7 +26,6 @@ from .pde_engine import (  # noqa: F401
     IbvpSpec,
     build_mask,
     solve_ibvp,
-    step,
 )
 from .distributions import (  # noqa: F401
     DistributionResult,

@@ -21,6 +21,7 @@ from .artifacts import (
 )
 from .config import ExperimentConfig
 from .distributions import (
+    KIND_TABLE,
     QuerySpec,
     complementary_kind,
     event_time_cdf,
@@ -45,22 +46,13 @@ from .mc_oracle import (
     ks_distance,
     simulate_paths,
 )
+from .pde_engine import GridSpec, export_snapshot_csv
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGENCE = 4
-
-# Kinds whose passage event is a down-crossing use exit times; the
-# recovery kinds use entry times.
-_EVENT_OF_KIND = {
-    "invariance_ccdf": "exit",
-    "exit_cdf": "exit",
-    "convergence_cdf": "entry",
-    "entry_cdf": "entry",
-}
-
 
 def _query_spec(cfg: ExperimentConfig) -> QuerySpec:
     return QuerySpec(states=cfg.query_states(), horizon=cfg.query_horizon(),
@@ -129,7 +121,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
 
 def _empirical_event_table(cfg, ens, times, kind):
     conf = cfg.mc_confidence()
-    if _EVENT_OF_KIND[kind] == "exit":
+    if KIND_TABLE[kind].event == "exit":
         return empirical_cdf_exit(ens, times, conf)
     return empirical_cdf_entry(ens, times, conf)
 
@@ -221,18 +213,9 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         with open(fields_path, "r", encoding="utf-8") as fh:
             fields = json.load(fh)
         grid = fields["grid"]
-        axes = [np.linspace(lo, hi, c + 1)
-                for lo, hi, c in zip(grid["lo"], grid["hi"], grid["cells"])]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=1)
-        snap = fields["snapshots"][-1]
         heat_path = os.path.join(out, f"report_heatmap_{kind}_{cfg.hash}.csv")
-        header = ",".join(f"x{i + 1}" for i in range(len(axes))) + ",value"
-        rows = [header]
-        for coords, v in zip(nodes, snap["values"]):
-            rows.append(",".join(repr(float(c)) for c in coords) + f",{float(v)!r}")
-        with open(heat_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+        export_snapshot_csv(GridSpec(grid["lo"], grid["hi"], grid["cells"]),
+                            fields["snapshots"][-1]["values"], heat_path)
         files.append(heat_path)
 
     files.append(write_manifest(out, cfg.hash, "report", files, cfg.doc))

@@ -47,23 +47,34 @@ class SafeProbWarning(UserWarning):
     """Non-fatal solver notices (wrong-side queries, trivial masks)."""
 
 
-KINDS = ("invariance_ccdf", "exit_cdf", "convergence_cdf", "entry_cdf")
+@dataclass(frozen=True)
+class KindSpec:
+    """What sets one distribution kind apart from the others.
 
-# kind -> (mask side, Dirichlet value).  The initial field is the mask
-# indicator for pinned-0 problems and its complement for pinned-1; the
-# Dirichlet value doubles as the exact result on the wrong side of the
-# level set.
-_KIND_TABLE = {
-    "invariance_ccdf": ("super", 0.0),
-    "exit_cdf": ("super", 1.0),
-    "convergence_cdf": ("sub", 0.0),
-    "entry_cdf": ("sub", 1.0),
+    ``side`` is the mask side of the level set and ``dirichlet`` the value
+    pinned outside it.  The initial field is the mask indicator for
+    pinned-0 problems and its complement for pinned-1; the Dirichlet value
+    doubles as the exact result on the wrong side of the level set.
+    ``increasing`` marks kinds whose curve must not decrease in time (the
+    others must not increase), ``complement`` the kind whose values sum
+    with this one to 1 pointwise, and ``event`` the passage time the kind
+    describes.
+    """
+
+    side: str
+    dirichlet: float
+    increasing: bool
+    complement: str
+    event: str
+
+
+KIND_TABLE = {
+    "invariance_ccdf": KindSpec("super", 0.0, False, "exit_cdf", "exit"),
+    "exit_cdf": KindSpec("super", 1.0, True, "invariance_ccdf", "exit"),
+    "convergence_cdf": KindSpec("sub", 0.0, False, "entry_cdf", "entry"),
+    "entry_cdf": KindSpec("sub", 1.0, True, "convergence_cdf", "entry"),
 }
-
-# Kinds whose tabulated curve must not decrease in time / must not
-# increase in time.
-_NONDECREASING = ("exit_cdf", "entry_cdf")
-_NONINCREASING = ("invariance_ccdf", "convergence_cdf")
+KINDS = tuple(KIND_TABLE)
 
 RANGE_TOL = 1e-8
 
@@ -85,8 +96,6 @@ class NumericsConfig:
     dt: float
     theta: float = 1.0
     halo_cells: int = 1
-    linear_rtol: float = 1e-10
-    linear_maxiter: int = 10_000
     boundary_probe: bool = True
     probe_tolerance: float = 1e-3
     probe_coarsen: int = 2
@@ -166,15 +175,13 @@ class DistributionResult:
 
 def complementary_kind(kind: str) -> str:
     """The kind whose values sum with this one to 1 pointwise."""
-    pairs = {"invariance_ccdf": "exit_cdf", "exit_cdf": "invariance_ccdf",
-             "convergence_cdf": "entry_cdf", "entry_cdf": "convergence_cdf"}
-    return pairs[kind]
+    return KIND_TABLE[kind].complement
 
 
 def monotonicity_violation(result: DistributionResult) -> float:
     """Largest wrong-direction increment along the time axis (0 if clean)."""
     diffs = np.diff(result.values, axis=1)
-    if result.kind in _NONDECREASING:
+    if KIND_TABLE[result.kind].increasing:
         worst = -diffs.min() if diffs.size else 0.0
     else:
         worst = diffs.max() if diffs.size else 0.0
@@ -269,7 +276,7 @@ def _query_hash(kind: str, q: QuerySpec, level: float) -> str:
 
 def _solve_kind(kind: str, sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                 q: QuerySpec, config_hash: str | None = None) -> DistributionResult:
-    side, dirichlet = _KIND_TABLE[kind]
+    side, dirichlet = KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet
     level = q.resolved_level(bar)
     states = q.states
     phi0 = np.atleast_1d(np.asarray(bar.phi_at(states), dtype=float))
@@ -299,9 +306,7 @@ def _solve_kind(kind: str, sys: ControlSystem, bar: BarrierProblem, policy: Poli
             probe = replace(probe, points=pts)
 
     series = solve_ibvp(spec, snapshot_times=q.resolved_times(),
-                        sensitivity_probe=probe,
-                        linear_rtol=q.numerics.linear_rtol,
-                        maxiter=q.numerics.linear_maxiter)
+                        sensitivity_probe=probe)
 
     values = np.empty((states.shape[0], len(series.times)))
     inside = on_side
@@ -375,7 +380,7 @@ def event_time_cdf(result: DistributionResult) -> np.ndarray:
     survival functions of the matching passage time, so their complement
     is returned.
     """
-    if result.kind in _NONDECREASING:
+    if KIND_TABLE[result.kind].increasing:
         return result.values
     return 1.0 - result.values
 

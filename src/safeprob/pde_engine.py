@@ -41,8 +41,8 @@ MIN_CELLS = 8
 LINEAR_RTOL = 1e-10
 LINEAR_MAXITER = 10_000
 
-# Below this node count a complete LU is used to precondition the
-# iterative solve; above it, incomplete LU.
+# At or below this node count each step is a direct solve with a complete
+# LU factorization; above it, ILU-preconditioned BiCGSTAB.
 _SPLU_NODE_LIMIT = 200_000
 
 
@@ -326,15 +326,18 @@ def _assemble_operator(spec: IbvpSpec) -> sp.csr_matrix:
 
 
 class ThetaStepper:
-    """Owns the assembled theta-scheme matrices and linear solves for a spec."""
+    """Owns the assembled theta-scheme matrices and linear solves for a spec.
 
-    def __init__(self, spec: IbvpSpec, linear_rtol: float = LINEAR_RTOL,
-                 maxiter: int = LINEAR_MAXITER):
+    At or below ``_SPLU_NODE_LIMIT`` nodes the matrix is LU-factorized once
+    and each step is one solve with that factorization.  Above it each step
+    runs BiCGSTAB preconditioned by an incomplete LU, with a sparse direct
+    solve as fallback.  ``solves`` counts applications of the factorization
+    (complete or incomplete) and ``fallbacks`` the direct fallback solves.
+    """
+
+    def __init__(self, spec: IbvpSpec):
         self.spec = spec
-        self.linear_rtol = linear_rtol
-        self.maxiter = maxiter
-        self.mask_flat = spec.interior_mask.ravel()
-        self.pinned = ~self.mask_flat
+        self.pinned = ~spec.interior_mask.ravel()
         L = _assemble_operator(spec)
         N = spec.grid.n_nodes
         eye = sp.identity(N, format="csr")
@@ -342,57 +345,53 @@ class ThetaStepper:
         self.B = None
         if spec.theta < 1.0:
             self.B = (eye + (1.0 - spec.theta) * spec.dt * L).tocsr()
-        self._precond = self._build_preconditioner()
+        self.solves = 0
+        self.fallbacks = 0
+        self._lu = None
+        if N <= _SPLU_NODE_LIMIT:
+            try:
+                self._lu = spla.splu(self.A.tocsc())
+            except RuntimeError as err:
+                raise SolverError(f"theta-scheme matrix is singular: {err}") from err
+        else:
+            try:
+                apply = spla.spilu(self.A.tocsc(), drop_tol=1e-6, fill_factor=20).solve
+            except RuntimeError:
+                apply = np.asarray  # no usable incomplete factor: unpreconditioned
 
-    def _build_preconditioner(self):
-        N = self.A.shape[0]
-        try:
-            if N <= _SPLU_NODE_LIMIT:
-                lu = spla.splu(self.A.tocsc())
-            else:
-                lu = spla.spilu(self.A.tocsc(), drop_tol=1e-6, fill_factor=20)
-            return spla.LinearOperator(self.A.shape, lu.solve)
-        except RuntimeError:
-            return None
+            def counted(v):
+                self.solves += 1
+                return apply(v)
 
-    def step(self, field_flat: np.ndarray) -> tuple[np.ndarray, float, int]:
-        """Advance one step; returns (field, relative residual, iterations)."""
+            self._precond = spla.LinearOperator(self.A.shape, counted)
+
+    def _residual(self, x: np.ndarray, b: np.ndarray) -> float:
+        """Relative 2-norm residual, summed without BLAS so it is thread-count independent."""
+        r = self.A @ x - b
+        return float(np.sqrt(np.sum(r * r)) / max(np.sqrt(np.sum(b * b)), 1e-300))
+
+    def step(self, field_flat: np.ndarray) -> tuple[np.ndarray, float]:
+        """Advance one step; returns (field, relative residual)."""
         b = field_flat if self.B is None else self.B @ field_flat
         b = b.copy()
         b[self.pinned] = self.spec.dirichlet_value
-        iters = [0]
-
-        def cb(_):
-            iters[0] += 1
-
-        x, info = spla.bicgstab(self.A, b, x0=field_flat, rtol=0.1 * self.linear_rtol,
-                                atol=0.0, maxiter=self.maxiter, M=self._precond,
-                                callback=cb)
-        bnorm = max(float(np.linalg.norm(b)), 1e-300)
-        residual = float(np.linalg.norm(self.A @ x - b)) / bnorm
-        direct = 0
-        if info != 0 or residual > self.linear_rtol:
-            x = spla.spsolve(self.A.tocsc(), b)
-            residual = float(np.linalg.norm(self.A @ x - b)) / bnorm
-            direct = 1
-            if residual > self.linear_rtol:
-                raise SolverError(
-                    f"linear solve failed to reach residual {self.linear_rtol:.1e} "
-                    f"(achieved {residual:.3e}, bicgstab info {info})", residual=residual)
+        if self._lu is not None:
+            x = self._lu.solve(b)
+            self.solves += 1
+            residual = self._residual(x, b)
+        else:
+            x, info = spla.bicgstab(self.A, b, x0=field_flat, rtol=0.1 * LINEAR_RTOL,
+                                    atol=0.0, maxiter=LINEAR_MAXITER, M=self._precond)
+            residual = self._residual(x, b)
+            if info != 0 or residual > LINEAR_RTOL:
+                x = spla.spsolve(self.A.tocsc(), b)
+                self.fallbacks += 1
+                residual = self._residual(x, b)
+        if residual > LINEAR_RTOL:
+            raise SolverError(f"linear solve failed to reach residual {LINEAR_RTOL:.1e} "
+                              f"(achieved {residual:.3e})", residual=residual)
         x[self.pinned] = self.spec.dirichlet_value
-        return x, residual, iters[0] + direct
-
-
-def step(spec: IbvpSpec, field_in: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Advance ``field_in`` by one theta-scheme time step of the problem's PDE."""
-    field = np.asarray(field_in, dtype=float)
-    if field.shape != spec.grid.shape:
-        raise DataError(f"field shape {field.shape} != grid shape {spec.grid.shape}")
-    if not np.allclose(field[~spec.interior_mask], spec.dirichlet_value, atol=1e-12):
-        raise DataError("field_in violates Dirichlet data on masked-out nodes")
-    stepper = ThetaStepper(spec)
-    out, _, _ = stepper.step(field.ravel())
-    return out.reshape(spec.grid.shape)
+        return x, residual
 
 
 def _mollify(field: np.ndarray, mask: np.ndarray, dirichlet: float) -> np.ndarray:
@@ -425,9 +424,7 @@ class SensitivityProbe:
 
 
 def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
-               sensitivity_probe: SensitivityProbe | None = None,
-               linear_rtol: float = LINEAR_RTOL,
-               maxiter: int = LINEAR_MAXITER) -> FieldSeries:
+               sensitivity_probe: SensitivityProbe | None = None) -> FieldSeries:
     """Time-march the IBVP, recording snapshots at the requested times.
 
     Snapshot times are snapped to the step grid; t=0 is always recorded.
@@ -469,17 +466,18 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
     if n_steps > 0:
         # Re-solving the same geometry repeatedly shares nothing here by
         # design: each spec owns its workspace exclusively.
-        stepper = ThetaStepper(spec, linear_rtol=linear_rtol, maxiter=maxiter)
+        stepper = ThetaStepper(spec)
         for k in range(1, n_steps + 1):
-            field, residual, iters = stepper.step(field)
+            field, residual = stepper.step(field)
             diag.max_residual = max(diag.max_residual, residual)
             diag.last_residual = residual
-            diag.total_iterations += iters
             diag.field_min = min(diag.field_min, float(field.min()))
             diag.field_max = max(diag.field_max, float(field.max()))
             if k in wanted:
                 times.append(k * dt_eff)
                 records.append(field.reshape(spec.grid.shape).copy())
+        diag.total_iterations = stepper.solves
+        diag.direct_fallbacks = stepper.fallbacks
 
     lo_ok = min(0.0, spec.dirichlet_value) - 1e-8
     hi_ok = max(1.0, spec.dirichlet_value) + 1e-8

@@ -6,8 +6,8 @@ The model is a controlled diffusion
 
 together with a scalar barrier ``phi`` whose super-level set defines the
 safe region.  This module builds the closed-loop control law K for the
-supported policy kinds, the generator drift of ``phi``, and the augmented
-dynamics of ``[phi(X), X]`` used by the distribution solvers.
+supported policy kinds and the generator drift of ``phi`` used by the
+distribution solvers.
 
 Evaluators are plain callables on a single state ``x`` of shape ``(n,)``.
 Setting ``vectorized=True`` on a model object declares that its callables
@@ -361,58 +361,6 @@ def check_cbf_constraint(policy: Policy, sys: ControlSystem, bar: BarrierProblem
     u = closed_loop_control(policy, sys, bar, x)
     slack = float(policy.rate_at(bar.phi_at(x)))
     return d_phi(sys, bar, x, u) >= -slack - tol
-
-
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """Ito dynamics of the stacked process [phi(X), X].
-
-    ``rho`` is the augmented drift (first entry the generator drift of
-    phi under the closed loop), ``zeta`` the augmented diffusion (first
-    row grad(phi)^T sigma), and ``diffusion`` the tensor zeta zeta^T.
-    """
-
-    dim: int
-    rho: Callable
-    zeta: Callable
-    diffusion: Callable
-
-
-def build_augmented(sys: ControlSystem, bar: BarrierProblem, policy: Policy) -> AugmentedSystem:
-    """Assemble the augmented drift/diffusion evaluators for (sys, bar, policy)."""
-
-    def rho_batch(X):
-        Xb, _ = _as_batch(X, sys.n)
-        U, infeasible = closed_loop_control_batch(policy, sys, bar, Xb)
-        if np.any(infeasible):
-            raise InfeasibilityError(Xb[np.argmax(infeasible)])
-        xdrift = sys.f_at(Xb) + np.einsum("bim,bm->bi", sys.g_at(Xb), U)
-        top = d_phi_batch(sys, bar, Xb, U)
-        return np.concatenate([top[:, None], xdrift], axis=1)
-
-    def zeta_batch(X):
-        Xb, _ = _as_batch(X, sys.n)
-        sig = sys.sigma_at(Xb)
-        top = np.einsum("bi,bik->bk", bar.grad_at(Xb), sig)
-        return np.concatenate([top[:, None, :], sig], axis=1)
-
-    def rho(x):
-        Xb, single = _as_batch(x, sys.n)
-        out = rho_batch(Xb)
-        return out[0] if single else out
-
-    def zeta(x):
-        Xb, single = _as_batch(x, sys.n)
-        out = zeta_batch(Xb)
-        return out[0] if single else out
-
-    def diffusion(x):
-        Xb, single = _as_batch(x, sys.n)
-        z = zeta_batch(Xb)
-        out = np.einsum("bik,bjk->bij", z, z)
-        return out[0] if single else out
-
-    return AugmentedSystem(dim=sys.n + 1, rho=rho, zeta=zeta, diffusion=diffusion)
 
 
 def validate_barrier(bar: BarrierProblem, probes, rel_tol: float = 1e-5,

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +10,9 @@ import pytest
 from safeprob.cli import main
 from safeprob.config import ExperimentConfig, config_hash, validate_config
 from safeprob.errors import ConfigError
+from safeprob.pde_engine import GridSpec, export_snapshot_csv
 
-from conftest import CONFIG_DIR, EXIT_DRIFTED
+from conftest import CONFIG_DIR, EXIT_DRIFTED, REPO_ROOT
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -140,6 +143,28 @@ class TestSolveCommand:
         cfg = ExperimentConfig.from_file(path)
         for name in (f"exit_cdf_{cfg.hash}.csv", f"exit_cdf_{cfg.hash}.json"):
             assert (Path(out1) / name).read_bytes() == (Path(out2) / name).read_bytes()
+
+    def test_result_bytes_independent_of_blas_threads(self, tmp_path):
+        # The shipped 2D config cut to horizon 0.2, solved in fresh processes
+        # with one and with two OpenBLAS threads.
+        config = str(CONFIG_DIR / "double_integrator_exit.json")
+        overrides = ["query.horizon=0.2", "query.times.stop=0.2"]
+        cfg = ExperimentConfig.from_file(config, overrides)
+        pythonpath = [str(REPO_ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            argv = [sys.executable, "-m", "safeprob.cli", "solve", "--config", config,
+                    "--out", str(out)]
+            for item in overrides:
+                argv += ["--override", item]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
+            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=600)
+            results.append((out / f"exit_cdf_{cfg.hash}.json").read_bytes())
+        assert results[0] == results[1]
+        diag = json.loads(results[0])["diagnostics"]
+        assert diag["total_iterations"] == diag["n_steps"] == 200
 
 
 class TestMcCommand:
@@ -299,11 +324,19 @@ class TestReportCommand:
         assert main(["solve", "--config", path]) == 0
         assert main(["report", "--config", path]) == 0
         cfg = ExperimentConfig.from_file(path)
-        heat = (Path(out) / f"report_heatmap_exit_cdf_{cfg.hash}.csv").read_text()
+        heat_path = Path(out) / f"report_heatmap_exit_cdf_{cfg.hash}.csv"
+        heat = heat_path.read_text()
         lines = heat.strip().split("\n")
         assert lines[0] == "x1,x2,value"
         # One row per padded-grid node.
         assert len(lines) - 1 == (24 + 3) * (25 + 3)
+        # The same bytes as the snapshot export on the solve's own grid.
+        diag = json.loads((Path(out) / f"exit_cdf_{cfg.hash}.json").read_text())["diagnostics"]
+        fields = json.loads((Path(out) / f"exit_cdf_{cfg.hash}_fields.json").read_text())
+        grid = GridSpec(diag["solve_box_lo"], diag["solve_box_hi"], diag["solve_cells"])
+        expected = tmp_path / "expected.csv"
+        export_snapshot_csv(grid, fields["snapshots"][-1]["values"], expected)
+        assert heat_path.read_bytes() == expected.read_bytes()
 
     def test_report_without_solve_exits_2(self, tmp_path):
         doc = small_bm_doc(str(tmp_path / "empty"))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from safeprob import BarrierProblem, GridSpec, IbvpSpec, build_mask, solve_ibvp, step
-from safeprob.errors import DataError
+from safeprob import BarrierProblem, GridSpec, IbvpSpec, build_mask, pde_engine, solve_ibvp
+from safeprob.errors import DataError, SolverError
 from safeprob.pde_engine import (
     SensitivityProbe,
     ThetaStepper,
@@ -146,22 +146,17 @@ class TestIbvpSpecValidation:
 class TestStep:
     def test_zero_operator_leaves_field_unchanged(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 0.0, lambda x: x >= 0.0, 0.0)
-        out = step(spec, spec.initial_field)
-        np.testing.assert_array_equal(out, spec.initial_field)
+        out, _ = ThetaStepper(spec).step(spec.initial_field.ravel())
+        np.testing.assert_array_equal(out, spec.initial_field.ravel())
 
     def test_constants_are_solutions(self):
         spec = line_spec(-2.0, 2.0, 16, 0.7, 1.3, lambda x: x >= 0.0, 1.0,
                          init_from_mask=False)
-        field = spec.initial_field
+        stepper = ThetaStepper(spec)
+        field = spec.initial_field.ravel()
         for _ in range(5):
-            field = step(spec, field)
+            field, _ = stepper.step(field)
         np.testing.assert_allclose(field, 1.0, atol=1e-12)
-
-    def test_dirichlet_precondition_enforced(self):
-        spec = line_spec(-2.0, 2.0, 16, 0.0, 1.0, lambda x: x >= 0.0, 0.0)
-        bad = np.ones(spec.grid.shape)
-        with pytest.raises(DataError, match="Dirichlet"):
-            step(spec, bad)
 
     def test_half_line_heat_kernel(self):
         # Pure diffusion F_t = F''/2 on x > 0, absorbed at 0, unit start:
@@ -232,6 +227,13 @@ class TestSolveIbvp:
         series = solve_ibvp(spec)
         assert series.diagnostics.max_residual <= 1e-10
         assert series.diagnostics.n_steps == 10
+
+    def test_iterations_count_one_direct_solve_per_step(self):
+        spec = line_spec(-2.0, 2.0, 32, 0.5, 1.0, lambda x: x >= 0.0, 0.0,
+                         horizon=0.1, dt=1e-2)
+        diag = solve_ibvp(spec).diagnostics
+        assert diag.total_iterations == diag.n_steps == 10
+        assert diag.direct_fallbacks == 0
 
 
 class TestCrossDerivativeStencil:
@@ -324,6 +326,28 @@ class TestStepperInternals:
     def test_warm_start_converges_immediately_on_steady_state(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 0.0, lambda x: x >= 0.0, 0.0)
         stepper = ThetaStepper(spec)
-        out, residual, _ = stepper.step(spec.initial_field.ravel())
+        out, residual = stepper.step(spec.initial_field.ravel())
         assert residual <= 1e-10
         np.testing.assert_array_equal(out, spec.initial_field.ravel())
+
+    def test_iterative_branch_matches_direct(self, monkeypatch):
+        # Above _SPLU_NODE_LIMIT nodes each step is ILU-preconditioned
+        # BiCGSTAB; the limit is lowered so a small grid takes that branch.
+        spec = line_spec(-2.0, 2.0, 64, 0.4, 1.0, lambda x: x >= 0.0, 1.0,
+                         horizon=0.2, dt=1e-2)
+        direct = solve_ibvp(spec, snapshot_times=[0.1, 0.2])
+        monkeypatch.setattr(pde_engine, "_SPLU_NODE_LIMIT", 0)
+        iterative = solve_ibvp(spec, snapshot_times=[0.1, 0.2])
+        np.testing.assert_allclose(iterative.fields, direct.fields, rtol=0.0, atol=1e-8)
+        diag = iterative.diagnostics
+        assert diag.max_residual <= 1e-10
+        assert diag.total_iterations >= diag.n_steps == 20
+
+    def test_singular_matrix_raises_solver_error(self, monkeypatch):
+        def singular(_):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(pde_engine.spla, "splu", singular)
+        spec = line_spec(-2.0, 2.0, 16, 0.0, 1.0, lambda x: x >= 0.0, 0.0)
+        with pytest.raises(SolverError, match="singular"):
+            ThetaStepper(spec)

@@ -7,7 +7,6 @@ from safeprob import (
     BarrierProblem,
     ControlSystem,
     Policy,
-    build_augmented,
     check_cbf_constraint,
     closed_loop_control,
     d_phi,
@@ -153,62 +152,6 @@ class TestGradientPolicy:
         increment = d_phi(sys, bar, [x], u) - d_phi(sys, bar, [x], [0.0])
         assert increment == pytest.approx(c * float(lg @ lg), abs=1e-9)
         assert increment >= -1e-9
-
-
-class TestAugmentedSystem:
-    def test_identity_barrier_duplicates_dynamics(self):
-        sys = const_system_1d(0.7, 1.0, 0.4)
-        bar = identity_barrier()
-        policy = Policy(nominal=zero_nominal(1), kind="none", vectorized=True)
-        aug = build_augmented(sys, bar, policy)
-        x = np.array([1.3])
-        rho = aug.rho(x)
-        zeta = aug.zeta(x)
-        assert aug.dim == 2
-        np.testing.assert_allclose(rho, [0.7, 0.7], atol=1e-12)
-        np.testing.assert_allclose(zeta, [[0.4], [0.4]], atol=1e-12)
-
-    def test_quadratic_barrier_entries(self):
-        sys = const_system_1d(0.0, 1.0, 1.0)
-        bar = quadratic_barrier()
-        policy = Policy(nominal=zero_nominal(1), kind="none", vectorized=True)
-        aug = build_augmented(sys, bar, policy)
-        for xv in (0.5, -1.2, 2.0):
-            x = np.array([xv])
-            np.testing.assert_allclose(aug.rho(x), [1.0, 0.0], atol=1e-12)
-            np.testing.assert_allclose(aug.zeta(x), [[2 * xv], [1.0]], atol=1e-12)
-
-    def test_diffusion_tensor_psd_and_rank_deficient(self):
-        sys = const_system_1d(0.0, 1.0, 1.0)
-        bar = quadratic_barrier()
-        policy = Policy(nominal=zero_nominal(1), kind="none", vectorized=True)
-        aug = build_augmented(sys, bar, policy)
-        for xv in (0.5, -1.2, 2.0):
-            D = aug.diffusion(np.array([xv]))
-            np.testing.assert_allclose(
-                D, [[4 * xv**2, 2 * xv], [2 * xv, 1.0]], atol=1e-12)
-            eigs = np.linalg.eigvalsh(D)
-            np.testing.assert_allclose(sorted(eigs), [0.0, 4 * xv**2 + 1.0], atol=1e-10)
-            assert eigs.min() >= -1e-10
-
-    def test_first_entry_matches_d_phi(self):
-        sys = const_system_1d(0.4, 2.0, 0.9)
-        bar = quadratic_barrier()
-        policy = Policy(nominal=lambda X: np.full(X.shape[:-1] + (1,), 0.7),
-                        kind="none", vectorized=True)
-        aug = build_augmented(sys, bar, policy)
-        x = np.array([0.8])
-        u = closed_loop_control(policy, sys, bar, x)
-        assert aug.rho(x)[0] == pytest.approx(d_phi(sys, bar, x, u), abs=1e-12)
-
-    def test_first_zeta_row_is_grad_sigma(self):
-        sys = const_system_1d(0.4, 2.0, 0.9)
-        bar = quadratic_barrier()
-        policy = Policy(nominal=zero_nominal(1), kind="none", vectorized=True)
-        aug = build_augmented(sys, bar, policy)
-        x = np.array([0.8])
-        expect = bar.grad_at(x) @ sys.sigma_at(x)
-        np.testing.assert_allclose(aug.zeta(x)[0], expect, atol=1e-12)
 
 
 class TestEvaluatorContracts:
