@@ -10,6 +10,7 @@ import pytest
 from safeprob.cli import main
 from safeprob.config import ExperimentConfig, config_hash, validate_config
 from safeprob.errors import ConfigError
+from safeprob.library import make_example
 from safeprob.pde_engine import GridSpec, export_snapshot_csv
 
 from conftest import CONFIG_DIR, EXIT_DRIFTED, REPO_ROOT
@@ -45,7 +46,7 @@ def strip_times_if_zero_horizon(doc):
 class TestConfigValidation:
     def test_shipped_configs_validate(self):
         for name in ("drifted_bm_exit.json", "drifted_bm_recovery.json",
-                     "double_integrator_exit.json"):
+                     "double_integrator_exit.json", "unicycle_disk_exit.json"):
             with open(CONFIG_DIR / name, "r", encoding="utf-8") as fh:
                 validate_config(json.load(fh))
 
@@ -144,11 +145,9 @@ class TestSolveCommand:
         for name in (f"exit_cdf_{cfg.hash}.csv", f"exit_cdf_{cfg.hash}.json"):
             assert (Path(out1) / name).read_bytes() == (Path(out2) / name).read_bytes()
 
-    def test_result_bytes_independent_of_blas_threads(self, tmp_path):
-        # The shipped 2D config cut to horizon 0.2, solved in fresh processes
-        # with one and with two OpenBLAS threads.
-        config = str(CONFIG_DIR / "double_integrator_exit.json")
-        overrides = ["query.horizon=0.2", "query.times.stop=0.2"]
+    @staticmethod
+    def _solve_per_blas_thread_count(tmp_path, config, overrides) -> list:
+        """exit_cdf result bytes from fresh processes with one and two OpenBLAS threads."""
         cfg = ExperimentConfig.from_file(config, overrides)
         pythonpath = [str(REPO_ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
         results = []
@@ -162,9 +161,31 @@ class TestSolveCommand:
                        PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
             subprocess.run(argv, env=env, check=True, capture_output=True, timeout=600)
             results.append((out / f"exit_cdf_{cfg.hash}.json").read_bytes())
+        return results
+
+    def test_result_bytes_independent_of_blas_threads(self, tmp_path):
+        # The shipped 2D config cut to horizon 0.2 (direct LU path).
+        results = self._solve_per_blas_thread_count(
+            tmp_path, str(CONFIG_DIR / "double_integrator_exit.json"),
+            ["query.horizon=0.2", "query.times.stop=0.2"])
         assert results[0] == results[1]
         diag = json.loads(results[0])["diagnostics"]
         assert diag["total_iterations"] == diag["n_steps"] == 200
+
+    def test_krylov_result_bytes_independent_of_blas_threads(self, tmp_path):
+        # The shipped 3D config cut to horizon 0.1 (Jacobi-BiCGSTAB path), on
+        # 23k nodes: long enough vectors that a threaded BLAS dot in the
+        # iteration would change the bytes, which on the example's own 9k
+        # nodes it does not.
+        ex = make_example("unicycle_disk")
+        numerics = {"box_lo": list(ex.box_lo), "box_hi": list(ex.box_hi),
+                    "cells": [32, 32, 16], "dt": ex.dt}
+        results = self._solve_per_blas_thread_count(
+            tmp_path, str(CONFIG_DIR / "unicycle_disk_exit.json"),
+            ["query.horizon=0.1", "query.times.stop=0.1", "numerics=" + json.dumps(numerics)])
+        assert results[0] == results[1]
+        diag = json.loads(results[0])["diagnostics"]
+        assert diag["total_iterations"] >= diag["n_steps"] == 50
 
 
 class TestMcCommand:

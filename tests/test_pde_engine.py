@@ -40,6 +40,14 @@ def line_spec(lo, hi, cells, mu, sig2, mask_fn, dirichlet, init_from_mask=True,
     return IbvpSpec(grid, mask, conv, diff, dirichlet, init, horizon, dt, theta)
 
 
+def ball_exit_spec(cells=12, horizon=0.1, dt=1e-2):
+    """Exit from the unit ball under a constant drift on a small 3D grid."""
+    grid = GridSpec((-1.5,) * 3, (1.5,) * 3, (cells,) * 3)
+    mask = np.sum(grid.nodes() ** 2, axis=1).reshape(grid.shape) < 1.0
+    conv, diff = const_fields(grid, 0.4, 0.5)
+    return IbvpSpec(grid, mask, conv, diff, 1.0, np.where(mask, 0.0, 1.0), horizon, dt)
+
+
 class TestGridSpec:
     def test_spacing_and_nodes(self):
         grid = GridSpec((0.0, -1.0), (1.0, 1.0), (10, 20))
@@ -233,7 +241,6 @@ class TestSolveIbvp:
                          horizon=0.1, dt=1e-2)
         diag = solve_ibvp(spec).diagnostics
         assert diag.total_iterations == diag.n_steps == 10
-        assert diag.direct_fallbacks == 0
 
 
 class TestCrossDerivativeStencil:
@@ -331,17 +338,27 @@ class TestStepperInternals:
         np.testing.assert_array_equal(out, spec.initial_field.ravel())
 
     def test_iterative_branch_matches_direct(self, monkeypatch):
-        # Above _SPLU_NODE_LIMIT nodes each step is ILU-preconditioned
-        # BiCGSTAB; the limit is lowered so a small grid takes that branch.
-        spec = line_spec(-2.0, 2.0, 64, 0.4, 1.0, lambda x: x >= 0.0, 1.0,
-                         horizon=0.2, dt=1e-2)
-        direct = solve_ibvp(spec, snapshot_times=[0.1, 0.2])
-        monkeypatch.setattr(pde_engine, "_SPLU_NODE_LIMIT", 0)
-        iterative = solve_ibvp(spec, snapshot_times=[0.1, 0.2])
+        # A 3D grid marches with Jacobi-BiCGSTAB; raising the axis threshold
+        # puts the same spec on the direct LU path.
+        spec = ball_exit_spec()
+        iterative = solve_ibvp(spec, snapshot_times=[0.05, 0.1])
+        monkeypatch.setattr(pde_engine, "_KRYLOV_MIN_NDIM", 4)
+        direct = solve_ibvp(spec, snapshot_times=[0.05, 0.1])
+        assert direct.diagnostics.total_iterations == direct.diagnostics.n_steps
         np.testing.assert_allclose(iterative.fields, direct.fields, rtol=0.0, atol=1e-8)
         diag = iterative.diagnostics
         assert diag.max_residual <= 1e-10
-        assert diag.total_iterations >= diag.n_steps == 20
+        assert diag.total_iterations >= diag.n_steps == 10
+
+    def test_krylov_nonconvergence_raises_solver_error(self, monkeypatch):
+        def no_direct_solve(*args, **kwargs):
+            raise AssertionError("the Krylov path must not fall back to a direct solve")
+
+        for name in ("splu", "spsolve"):
+            monkeypatch.setattr(pde_engine.spla, name, no_direct_solve)
+        monkeypatch.setattr(pde_engine, "LINEAR_MAXITER", 1)
+        with pytest.raises(SolverError, match="in 1 iterations"):
+            solve_ibvp(ball_exit_spec())
 
     def test_singular_matrix_raises_solver_error(self, monkeypatch):
         def singular(_):
