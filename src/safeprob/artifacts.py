@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -78,22 +79,6 @@ def write_result(result: DistributionResult, out_dir: str, tag: str,
     return written
 
 
-def load_result_table(path: str, state_index: int = 0) -> tuple[str, CdfTable]:
-    """Load a result JSON artifact as (kind, tabulated curve for one state)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"artifact not found: {path}") from None
-    try:
-        times = np.asarray(doc["times"], dtype=float)
-        values = np.asarray(doc["values"], dtype=float)[state_index]
-        kind = doc["kind"]
-    except (KeyError, IndexError) as err:
-        raise DataError(f"artifact {path} is not a result JSON: {err}") from None
-    return kind, CdfTable(times, values)
-
-
 def empirical_csv(emp: EmpiricalDistribution) -> str:
     axis = "t" if emp.kind in ("exit_cdf", "entry_cdf") else "level"
     band = emp.band
@@ -116,31 +101,42 @@ def empirical_json(emp: EmpiricalDistribution) -> dict:
     }
 
 
-def load_empirical_table(path: str) -> tuple[str, CdfTable]:
+def read_artifact(path: str):
+    """Parse a JSON artifact; a missing or undecodable file raises DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise DataError(f"artifact not found: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise DataError(f"artifact {path} is not valid JSON: {err}") from None
+
+
+@contextmanager
+def artifact_layout(path: str):
+    """Turn a lookup that does not fit the artifact's layout into DataError."""
     try:
-        return doc["kind"], CdfTable(np.asarray(doc["grid"], dtype=float),
-                                     np.asarray(doc["values"], dtype=float))
-    except KeyError as err:
-        raise DataError(f"artifact {path} is not an empirical JSON: {err}") from None
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise DataError(f"artifact {path} has a malformed layout: {err}") from None
 
 
 def load_table(path: str, state_index: int = 0) -> tuple[str, CdfTable]:
-    """Load either artifact layout (solve result or empirical) as a table."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"artifact not found: {path}") from None
-    if "grid" in doc:
-        return load_empirical_table(path)
-    if "times" in doc:
-        return load_result_table(path, state_index)
-    raise DataError(f"artifact {path} has neither a result nor an empirical layout")
+    """Load either artifact layout as (kind, table).
+
+    An empirical artifact gives its whole curve, a solve result the curve
+    of query state ``state_index``.
+    """
+    doc = read_artifact(path)
+    if not isinstance(doc, dict) or ("grid" not in doc and "times" not in doc):
+        raise DataError(f"artifact {path} has neither a result nor an empirical layout")
+    with artifact_layout(path):
+        if "grid" in doc:
+            points, values = doc["grid"], doc["values"]
+        else:
+            points, values = doc["times"], doc["values"][state_index]
+        return doc["kind"], CdfTable(np.asarray(points, dtype=float),
+                                     np.asarray(values, dtype=float))
 
 
 def write_empirical(estimates: dict, ens: PathEnsemble, out_dir: str, tag: str,

@@ -14,7 +14,9 @@ import sys as _sys
 import numpy as np
 
 from .artifacts import (
+    artifact_layout,
     load_table,
+    read_artifact,
     write_empirical,
     write_manifest,
     write_result,
@@ -192,30 +194,31 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     result_path = f"{stem}.json"
     if not os.path.exists(result_path):
         raise DataError(f"missing solve artifact {result_path}; run solve first")
-    with open(result_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_artifact(result_path)
     files = []
 
     curve_path = os.path.join(out, f"report_curve_{kind}_{cfg.hash}.csv")
-    n = len(doc["states"][0])
-    header = ",".join(f"x{i + 1}" for i in range(n)) + ",t,value"
-    lines = [header]
-    for si, state in enumerate(doc["states"]):
-        coords = ",".join(repr(float(c)) for c in state)
-        for ti, t in enumerate(doc["times"]):
-            lines.append(f"{coords},{float(t)!r},{float(doc['values'][si][ti])!r}")
+    with artifact_layout(result_path):
+        n = len(doc["states"][0])
+        header = ",".join(f"x{i + 1}" for i in range(n)) + ",t,value"
+        lines = [header]
+        for si, state in enumerate(doc["states"]):
+            coords = ",".join(repr(float(c)) for c in state)
+            for ti, t in enumerate(doc["times"]):
+                lines.append(f"{coords},{float(t)!r},{float(doc['values'][si][ti])!r}")
     with open(curve_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     files.append(curve_path)
 
     fields_path = f"{stem}_fields.json"
     if os.path.exists(fields_path):
-        with open(fields_path, "r", encoding="utf-8") as fh:
-            fields = json.load(fh)
-        grid = fields["grid"]
+        fields = read_artifact(fields_path)
+        with artifact_layout(fields_path):
+            box = fields["grid"]
+            grid = GridSpec(box["lo"], box["hi"], box["cells"])
+            values = np.asarray(fields["snapshots"][-1]["values"], dtype=float)
         heat_path = os.path.join(out, f"report_heatmap_{kind}_{cfg.hash}.csv")
-        export_snapshot_csv(GridSpec(grid["lo"], grid["hi"], grid["cells"]),
-                            fields["snapshots"][-1]["values"], heat_path)
+        export_snapshot_csv(grid, values, heat_path)
         files.append(heat_path)
 
     files.append(write_manifest(out, cfg.hash, "report", files, cfg.doc))

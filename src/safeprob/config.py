@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .expressions import compile_matrix, compile_scalar, compile_vector
 from .library import ExampleBundle, example_names, make_example
 from .mc_oracle import PathConfig
-from .system_model import BarrierProblem, ControlSystem, Policy, linear_rate
+from .system_model import POLICY_KINDS, BarrierProblem, ControlSystem, Policy, linear_rate
 
 _NUMBER = (int, float)
 
@@ -65,11 +65,7 @@ SCHEMA: dict = {
         "box_hi": (True, [_NUMBER]),
         "cells": (True, [int]),
         "dt": (True, _NUMBER),
-        "theta": (False, _NUMBER),
-        "halo_cells": (False, int),
         "boundary_probe": (False, bool),
-        "probe_tolerance": (False, _NUMBER),
-        "mollify_initial": (False, bool),
     }),
     "mc": (False, {
         "n_paths": (True, int),
@@ -149,7 +145,7 @@ def validate_config(doc: dict) -> dict:
         if doc["query"]["horizon"] < 0:
             raise ConfigError("horizon must be >= 0", "query.horizon")
     if "policy" in doc:
-        if doc["policy"]["kind"] not in ("none", "zero_cbf", "gradient"):
+        if doc["policy"]["kind"] not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {doc['policy']['kind']!r}", "policy.kind")
         if doc["policy"]["kind"] == "gradient" and "c" not in doc["policy"]:
             raise ConfigError("gradient policy requires key", "policy.c")
@@ -204,14 +200,12 @@ def _system_from_doc(section: dict) -> ControlSystem:
     return ControlSystem(n=n, m=m, k=k,
                          f=compile_vector(section["f"], n),
                          g=compile_matrix(section["g"], n),
-                         sigma=compile_matrix(section["sigma"], n),
-                         vectorized=True)
+                         sigma=compile_matrix(section["sigma"], n))
 
 
 def _barrier_from_doc(section: dict, n: int) -> BarrierProblem:
     phi = compile_scalar(section["phi"], n)
-    return BarrierProblem(phi=phi, level=float(section.get("level", 0.0)),
-                          vectorized=True)
+    return BarrierProblem(phi=phi, level=float(section.get("level", 0.0)))
 
 
 def _policy_from_doc(section: dict, n: int, m: int) -> Policy:
@@ -226,7 +220,7 @@ def _policy_from_doc(section: dict, n: int, m: int) -> Policy:
             return np.zeros((X.shape[0], m))
     alpha = linear_rate(float(section.get("alpha_gain", 1.0)))
     c = compile_scalar(section["c"], n) if "c" in section else None
-    return Policy(nominal=nominal, kind=kind, alpha=alpha, c=c, vectorized=True)
+    return Policy(nominal=nominal, kind=kind, alpha=alpha, c=c)
 
 
 @dataclass
@@ -277,7 +271,7 @@ class ExperimentConfig:
             policy = bundle.policy
         else:
             policy = Policy(nominal=lambda X: np.zeros(
-                (np.atleast_2d(X).shape[0], system.m)), kind="none", vectorized=True)
+                (np.atleast_2d(X).shape[0], system.m)), kind="none")
         return system, barrier, policy
 
     def numerics(self) -> NumericsConfig:
@@ -288,17 +282,11 @@ class ExperimentConfig:
                 raise ConfigError("missing required key", "numerics")
             return NumericsConfig(box_lo=bundle.box_lo, box_hi=bundle.box_hi,
                                   cells=bundle.cells, dt=bundle.dt)
-        kwargs = {
-            "box_lo": tuple(section["box_lo"]),
-            "box_hi": tuple(section["box_hi"]),
-            "cells": tuple(section["cells"]),
-            "dt": float(section["dt"]),
-        }
-        for key in ("theta", "halo_cells", "boundary_probe", "probe_tolerance",
-                    "mollify_initial"):
-            if key in section:
-                kwargs[key] = section[key]
-        return NumericsConfig(**kwargs)
+        return NumericsConfig(box_lo=tuple(section["box_lo"]),
+                              box_hi=tuple(section["box_hi"]),
+                              cells=tuple(section["cells"]),
+                              dt=float(section["dt"]),
+                              boundary_probe=section.get("boundary_probe", True))
 
     def query_kind(self) -> str:
         if "query" not in self.doc:

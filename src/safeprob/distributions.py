@@ -23,14 +23,13 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import DataError, InfeasibilityError, SafeProbError
 from .pde_engine import (
-    DEFAULT_NODE_CAP,
     MIN_CELLS,
     FieldSeries,
     GridSpec,
@@ -78,29 +77,28 @@ KINDS = tuple(KIND_TABLE)
 
 RANGE_TOL = 1e-8
 
+# Extra cells padded onto every side of the query box, so the Dirichlet
+# region bordering the level set is represented by at least one node layer.
+HALO_CELLS = 1
+# The boundary probe solves at this factor coarser cells and time step.
+PROBE_COARSEN = 2
+
 
 @dataclass(frozen=True)
 class NumericsConfig:
     """Discretization controls for a distribution query.
 
-    ``box_lo``/``box_hi``/``cells`` describe the truncation box; a halo of
-    ``halo_cells`` extra cells is added on every side so the Dirichlet
-    region bordering the level set is represented by at least one node
-    layer.  The boundary probe re-solves coarsely on the original and a
-    doubled box to expose truncation bias.
+    ``box_lo``/``box_hi``/``cells`` describe the truncation box, padded by
+    ``HALO_CELLS`` on every side, and ``dt`` the backward-Euler time step.
+    The boundary probe re-solves coarsely on the original and a doubled
+    box to expose truncation bias.
     """
 
     box_lo: tuple
     box_hi: tuple
     cells: tuple
     dt: float
-    theta: float = 1.0
-    halo_cells: int = 1
     boundary_probe: bool = True
-    probe_tolerance: float = 1e-3
-    probe_coarsen: int = 2
-    mollify_initial: bool = False
-    node_cap: int = DEFAULT_NODE_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "box_lo", tuple(float(v) for v in self.box_lo))
@@ -108,8 +106,6 @@ class NumericsConfig:
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
         if self.dt <= 0:
             raise DataError("dt must be positive")
-        if self.halo_cells < 1:
-            raise DataError("halo_cells must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -192,15 +188,15 @@ def _padded_grid(numerics: NumericsConfig) -> GridSpec:
     lo, hi, cells = [], [], []
     for a in range(len(numerics.cells)):
         h = (numerics.box_hi[a] - numerics.box_lo[a]) / numerics.cells[a]
-        lo.append(numerics.box_lo[a] - numerics.halo_cells * h)
-        hi.append(numerics.box_hi[a] + numerics.halo_cells * h)
-        cells.append(numerics.cells[a] + 2 * numerics.halo_cells)
-    return GridSpec(tuple(lo), tuple(hi), tuple(cells), node_cap=numerics.node_cap)
+        lo.append(numerics.box_lo[a] - HALO_CELLS * h)
+        hi.append(numerics.box_hi[a] + HALO_CELLS * h)
+        cells.append(numerics.cells[a] + 2 * HALO_CELLS)
+    return GridSpec(tuple(lo), tuple(hi), tuple(cells))
 
 
 def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
               grid: GridSpec, level: float, side: str, dirichlet: float,
-              horizon: float, dt: float, numerics: NumericsConfig) -> IbvpSpec:
+              horizon: float, dt: float) -> IbvpSpec:
     mask = build_mask(grid, bar, side, level=level)
     nodes = grid.nodes()
     n = grid.ndim
@@ -221,19 +217,16 @@ def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     return IbvpSpec(grid=grid, interior_mask=mask,
                     convection=convection.reshape(grid.shape + (n,)),
                     diffusion=diffusion, dirichlet_value=dirichlet,
-                    initial_field=initial, horizon=horizon, dt=dt,
-                    theta=numerics.theta, mollify_initial=numerics.mollify_initial)
+                    initial_field=initial, horizon=horizon, dt=dt)
 
 
-def _probe_specs(sys, bar, policy, level, side, dirichlet, horizon,
-                 numerics: NumericsConfig, spec: IbvpSpec) -> SensitivityProbe | None:
+def _probe_specs(sys, bar, policy, level, side, dirichlet, horizon, dt: float,
+                 spec: IbvpSpec, points: np.ndarray) -> SensitivityProbe | None:
     faces = has_truncation_faces(spec.grid, spec.interior_mask)
     if not faces:
         return None
-    c = numerics.probe_coarsen
-    coarse_cells = tuple(max(MIN_CELLS, cells // c) for cells in spec.grid.cells)
-    coarse_grid = GridSpec(spec.grid.lo, spec.grid.hi, coarse_cells,
-                           node_cap=numerics.node_cap)
+    coarse_cells = tuple(max(MIN_CELLS, cells // PROBE_COARSEN) for cells in spec.grid.cells)
+    coarse_grid = GridSpec(spec.grid.lo, spec.grid.hi, coarse_cells)
     lo = list(spec.grid.lo)
     hi = list(spec.grid.hi)
     dcells = list(coarse_cells)
@@ -247,14 +240,12 @@ def _probe_specs(sys, bar, policy, level, side, dirichlet, horizon,
         if (a, +1) in faces:
             hi[a] += width
             dcells[a] += coarse_cells[a]
-    doubled_grid = GridSpec(tuple(lo), tuple(hi), tuple(dcells), node_cap=numerics.node_cap)
-    dt = numerics.dt * c
-    coarse = _assemble(sys, bar, policy, coarse_grid, level, side, dirichlet,
-                       horizon, dt, numerics)
-    doubled = _assemble(sys, bar, policy, doubled_grid, level, side, dirichlet,
-                        horizon, dt, numerics)
-    return SensitivityProbe(coarse=coarse, doubled=doubled, points=np.empty((0,)),
-                            tolerance=numerics.probe_tolerance)
+    doubled_grid = GridSpec(tuple(lo), tuple(hi), tuple(dcells))
+    probe_dt = dt * PROBE_COARSEN
+    coarse = _assemble(sys, bar, policy, coarse_grid, level, side, dirichlet, horizon, probe_dt)
+    doubled = _assemble(sys, bar, policy, doubled_grid, level, side, dirichlet, horizon,
+                        probe_dt)
+    return SensitivityProbe(coarse=coarse, doubled=doubled, points=points)
 
 
 def _query_hash(kind: str, q: QuerySpec, level: float) -> str:
@@ -266,8 +257,9 @@ def _query_hash(kind: str, q: QuerySpec, level: float) -> str:
         "times": None if q.times is None else np.asarray(q.times).tolist(),
         "numerics": {
             "box_lo": q.numerics.box_lo, "box_hi": q.numerics.box_hi,
-            "cells": q.numerics.cells, "dt": q.numerics.dt, "theta": q.numerics.theta,
-            "halo_cells": q.numerics.halo_cells,
+            "cells": q.numerics.cells, "dt": q.numerics.dt,
+            # theta 1.0 names the backward-Euler scheme.
+            "theta": 1.0, "halo_cells": HALO_CELLS,
         },
     }
     blob = json.dumps(payload, sort_keys=True)
@@ -289,8 +281,7 @@ def _solve_kind(kind: str, sys: ControlSystem, bar: BarrierProblem, policy: Poli
             stacklevel=3)
 
     grid = _padded_grid(q.numerics)
-    spec = _assemble(sys, bar, policy, grid, level, side, dirichlet,
-                     q.horizon, q.numerics.dt, q.numerics)
+    spec = _assemble(sys, bar, policy, grid, level, side, dirichlet, q.horizon, q.numerics.dt)
     if spec.interior_mask.all() or not spec.interior_mask.any():
         warnings.warn(
             f"{kind}: the level set does not intersect the solve box; the mask is "
@@ -299,11 +290,9 @@ def _solve_kind(kind: str, sys: ControlSystem, bar: BarrierProblem, policy: Poli
 
     probe = None
     if q.numerics.boundary_probe and q.horizon > 0:
+        pts = states[on_side] if np.any(on_side) else states
         probe = _probe_specs(sys, bar, policy, level, side, dirichlet,
-                             q.horizon, q.numerics, spec)
-        if probe is not None:
-            pts = states[on_side] if np.any(on_side) else states
-            probe = replace(probe, points=pts)
+                             q.horizon, q.numerics.dt, spec, pts)
 
     series = solve_ibvp(spec, snapshot_times=q.resolved_times(),
                         sensitivity_probe=probe)

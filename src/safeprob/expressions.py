@@ -5,7 +5,7 @@ strings over the state variables ``x1..xn`` using ``+ - * / ^``, unary
 minus, numeric literals, the constants ``pi`` and ``e``, and the
 functions ``sin cos exp tanh sqrt abs norm``.  ``norm(a, b, ...)`` is the
 Euclidean norm of its arguments.  Expressions are parsed once and
-evaluated vectorized over stacked states.
+evaluated on whole batches of stacked states.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _evaluate(node: ast.AST, env: dict):
 
 
 def compile_scalar(expr: str, n: int) -> Callable:
-    """Compile one expression of x1..xn into a vectorized map (B, n) -> (B,)."""
+    """Compile one expression of x1..xn into a batch map (B, n) -> (B,)."""
     if not isinstance(expr, str):
         expr = repr(float(expr))
     names = {f"x{i + 1}" for i in range(n)}

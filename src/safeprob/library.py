@@ -2,7 +2,7 @@
 
 Each bundle packages a system, barrier, and policy together with
 recommended solver numerics, and is the basis of the shipped reference
-configurations.  All evaluators are vectorized.
+configurations.
 """
 
 from __future__ import annotations
@@ -37,17 +37,15 @@ def _drifted_bm_1d() -> ExampleBundle:
         f=lambda X: np.ones(X.shape[:-1] + (1,)),
         g=lambda X: np.zeros(X.shape[:-1] + (1, 1)),
         sigma=lambda X: np.ones(X.shape[:-1] + (1, 1)),
-        vectorized=True,
     )
     bar = BarrierProblem(
         phi=lambda X: X[..., 0],
         grad_phi=lambda X: np.ones_like(X),
         hess_phi=lambda X: np.zeros(X.shape[:-1] + (1, 1)),
         level=0.0,
-        vectorized=True,
     )
     policy = Policy(nominal=lambda X: np.zeros(X.shape[:-1] + (1,)),
-                    kind="none", vectorized=True)
+                    kind="none")
     return ExampleBundle(
         name="drifted_bm_1d", system=sys, barrier=bar, policy=policy,
         box_lo=(0.0,), box_hi=(8.0,), cells=(800,), dt=1e-3,
@@ -91,10 +89,10 @@ def _double_integrator() -> ExampleBundle:
         out[..., 1, 1] = -2.0
         return out
 
-    sys = ControlSystem(n=2, m=1, k=1, f=f, g=g, sigma=sigma, vectorized=True)
-    bar = BarrierProblem(phi=phi, grad_phi=grad, hess_phi=hess, level=0.0, vectorized=True)
+    sys = ControlSystem(n=2, m=1, k=1, f=f, g=g, sigma=sigma)
+    bar = BarrierProblem(phi=phi, grad_phi=grad, hess_phi=hess, level=0.0)
     policy = Policy(nominal=lambda X: np.zeros(X.shape[:-1] + (1,)),
-                    kind="zero_cbf", alpha=linear_rate(_DI_GAMMA), vectorized=True)
+                    kind="zero_cbf", alpha=linear_rate(_DI_GAMMA))
     # Odd velocity cell count keeps v=0 off the node lattice, where the
     # filter's actuated direction vanishes.
     return ExampleBundle(
@@ -145,10 +143,10 @@ def _unicycle_disk() -> ExampleBundle:
         out[..., 0] = 0.6
         return out
 
-    sys = ControlSystem(n=3, m=2, k=3, f=f, g=g, sigma=sigma, vectorized=True)
-    bar = BarrierProblem(phi=phi, grad_phi=grad, hess_phi=hess, level=0.0, vectorized=True)
+    sys = ControlSystem(n=3, m=2, k=3, f=f, g=g, sigma=sigma)
+    bar = BarrierProblem(phi=phi, grad_phi=grad, hess_phi=hess, level=0.0)
     policy = Policy(nominal=nominal, kind="gradient",
-                    c=lambda X: np.full(X.shape[:-1], 1.0), vectorized=True)
+                    c=lambda X: np.full(X.shape[:-1], 1.0))
     return ExampleBundle(
         name="unicycle_disk", system=sys, barrier=bar, policy=policy,
         box_lo=(-1.1, -1.1, -np.pi), box_hi=(1.1, 1.1, np.pi),

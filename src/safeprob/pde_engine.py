@@ -11,13 +11,12 @@ is the generator form 1/2 tr(Sigma Hess F) + mu . grad F, so a solve with
 ``mu`` the closed-loop drift and ``Sigma = sigma sigma^T`` marches the
 probability fields produced by the distribution layer.
 
-Discretization: theta-scheme in time (theta=1 backward Euler by default),
-first-order upwind convection oriented for the backward generator
-(positive velocity pulls from the positive neighbor), conservative
-central diffusion with face-averaged coefficients, and a four-point
-cross-derivative stencil for off-diagonal diffusion entries.  With
-theta=1 and no cross terms the update matrix is an M-matrix, so fields
-obey a discrete maximum principle.
+Discretization: backward Euler in time, first-order upwind convection
+oriented for the backward generator (positive velocity pulls from the
+positive neighbor), conservative central diffusion with face-averaged
+coefficients, and a four-point cross-derivative stencil for off-diagonal
+diffusion entries.  Without cross terms the update matrix is an
+M-matrix, so fields obey a discrete maximum principle.
 
 Linear solves: a sparse LU factorized once on 1D and 2D grids, a
 Jacobi-preconditioned BiCGSTAB per step on 3D grids.  Neither makes a
@@ -26,7 +25,6 @@ threaded BLAS call, so fields do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -50,6 +48,10 @@ LINEAR_MAXITER = 10_000
 # Krylov iterations a step, while in 2D Krylov needs 25-77 iterations a step.
 _KRYLOV_MIN_NDIM = 3
 
+# A boundary probe whose two solves disagree by more than this at a query
+# state flags the solve as truncation-sensitive.
+PROBE_TOLERANCE = 1e-3
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -58,7 +60,6 @@ class GridSpec:
     lo: tuple
     hi: tuple
     cells: tuple
-    node_cap: int = DEFAULT_NODE_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
@@ -75,8 +76,8 @@ class GridSpec:
                 raise ValueError(f"axis {a}: lower bound {lo} must be below upper bound {hi}")
             if c < MIN_CELLS:
                 raise ValueError(f"axis {a}: cell count {c} below minimum {MIN_CELLS}")
-        if self.n_nodes > self.node_cap:
-            raise ValueError(f"grid has {self.n_nodes} nodes, above cap {self.node_cap}")
+        if self.n_nodes > DEFAULT_NODE_CAP:
+            raise ValueError(f"grid has {self.n_nodes} nodes, above cap {DEFAULT_NODE_CAP}")
 
     @property
     def ndim(self) -> int:
@@ -139,8 +140,6 @@ class IbvpSpec:
     initial_field: np.ndarray
     horizon: float
     dt: float
-    theta: float = 1.0
-    mollify_initial: bool = False
 
     def __post_init__(self):
         shape = self.grid.shape
@@ -173,8 +172,6 @@ class IbvpSpec:
             raise DataError("horizon must be >= 0")
         if self.dt <= 0:
             raise DataError("dt must be > 0")
-        if not 0.5 <= self.theta <= 1.0:
-            raise DataError("theta must lie in [0.5, 1]")
         object.__setattr__(self, "interior_mask", mask)
         object.__setattr__(self, "convection", conv)
         object.__setattr__(self, "diffusion", diff)
@@ -221,24 +218,12 @@ class FieldSeries:
     dirichlet_value: float
     diagnostics: SolveDiagnostics
 
-    @property
-    def snapshots(self) -> list:
-        return [(float(t), self.fields[i]) for i, t in enumerate(self.times)]
-
     def sample(self, states, time_index: int) -> np.ndarray:
         """Multilinear interpolation of one snapshot at stacked states."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         interp = RegularGridInterpolator(self.grid.axes(), self.fields[time_index],
                                          method="linear", bounds_error=True)
         return interp(states)
-
-    def tabulate(self, states) -> np.ndarray:
-        """Values at stacked states for every recorded time, (n_states, n_times)."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        out = np.empty((states.shape[0], len(self.times)))
-        for j in range(len(self.times)):
-            out[:, j] = self.sample(states, j)
-        return out
 
 
 def _divergence(diff: np.ndarray, spacing) -> np.ndarray:
@@ -329,7 +314,7 @@ def _assemble_operator(spec: IbvpSpec) -> sp.csr_matrix:
 
 
 class ThetaStepper:
-    """Owns the assembled theta-scheme matrices and linear solves for a spec.
+    """Owns the backward-Euler step matrix ``A = I - dt L`` and its linear solves.
 
     On grids with fewer than ``_KRYLOV_MIN_NDIM`` axes the step matrix is
     LU-factorized once and each step is one solve with that factorization.
@@ -344,18 +329,14 @@ class ThetaStepper:
         self.pinned = ~spec.interior_mask.ravel()
         L = _assemble_operator(spec)
         N = spec.grid.n_nodes
-        eye = sp.identity(N, format="csr")
-        self.A = (eye - spec.theta * spec.dt * L).tocsr()
-        self.B = None
-        if spec.theta < 1.0:
-            self.B = (eye + (1.0 - spec.theta) * spec.dt * L).tocsr()
+        self.A = (sp.identity(N, format="csr") - spec.dt * L).tocsr()
         self.solves = 0
         self._lu = None
         if spec.grid.ndim < _KRYLOV_MIN_NDIM:
             try:
                 self._lu = spla.splu(self.A.tocsc())
             except RuntimeError as err:
-                raise SolverError(f"theta-scheme matrix is singular: {err}") from err
+                raise SolverError(f"step matrix is singular: {err}") from err
         else:
             self._dinv = 1.0 / self.A.diagonal()
 
@@ -401,8 +382,7 @@ class ThetaStepper:
 
     def step(self, field_flat: np.ndarray) -> tuple[np.ndarray, float]:
         """Advance one step; returns (field, relative residual)."""
-        b = field_flat if self.B is None else self.B @ field_flat
-        b = b.copy()
+        b = field_flat.copy()
         b[self.pinned] = self.spec.dirichlet_value
         if self._lu is not None:
             x = self._lu.solve(b)
@@ -417,33 +397,19 @@ class ThetaStepper:
         return x, residual
 
 
-def _mollify(field: np.ndarray, mask: np.ndarray, dirichlet: float) -> np.ndarray:
-    """One-cell box smoothing of the initial indicator (for CN runs)."""
-    total = field.copy()
-    count = np.ones_like(field)
-    for a in range(field.ndim):
-        for s in (1, -1):
-            picks = np.clip(np.arange(field.shape[a]) + s, 0, field.shape[a] - 1)
-            total += np.take(field, picks, axis=a)
-            count += 1.0
-    out = total / count
-    out[~mask] = dirichlet
-    return out
-
-
 @dataclass(frozen=True)
 class SensitivityProbe:
     """Coarse pair of solves isolating the truncation-boundary effect.
 
     ``coarse`` matches the main spec's box at probe resolution and
     ``doubled`` extends the truncated faces outward; the diagnostic is the
-    largest disagreement at the probe points at the final time.
+    largest disagreement at the probe points at the final time, flagged
+    above ``PROBE_TOLERANCE``.
     """
 
     coarse: IbvpSpec
     doubled: IbvpSpec
     points: np.ndarray
-    tolerance: float = 1e-3
 
 
 def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
@@ -477,9 +443,6 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
         wanted.add(0)
 
     field = spec.initial_field.astype(float).ravel().copy()
-    if spec.mollify_initial:
-        field = _mollify(field.reshape(spec.grid.shape), spec.interior_mask,
-                         spec.dirichlet_value).ravel()
 
     times = [0.0]
     records = [field.reshape(spec.grid.shape).copy()]
@@ -513,7 +476,7 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
         if diag.boundary_flagged:
             diag.notes.append(
                 f"boundary sensitivity {diag.boundary_sensitivity:.3e} exceeds "
-                f"tolerance {sensitivity_probe.tolerance:.1e}")
+                f"tolerance {PROBE_TOLERANCE:.1e}")
 
     return FieldSeries(grid=spec.grid, times=np.asarray(times), fields=np.stack(records),
                        dirichlet_value=spec.dirichlet_value, diagnostics=diag)
@@ -525,7 +488,7 @@ def _run_probe(probe: SensitivityProbe) -> tuple[float, bool]:
     pts = np.atleast_2d(np.asarray(probe.points, dtype=float))
     delta = np.abs(base.sample(pts, -1) - wide.sample(pts, -1))
     sens = float(delta.max())
-    return sens, sens > probe.tolerance
+    return sens, sens > PROBE_TOLERANCE
 
 
 def has_truncation_faces(grid: GridSpec, interior_mask: np.ndarray) -> list:
@@ -576,8 +539,3 @@ def series_to_json(series: FieldSeries, times: Sequence[float] | None = None) ->
         ],
         "diagnostics": series.diagnostics.as_dict(),
     }
-
-
-def diagnostics_report(series: FieldSeries) -> str:
-    """Diagnostics as a JSON document."""
-    return json.dumps(series.diagnostics.as_dict(), indent=2, sort_keys=True)

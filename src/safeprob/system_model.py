@@ -9,12 +9,11 @@ safe region.  This module builds the closed-loop control law K for the
 supported policy kinds and the generator drift of ``phi`` used by the
 distribution solvers.
 
-Evaluators are plain callables on a single state ``x`` of shape ``(n,)``.
-Setting ``vectorized=True`` on a model object declares that its callables
-also accept stacked states of shape ``(B, n)`` and return outputs with a
-leading batch axis; the batch helpers exploit that, and otherwise fall
-back to a per-row loop.  Evaluators must be pure: repeated evaluation at
-the same state must return identical values.
+Evaluators are callables on stacked states of shape ``(B, n)`` that
+return outputs with a leading batch axis.  The ``*_at`` helpers also
+accept a single state of shape ``(n,)``; it reaches the evaluator as a
+batch of one.  Evaluators must be pure: repeated evaluation at the same
+state must return identical values.
 """
 
 from __future__ import annotations
@@ -48,36 +47,12 @@ def _as_batch(x, n: int, name: str = "state") -> tuple[np.ndarray, bool]:
     raise ShapeError(f"{name} has shape {arr.shape}, expected (B, {n})")
 
 
-def _eval_batch(fn: Callable, X: np.ndarray, shape: tuple[int, ...],
-                vectorized: bool, name: str) -> np.ndarray:
+def _eval_batch(fn: Callable, X: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Evaluate ``fn`` on stacked states, returning shape (B,) + shape."""
-    B = X.shape[0]
-    if vectorized:
-        out = np.asarray(fn(X), dtype=float)
-        want = (B,) + shape
-        if out.shape != want:
-            raise ShapeError(f"{name} returned shape {out.shape} on a batch, expected {want}")
-        return out
-    out = np.empty((B,) + shape, dtype=float)
-    for i in range(B):
-        row = np.asarray(fn(X[i]), dtype=float)
-        if shape == () and row.shape in ((), (1,)):
-            row = row.reshape(())
-        elif row.shape != shape:
-            raise ShapeError(f"{name} returned shape {row.shape} at state {X[i].tolist()}, "
-                             f"expected {shape}")
-        out[i] = row
-    return out
-
-
-def fd_gradient(fn: Callable, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = step
-        out[i] = (float(fn(x + e)) - float(fn(x - e))) / (2.0 * step)
+    out = np.asarray(fn(X), dtype=float)
+    want = (X.shape[0],) + shape
+    if out.shape != want:
+        raise ShapeError(f"{name} returned shape {out.shape} on a batch, expected {want}")
     return out
 
 
@@ -116,26 +91,6 @@ def fd_hessian_batch(fn: Callable, X: np.ndarray, step: float = FD_STEP) -> np.n
     return out
 
 
-def fd_hessian(fn: Callable, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Symmetric central finite-difference Hessian of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    out = np.empty((n, n))
-    f0 = float(fn(x))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        out[i, i] = (float(fn(x + ei)) - 2.0 * f0 + float(fn(x - ei))) / step**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            v = (float(fn(x + ei + ej)) - float(fn(x + ei - ej))
-                 - float(fn(x - ei + ej)) + float(fn(x - ei - ej))) / (4.0 * step**2)
-            out[i, j] = v
-            out[j, i] = v
-    return out
-
-
 @dataclass(frozen=True)
 class ControlSystem:
     """Coefficients of the controlled SDE.
@@ -150,7 +105,6 @@ class ControlSystem:
     f: Callable
     g: Callable
     sigma: Callable
-    vectorized: bool = False
 
     def __post_init__(self):
         for name in ("n", "m", "k"):
@@ -159,17 +113,17 @@ class ControlSystem:
 
     def f_at(self, X) -> np.ndarray:
         Xb, single = _as_batch(X, self.n)
-        out = _eval_batch(self.f, Xb, (self.n,), self.vectorized, "f")
+        out = _eval_batch(self.f, Xb, (self.n,), "f")
         return out[0] if single else out
 
     def g_at(self, X) -> np.ndarray:
         Xb, single = _as_batch(X, self.n)
-        out = _eval_batch(self.g, Xb, (self.n, self.m), self.vectorized, "g")
+        out = _eval_batch(self.g, Xb, (self.n, self.m), "g")
         return out[0] if single else out
 
     def sigma_at(self, X) -> np.ndarray:
         Xb, single = _as_batch(X, self.n)
-        out = _eval_batch(self.sigma, Xb, (self.n, self.k), self.vectorized, "sigma")
+        out = _eval_batch(self.sigma, Xb, (self.n, self.k), "sigma")
         return out[0] if single else out
 
 
@@ -186,36 +140,29 @@ class BarrierProblem:
     grad_phi: Callable | None = None
     hess_phi: Callable | None = None
     level: float = 0.0
-    vectorized: bool = False
 
     def phi_at(self, X) -> np.ndarray | float:
         n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
         Xb, single = _as_batch(X, n)
-        out = _eval_batch(self.phi, Xb, (), self.vectorized, "phi")
+        out = _eval_batch(self.phi, Xb, (), "phi")
         return float(out[0]) if single else out
 
     def grad_at(self, X) -> np.ndarray:
         n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
         Xb, single = _as_batch(X, n)
         if self.grad_phi is None:
-            if self.vectorized:
-                out = fd_gradient_batch(self.phi, Xb)
-            else:
-                out = np.stack([fd_gradient(self.phi, x) for x in Xb])
+            out = fd_gradient_batch(self.phi, Xb)
         else:
-            out = _eval_batch(self.grad_phi, Xb, (n,), self.vectorized, "grad_phi")
+            out = _eval_batch(self.grad_phi, Xb, (n,), "grad_phi")
         return out[0] if single else out
 
     def hess_at(self, X) -> np.ndarray:
         n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
         Xb, single = _as_batch(X, n)
         if self.hess_phi is None:
-            if self.vectorized:
-                out = fd_hessian_batch(self.phi, Xb)
-            else:
-                out = np.stack([fd_hessian(self.phi, x) for x in Xb])
+            out = fd_hessian_batch(self.phi, Xb)
         else:
-            out = _eval_batch(self.hess_phi, Xb, (n, n), self.vectorized, "hess_phi")
+            out = _eval_batch(self.hess_phi, Xb, (n, n), "hess_phi")
         return out[0] if single else out
 
 
@@ -244,7 +191,6 @@ class Policy:
     kind: str = "none"
     alpha: Callable | None = None
     c: Callable | None = None
-    vectorized: bool = False
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -253,22 +199,19 @@ class Policy:
             raise ValueError("gradient policy requires the gain evaluator c")
 
     def rate_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
         alpha = self.alpha if self.alpha is not None else linear_rate(1.0)
-        if self.vectorized or self.alpha is None:
-            return np.asarray(alpha(s), dtype=float)
-        return np.asarray([float(alpha(v)) for v in np.atleast_1d(s)], dtype=float).reshape(s.shape)
+        return np.asarray(alpha(np.asarray(s, dtype=float)), dtype=float)
 
     def nominal_at(self, X, m: int) -> np.ndarray:
         n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
         Xb, single = _as_batch(X, n)
-        out = _eval_batch(self.nominal, Xb, (m,), self.vectorized, "nominal")
+        out = _eval_batch(self.nominal, Xb, (m,), "nominal")
         return out[0] if single else out
 
     def c_at(self, X) -> np.ndarray:
         n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
         Xb, single = _as_batch(X, n)
-        out = _eval_batch(self.c, Xb, (), self.vectorized, "c")
+        out = _eval_batch(self.c, Xb, (), "c")
         if np.any(out < 0):
             bad = Xb[np.argmax(out < 0)]
             raise ValueError(f"gradient gain c is negative at state {bad.tolist()}")
@@ -381,7 +324,7 @@ def validate_barrier(bar: BarrierProblem, probes, rel_tol: float = 1e-5,
         if np.max(np.abs(h - h.T)) > sym_tol * scale:
             raise ValueError(f"Hessian not symmetric at {x.tolist()}")
         g = bar.grad_at(x)
-        g_fd = fd_gradient(bar.phi, x)
+        g_fd = fd_gradient_batch(bar.phi, x[None, :])[0]
         denom = max(float(np.linalg.norm(g_fd)), 1e-12)
         if np.linalg.norm(g - g_fd) / denom > rel_tol:
             raise ValueError(f"gradient inconsistent with phi at {x.tolist()}")

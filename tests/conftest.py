@@ -36,7 +36,6 @@ def const_system_1d(drift: float, gain: float, vol: float) -> ControlSystem:
         f=lambda X: np.full(X.shape[:-1] + (1,), drift),
         g=lambda X: np.full(X.shape[:-1] + (1, 1), gain),
         sigma=lambda X: np.full(X.shape[:-1] + (1, 1), vol),
-        vectorized=True,
     )
 
 
@@ -46,7 +45,6 @@ def identity_barrier(level: float = 0.0) -> BarrierProblem:
         grad_phi=lambda X: np.ones_like(X),
         hess_phi=lambda X: np.zeros(X.shape[:-1] + (1, 1)),
         level=level,
-        vectorized=True,
     )
 
 
@@ -56,7 +54,6 @@ def quadratic_barrier(level: float = 0.0) -> BarrierProblem:
         grad_phi=lambda X: 2.0 * X,
         hess_phi=lambda X: np.full(X.shape[:-1] + (1, 1), 2.0),
         level=level,
-        vectorized=True,
     )
 
 

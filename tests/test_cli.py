@@ -56,6 +56,14 @@ class TestConfigValidation:
                              "query": {"kind": "exit_cdf", "states": [[1.0]],
                                        "horizon": 1.0, "tolerance": 0.1}})
 
+    @pytest.mark.parametrize("key, value", [("theta", 0.5), ("mollify_initial", True),
+                                            ("halo_cells", 2), ("probe_tolerance", 1e-2)])
+    def test_removed_numerics_keys_rejected(self, tmp_path, key, value):
+        doc = small_bm_doc(str(tmp_path))
+        doc["numerics"][key] = value
+        with pytest.raises(ConfigError, match=f"unknown key.*numerics\\.{key}"):
+            ExperimentConfig.from_doc(doc)
+
     def test_missing_barrier_pointer(self):
         with pytest.raises(ConfigError, match="barrier"):
             validate_config({"system": {
@@ -312,6 +320,15 @@ class TestValidateCommand:
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 2
 
+    def test_truncated_artifact_exits_2(self, tmp_path, capsys):
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text('{"kind": "exit_cdf", "times": [0.0, 0.5')
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["validation"] = {"pde_artifact": str(truncated), "mc_artifact": str(truncated)}
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_curve_and_manifest(self, tmp_path):
@@ -363,3 +380,16 @@ class TestReportCommand:
         doc = small_bm_doc(str(tmp_path / "empty"))
         path = write_config(tmp_path, doc)
         assert main(["report", "--config", path]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "exit_cdf", "states": [[1.0', "not valid JSON"),
+        ('{"kind": "exit_cdf", "times": [0.0]}', "malformed layout"),
+    ], ids=["truncated", "no_states"])
+    def test_report_on_bad_result_exits_2(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, small_bm_doc(str(out)))
+        cfg = ExperimentConfig.from_file(path)
+        out.mkdir()
+        (out / f"exit_cdf_{cfg.hash}.json").write_text(text)
+        assert main(["report", "--config", path]) == 2
+        assert message in capsys.readouterr().err

@@ -104,7 +104,7 @@ class TestDriftedBrownianOracles:
         driftless = type(bm.system)(
             n=1, m=1, k=1,
             f=lambda X: np.zeros(X.shape[:-1] + (1,)),
-            g=bm.system.g, sigma=bm.system.sigma, vectorized=True)
+            g=bm.system.g, sigma=bm.system.sigma)
         q = QuerySpec(states=[[1.0]], horizon=1.0, numerics=bm_numerics(lo=-4.0))
         res = exit_time_cdf(driftless, bm.barrier, bm.policy, q)
         assert res.values[0, -1] == pytest.approx(EXIT_DRIFTLESS, abs=5e-3)
@@ -204,7 +204,7 @@ class TestQueryHandling:
         ex = make_example("double_integrator")
         from safeprob.system_model import linear_rate
         weak = Policy(nominal=ex.policy.nominal, kind="zero_cbf",
-                      alpha=linear_rate(0.2), vectorized=True)
+                      alpha=linear_rate(0.2))
         num = NumericsConfig(box_lo=(-1.05, -1.05), box_hi=(1.05, 1.05),
                              cells=(40, 40), dt=1e-2)
         q = QuerySpec(states=[[0.0, 0.0]], horizon=0.1, numerics=num)

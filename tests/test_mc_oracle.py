@@ -29,7 +29,7 @@ from conftest import (
     zero_nominal,
 )
 
-NONE_POLICY = Policy(nominal=zero_nominal(1), kind="none", vectorized=True)
+NONE_POLICY = Policy(nominal=zero_nominal(1), kind="none")
 
 
 class TestAnalyticFirstPassage:

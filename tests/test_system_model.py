@@ -63,7 +63,7 @@ class TestZeroCbfFilter:
         sys = const_system_1d(0.0, 1.0, 0.5)
         bar = identity_barrier()
         policy = Policy(nominal=lambda X: np.full(X.shape[:-1] + (1,), nominal_value),
-                        kind="zero_cbf", alpha=linear_rate(1.0), vectorized=True)
+                        kind="zero_cbf", alpha=linear_rate(1.0))
         return sys, bar, policy
 
     def test_active_filter_matches_grid_search(self):
@@ -81,7 +81,7 @@ class TestZeroCbfFilter:
     def test_infeasible_state_raises(self):
         sys = const_system_1d(-5.0, 0.0, 0.5)  # no actuation at all
         bar = identity_barrier()
-        policy = Policy(nominal=zero_nominal(1), kind="zero_cbf", vectorized=True)
+        policy = Policy(nominal=zero_nominal(1), kind="zero_cbf")
         with pytest.raises(InfeasibilityError) as err:
             closed_loop_control(policy, sys, bar, [0.5])
         assert "0.5" in str(err.value)
@@ -89,7 +89,7 @@ class TestZeroCbfFilter:
     def test_batch_flags_infeasible_rows(self):
         sys = const_system_1d(-5.0, 0.0, 0.5)
         bar = identity_barrier()
-        policy = Policy(nominal=zero_nominal(1), kind="zero_cbf", vectorized=True)
+        policy = Policy(nominal=zero_nominal(1), kind="zero_cbf")
         _, infeasible = closed_loop_control_batch(policy, sys, bar, [[0.5], [100.0]])
         assert infeasible.tolist() == [True, False]
 
@@ -104,7 +104,7 @@ class TestZeroCbfFilter:
     def test_constraint_check_requires_zero_cbf(self):
         sys = const_system_1d(-5.0, 1.0, 0.5)
         bar = identity_barrier()
-        policy = Policy(nominal=zero_nominal(1), kind="none", vectorized=True)
+        policy = Policy(nominal=zero_nominal(1), kind="none")
         with pytest.raises(ValueError):
             check_cbf_constraint(policy, sys, bar, [1.0])
 
@@ -114,7 +114,7 @@ class TestZeroCbfFilter:
         sys = const_system_1d(0.3, 1.0, 0.5)
         bar = identity_barrier()
         policy = Policy(nominal=lambda X: np.full(X.shape[:-1] + (1,), nominal),
-                        kind="zero_cbf", alpha=linear_rate(gamma), vectorized=True)
+                        kind="zero_cbf", alpha=linear_rate(gamma))
         u = closed_loop_control(policy, sys, bar, [x])
         assert d_phi(sys, bar, [x], u) >= -gamma * x - 1e-9
 
@@ -124,7 +124,7 @@ class TestGradientPolicy:
         sys = const_system_1d(0.0, 1.0, 0.5)
         bar = identity_barrier()
         policy = Policy(nominal=zero_nominal(1), kind="gradient",
-                        c=lambda X: np.ones(X.shape[:-1]), vectorized=True)
+                        c=lambda X: np.ones(X.shape[:-1]))
         u = closed_loop_control(policy, sys, bar, [0.3])
         assert u[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -136,7 +136,7 @@ class TestGradientPolicy:
         sys = const_system_1d(0.0, 1.0, 0.5)
         bar = identity_barrier()
         policy = Policy(nominal=zero_nominal(1), kind="gradient",
-                        c=lambda X: np.full(X.shape[:-1], -1.0), vectorized=True)
+                        c=lambda X: np.full(X.shape[:-1], -1.0))
         with pytest.raises(ValueError):
             closed_loop_control(policy, sys, bar, [0.3])
 
@@ -146,7 +146,7 @@ class TestGradientPolicy:
         sys = const_system_1d(0.2, gain, 0.7)
         bar = quadratic_barrier()
         policy = Policy(nominal=zero_nominal(1), kind="gradient",
-                        c=lambda X: np.full(X.shape[:-1], c), vectorized=True)
+                        c=lambda X: np.full(X.shape[:-1], c))
         u = closed_loop_control(policy, sys, bar, [x])
         lg = lie_g(sys, bar, np.array([x]))
         increment = d_phi(sys, bar, [x], u) - d_phi(sys, bar, [x], [0.0])
@@ -164,24 +164,12 @@ class TestEvaluatorContracts:
             b = np.asarray(fn(X))
             assert np.array_equal(a, b)
 
-    def test_unvectorized_fallback_matches(self):
-        loop_sys = ControlSystem(n=1, m=1, k=1,
-                                 f=lambda x: np.array([0.3]),
-                                 g=lambda x: np.array([[1.5]]),
-                                 sigma=lambda x: np.array([[0.8]]),
-                                 vectorized=False)
-        fast_sys = const_system_1d(0.3, 1.5, 0.8)
-        X = np.linspace(-1, 1, 5)[:, None]
-        np.testing.assert_array_equal(loop_sys.f_at(X), fast_sys.f_at(X))
-        np.testing.assert_array_equal(loop_sys.g_at(X), fast_sys.g_at(X))
-
     def test_bad_shape_from_evaluator(self):
         broken = ControlSystem(n=2, m=1, k=1,
-                               f=lambda x: np.zeros(3),
-                               g=lambda x: np.zeros((2, 1)),
-                               sigma=lambda x: np.zeros((2, 1)),
-                               vectorized=False)
-        with pytest.raises(ShapeError):
+                               f=lambda X: np.zeros((X.shape[0], 3)),
+                               g=lambda X: np.zeros((X.shape[0], 2, 1)),
+                               sigma=lambda X: np.zeros((X.shape[0], 2, 1)))
+        with pytest.raises(ShapeError, match="returned shape"):
             broken.f_at([0.0, 0.0])
 
     def test_positive_dims_required(self):
@@ -193,7 +181,7 @@ class TestEvaluatorContracts:
 class TestBarrierValidation:
     def test_finite_difference_defaults_match_analytic(self):
         analytic = quadratic_barrier()
-        fd_only = BarrierProblem(phi=lambda X: X[..., 0] ** 2, vectorized=True)
+        fd_only = BarrierProblem(phi=lambda X: X[..., 0] ** 2)
         X = np.array([[0.5], [-1.5], [2.0]])
         np.testing.assert_allclose(fd_only.grad_at(X), analytic.grad_at(X),
                                    rtol=1e-6, atol=1e-6)
@@ -209,8 +197,7 @@ class TestBarrierValidation:
 
     def test_validate_barrier_rejects_wrong_gradient(self):
         bad = BarrierProblem(phi=lambda X: X[..., 0] ** 2,
-                             grad_phi=lambda X: 3.0 * X,  # wrong scale
-                             vectorized=True)
+                             grad_phi=lambda X: 3.0 * X)  # wrong scale
         with pytest.raises(ValueError, match="inconsistent"):
             validate_barrier(bad, np.array([[1.0]]))
 
@@ -218,7 +205,7 @@ class TestBarrierValidation:
         flat = BarrierProblem(phi=lambda X: X[..., 0] ** 2,
                               grad_phi=lambda X: 2.0 * X,
                               hess_phi=lambda X: np.full(X.shape[:-1] + (1, 1), 2.0),
-                              level=0.0, vectorized=True)
+                              level=0.0)
         with pytest.raises(ValueError, match="vanishes"):
             validate_barrier(flat, np.array([[0.0]]))
 
@@ -227,7 +214,6 @@ class TestBarrierValidation:
             phi=lambda X: X[..., 0] * X[..., 1],
             grad_phi=lambda X: np.stack([X[..., 1], X[..., 0]], axis=-1),
             hess_phi=lambda X: np.tile(np.array([[0.0, 1.0], [0.5, 0.0]]),
-                                       X.shape[:-1] + (1, 1)),
-            vectorized=True)
+                                       X.shape[:-1] + (1, 1)))
         with pytest.raises(ValueError, match="symmetric"):
             validate_barrier(bad, np.array([[1.0, 1.0]]))
