@@ -44,7 +44,6 @@ from .mc_oracle import (  # noqa: F401
     PathConfig,
     PathEnsemble,
     analytic_first_passage,
-    analytic_min_ccdf,
     empirical_ccdf_min,
     empirical_cdf_entry,
     empirical_cdf_exit,

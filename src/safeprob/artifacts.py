@@ -1,5 +1,7 @@
 """Deterministic CSV/JSON artifact writers and loaders.
 
+This module owns every artifact: it names each file, fixes its layout and
+does every read and write of one; the solver and the CLI open no file.
 File names embed the configuration hash so identical configs reproduce
 identical artifact sets byte for byte.  Floats are written with repr, the
 shortest round-trip form, and JSON keys are sorted; no timestamps or
@@ -17,7 +19,7 @@ import numpy as np
 from .distributions import DistributionResult
 from .errors import DataError
 from .mc_oracle import CdfTable, EmpiricalDistribution, PathEnsemble
-from .pde_engine import series_to_json
+from .pde_engine import FieldSeries, GridSpec
 
 
 def _fmt(v) -> str:
@@ -33,16 +35,27 @@ def _dump_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _result_paths(out_dir: str, kind: str, tag: str) -> tuple[str, str, str]:
+    """A solve's result CSV, result JSON and fields JSON paths."""
+    stem = os.path.join(out_dir, f"{kind}_{tag}")
+    return f"{stem}.csv", f"{stem}.json", f"{stem}_fields.json"
+
+
+def _curve_csv(states, times, values, level=None) -> str:
+    """Long-format table: state coordinates, time, level (when given), value."""
+    columns = ",t,value" if level is None else ",t,level,value"
+    level_cell = "" if level is None else f"{_fmt(level)},"
+    lines = [",".join(f"x{i + 1}" for i in range(len(states[0]))) + columns]
+    for si, state in enumerate(states):
+        coords = ",".join(_fmt(c) for c in state)
+        for ti, t in enumerate(times):
+            lines.append(f"{coords},{_fmt(t)},{level_cell}{_fmt(values[si][ti])}")
+    return "\n".join(lines) + "\n"
+
+
 def result_csv(result: DistributionResult) -> str:
     """Long-format table: state coordinates, time, level, value."""
-    n = result.states.shape[1]
-    lines = [",".join(f"x{i + 1}" for i in range(n)) + ",t,level,value"]
-    for si in range(result.states.shape[0]):
-        coords = ",".join(_fmt(c) for c in result.states[si])
-        for ti, t in enumerate(result.times):
-            lines.append(f"{coords},{_fmt(t)},{_fmt(result.level)},"
-                         f"{_fmt(result.values[si, ti])}")
-    return "\n".join(lines) + "\n"
+    return _curve_csv(result.states, result.times, result.values, result.level)
 
 
 def result_json(result: DistributionResult) -> dict:
@@ -58,25 +71,77 @@ def result_json(result: DistributionResult) -> dict:
     }
 
 
-def write_result(result: DistributionResult, out_dir: str, tag: str,
-                 formats=("csv", "json"), snapshot_times=None) -> list:
-    """Persist a distribution result; returns the written file paths."""
+def series_to_json(series: FieldSeries) -> dict:
+    """Binary-free JSON layout: grid metadata plus the row-major final snapshot."""
+    return {
+        "grid": {
+            "lo": list(series.grid.lo),
+            "hi": list(series.grid.hi),
+            "cells": list(series.grid.cells),
+        },
+        "dirichlet_value": series.dirichlet_value,
+        "snapshots": [{"time": float(series.times[-1]),
+                       "values": [float(v) for v in series.fields[-1].ravel()]}],
+        "diagnostics": series.diagnostics.as_dict(),
+    }
+
+
+def export_snapshot_csv(grid: GridSpec, field: np.ndarray, path) -> None:
+    """Write one snapshot as CSV rows of node coordinates and value."""
+    lines = [",".join(f"x{i + 1}" for i in range(grid.ndim)) + ",value"]
+    for row, v in zip(grid.nodes(), np.asarray(field, dtype=float).ravel()):
+        lines.append(",".join(_fmt(c) for c in row) + f",{_fmt(v)}")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def write_result(result: DistributionResult, out_dir: str, tag: str) -> list:
+    """Persist a distribution result, and its final field when it carries
+    one; returns the written file paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    stem = os.path.join(out_dir, f"{result.kind}_{tag}")
-    if "csv" in formats:
-        path = f"{stem}.csv"
-        _write_text(path, result_csv(result))
-        written.append(path)
-    if "json" in formats:
-        path = f"{stem}.json"
-        _dump_json(path, result_json(result))
-        written.append(path)
-        if snapshot_times and result.series is not None:
-            fpath = f"{stem}_fields.json"
-            _dump_json(fpath, series_to_json(result.series, snapshot_times))
-            written.append(fpath)
+    csv_path, json_path, fields_path = _result_paths(out_dir, result.kind, tag)
+    _write_text(csv_path, result_csv(result))
+    _dump_json(json_path, result_json(result))
+    written = [csv_path, json_path]
+    if result.series is not None:
+        _dump_json(fields_path, series_to_json(result.series))
+        written.append(fields_path)
     return written
+
+
+def write_report(out_dir: str, kind: str, tag: str) -> list:
+    """Plot-ready tables from a solve's artifacts; returns the written paths.
+
+    The curve CSV repeats the result without its level column; when the
+    fields artifact exists, the heatmap CSV holds its snapshot per node.
+    """
+    _, result_path, fields_path = _result_paths(out_dir, kind, tag)
+    if not os.path.exists(result_path):
+        raise DataError(f"missing solve artifact {result_path}; run solve first")
+    doc = read_artifact(result_path)
+    with artifact_layout(result_path):
+        curve = _curve_csv(doc["states"], doc["times"], doc["values"])
+    curve_path = os.path.join(out_dir, f"report_curve_{kind}_{tag}.csv")
+    _write_text(curve_path, curve)
+    written = [curve_path]
+    if os.path.exists(fields_path):
+        fields = read_artifact(fields_path)
+        with artifact_layout(fields_path):
+            box = fields["grid"]
+            grid = GridSpec(box["lo"], box["hi"], box["cells"])
+            values = np.asarray(fields["snapshots"][-1]["values"],
+                                dtype=float).reshape(grid.shape)
+        heat_path = os.path.join(out_dir, f"report_heatmap_{kind}_{tag}.csv")
+        export_snapshot_csv(grid, values, heat_path)
+        written.append(heat_path)
+    return written
+
+
+def write_validation(out_dir: str, tag: str, all_pass: bool, checks: list) -> str:
+    """The validation report of one configuration; returns its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"validation_{tag}.json")
+    _dump_json(path, {"config_hash": tag, "all_pass": all_pass, "checks": checks})
+    return path
 
 
 def empirical_csv(emp: EmpiricalDistribution) -> str:
@@ -140,20 +205,15 @@ def load_table(path: str, state_index: int = 0) -> tuple[str, CdfTable]:
 
 
 def write_empirical(estimates: dict, ens: PathEnsemble, out_dir: str, tag: str,
-                    formats=("csv", "json"), event_log: bool = False) -> list:
+                    event_log: bool = False) -> list:
     """Persist empirical distributions plus an ensemble summary."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, emp in sorted(estimates.items()):
         stem = os.path.join(out_dir, f"mc_{name}_{tag}")
-        if "csv" in formats:
-            path = f"{stem}.csv"
-            _write_text(path, empirical_csv(emp))
-            written.append(path)
-        if "json" in formats:
-            path = f"{stem}.json"
-            _dump_json(path, empirical_json(emp))
-            written.append(path)
+        _write_text(f"{stem}.csv", empirical_csv(emp))
+        _dump_json(f"{stem}.json", empirical_json(emp))
+        written += [f"{stem}.csv", f"{stem}.json"]
     summary = {
         "level": ens.level,
         "x0": ens.x0.tolist(),

@@ -1,5 +1,8 @@
 """Command-line front end: solve | mc | validate | report.
 
+The commands only sequence the work; ``safeprob.artifacts`` names, writes
+and reads every file.
+
 Exit codes: 0 success, 1 validation checks failed, 2 configuration or
 data error, 3 solver error, 4 path-divergence threshold exceeded.
 """
@@ -7,19 +10,18 @@ data error, 3 solver error, 4 path-divergence threshold exceeded.
 from __future__ import annotations
 
 import argparse
-import json
-import os
+import dataclasses
 import sys as _sys
 
 import numpy as np
 
 from .artifacts import (
-    artifact_layout,
     load_table,
-    read_artifact,
     write_empirical,
     write_manifest,
+    write_report,
     write_result,
+    write_validation,
 )
 from .config import ExperimentConfig
 from .distributions import (
@@ -48,7 +50,6 @@ from .mc_oracle import (
     ks_distance,
     simulate_paths,
 )
-from .pde_engine import GridSpec, export_snapshot_csv
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -68,8 +69,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     kind = cfg.query_kind()
     result = solve_distribution(kind, system, barrier, policy, q, config_hash=cfg.hash)
     out = cfg.output_dir()
-    files = write_result(result, out, cfg.hash, cfg.output_formats(),
-                         snapshot_times=cfg.snapshot_times())
+    files = write_result(result, out, cfg.hash)
     files.append(write_manifest(out, cfg.hash, "solve", files, cfg.doc))
     for i, x in enumerate(result.states):
         print(f"{kind} at state {x.tolist()}, level {result.level}, "
@@ -80,18 +80,19 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 def _mc_estimates(cfg: ExperimentConfig, ens, times):
     conf = cfg.mc_confidence()
+    # The time-axis estimates come first: with every path excluded they
+    # raise DataError before the level span below reduces an empty array.
+    estimates = {"exit_cdf": empirical_cdf_exit(ens, times, conf),
+                 "entry_cdf": empirical_cdf_entry(ens, times, conf)}
     span_lo = float(np.min(ens.min_phi[ens.ok]))
     span_hi = float(np.max(ens.max_phi[ens.ok]))
     if span_lo == span_hi:
         span_lo -= 0.5
         span_hi += 0.5
     levels = np.linspace(span_lo, span_hi, 101)
-    return {
-        "exit_cdf": empirical_cdf_exit(ens, times, conf),
-        "entry_cdf": empirical_cdf_entry(ens, times, conf),
-        "min_ccdf": empirical_ccdf_min(ens, levels, conf),
-        "max_cdf": empirical_cdf_max(ens, levels, conf),
-    }
+    estimates["min_ccdf"] = empirical_ccdf_min(ens, levels, conf)
+    estimates["max_cdf"] = empirical_cdf_max(ens, levels, conf)
+    return estimates
 
 
 def cmd_mc(cfg: ExperimentConfig) -> int:
@@ -111,8 +112,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     estimates = _mc_estimates(cfg, ens, times)
     out = cfg.output_dir()
     event_log = bool(cfg.doc.get("mc", {}).get("event_log", False))
-    files = write_empirical(estimates, ens, out, cfg.hash, cfg.output_formats(),
-                            event_log=event_log)
+    files = write_empirical(estimates, ens, out, cfg.hash, event_log=event_log)
     files.append(write_manifest(out, cfg.hash, "mc", files, cfg.doc))
     emp = estimates["exit_cdf"]
     print(f"simulated {pc.n_paths} paths (excluded {ens.n_diverged}+{ens.n_infeasible}); "
@@ -150,8 +150,11 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         q = _query_spec(cfg)
         kind = cfg.query_kind()
         result = solve_distribution(kind, system, barrier, policy, q, config_hash=cfg.hash)
-        comp = solve_distribution(complementary_kind(kind), system, barrier, policy, q,
-                                  config_hash=cfg.hash)
+        # Only the complement's values are checked, so it skips the probe.
+        comp_q = dataclasses.replace(
+            q, numerics=dataclasses.replace(q.numerics, boundary_probe=False))
+        comp = solve_distribution(complementary_kind(kind), system, barrier, policy,
+                                  comp_q, config_hash=cfg.hash)
         pc = cfg.path_config()
         ens = simulate_paths(system, barrier, policy, q.states[0], pc,
                              level=result.level)
@@ -173,12 +176,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         add("boundary", result.diagnostics.get("boundary_sensitivity"), tol["boundary"])
 
     all_pass = all(c["passed"] for c in checks)
-    out = cfg.output_dir()
-    os.makedirs(out, exist_ok=True)
-    report = {"config_hash": cfg.hash, "all_pass": all_pass, "checks": checks}
-    path = os.path.join(out, f"validation_{cfg.hash}.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path = write_validation(cfg.output_dir(), cfg.hash, all_pass, checks)
     for c in checks:
         shown = "skipped" if c["value"] is None else f"{c['value']:.3e}"
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {shown} "
@@ -189,38 +187,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
 
 def cmd_report(cfg: ExperimentConfig) -> int:
     out = cfg.output_dir()
-    kind = cfg.query_kind()
-    stem = os.path.join(out, f"{kind}_{cfg.hash}")
-    result_path = f"{stem}.json"
-    if not os.path.exists(result_path):
-        raise DataError(f"missing solve artifact {result_path}; run solve first")
-    doc = read_artifact(result_path)
-    files = []
-
-    curve_path = os.path.join(out, f"report_curve_{kind}_{cfg.hash}.csv")
-    with artifact_layout(result_path):
-        n = len(doc["states"][0])
-        header = ",".join(f"x{i + 1}" for i in range(n)) + ",t,value"
-        lines = [header]
-        for si, state in enumerate(doc["states"]):
-            coords = ",".join(repr(float(c)) for c in state)
-            for ti, t in enumerate(doc["times"]):
-                lines.append(f"{coords},{float(t)!r},{float(doc['values'][si][ti])!r}")
-    with open(curve_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    files.append(curve_path)
-
-    fields_path = f"{stem}_fields.json"
-    if os.path.exists(fields_path):
-        fields = read_artifact(fields_path)
-        with artifact_layout(fields_path):
-            box = fields["grid"]
-            grid = GridSpec(box["lo"], box["hi"], box["cells"])
-            values = np.asarray(fields["snapshots"][-1]["values"], dtype=float)
-        heat_path = os.path.join(out, f"report_heatmap_{kind}_{cfg.hash}.csv")
-        export_snapshot_csv(grid, values, heat_path)
-        files.append(heat_path)
-
+    files = write_report(out, cfg.query_kind(), cfg.hash)
     files.append(write_manifest(out, cfg.hash, "report", files, cfg.doc))
     print(f"wrote {len(files)} files to {out}")
     return EXIT_OK

@@ -77,8 +77,6 @@ SCHEMA: dict = {
     }),
     "output": (False, {
         "dir": (False, str),
-        "formats": (False, [str]),
-        "snapshot_times": (False, [_NUMBER]),
     }),
     "validation": (False, {
         "tolerances": (False, {
@@ -327,15 +325,6 @@ class ExperimentConfig:
 
     def output_dir(self) -> str:
         return self.doc.get("output", {}).get("dir", "out")
-
-    def output_formats(self) -> tuple:
-        return tuple(self.doc.get("output", {}).get("formats", ("csv", "json")))
-
-    def snapshot_times(self) -> list:
-        times = self.doc.get("output", {}).get("snapshot_times")
-        if times is None:
-            return [self.query_horizon()] if "query" in self.doc else []
-        return [float(t) for t in times]
 
     def tolerances(self) -> dict:
         tol = {"mc_ks": 0.02, "analytic_ks": 5e-3, "complementarity": 1e-6,

@@ -24,6 +24,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -165,9 +166,6 @@ class DistributionResult:
             raise SafeProbError(
                 f"probabilities out of range: [{self.values.min()}, {self.values.max()}]")
 
-    def curve(self, state_index: int = 0) -> np.ndarray:
-        return self.values[state_index]
-
 
 def complementary_kind(kind: str) -> str:
     """The kind whose values sum with this one to 1 pointwise."""
@@ -266,8 +264,12 @@ def _query_hash(kind: str, q: QuerySpec, level: float) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _solve_kind(kind: str, sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-                q: QuerySpec, config_hash: str | None = None) -> DistributionResult:
+def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
+                       policy: Policy, q: QuerySpec,
+                       config_hash: str | None = None) -> DistributionResult:
+    """Tabulate one distribution kind over (state, time)."""
+    if kind not in KINDS:
+        raise DataError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
     side, dirichlet = KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet
     level = q.resolved_level(bar)
     states = q.states
@@ -278,7 +280,7 @@ def _solve_kind(kind: str, sys: ControlSystem, bar: BarrierProblem, policy: Poli
         warnings.warn(
             f"{kind}: state {bad.tolist()} lies on the wrong side of level {level}; "
             f"the boundary condition fixes its value to {dirichlet}", SafeProbWarning,
-            stacklevel=3)
+            stacklevel=2)
 
     grid = _padded_grid(q.numerics)
     spec = _assemble(sys, bar, policy, grid, level, side, dirichlet, q.horizon, q.numerics.dt)
@@ -286,7 +288,7 @@ def _solve_kind(kind: str, sys: ControlSystem, bar: BarrierProblem, policy: Poli
         warnings.warn(
             f"{kind}: the level set does not intersect the solve box; the mask is "
             "trivial and the result degenerates to its initial/boundary data",
-            SafeProbWarning, stacklevel=3)
+            SafeProbWarning, stacklevel=2)
 
     probe = None
     if q.numerics.boundary_probe and q.horizon > 0:
@@ -329,37 +331,11 @@ def _solve_kind(kind: str, sys: ControlSystem, bar: BarrierProblem, policy: Poli
                               provenance=provenance, series=series)
 
 
-def invariance_ccdf(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-                    q: QuerySpec, config_hash: str | None = None) -> DistributionResult:
-    """P(min of phi over [0,T] >= level) tabulated over (state, T)."""
-    return _solve_kind("invariance_ccdf", sys, bar, policy, q, config_hash)
-
-
-def exit_time_cdf(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-                  q: QuerySpec, config_hash: str | None = None) -> DistributionResult:
-    """P(first time phi drops to the level <= t) tabulated over (state, t)."""
-    return _solve_kind("exit_cdf", sys, bar, policy, q, config_hash)
-
-
-def convergence_cdf(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-                    q: QuerySpec, config_hash: str | None = None) -> DistributionResult:
-    """P(max of phi over [0,T] < level) tabulated over (state, T)."""
-    return _solve_kind("convergence_cdf", sys, bar, policy, q, config_hash)
-
-
-def entry_time_cdf(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-                   q: QuerySpec, config_hash: str | None = None) -> DistributionResult:
-    """P(first time phi rises to the level <= t) tabulated over (state, t)."""
-    return _solve_kind("entry_cdf", sys, bar, policy, q, config_hash)
-
-
-def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
-                       policy: Policy, q: QuerySpec,
-                       config_hash: str | None = None) -> DistributionResult:
-    """Dispatch by distribution kind."""
-    if kind not in KINDS:
-        raise DataError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
-    return _solve_kind(kind, sys, bar, policy, q, config_hash)
+# The four kinds under their own names (see the module docstring).
+invariance_ccdf = partial(solve_distribution, "invariance_ccdf")
+exit_time_cdf = partial(solve_distribution, "exit_cdf")
+convergence_cdf = partial(solve_distribution, "convergence_cdf")
+entry_time_cdf = partial(solve_distribution, "entry_cdf")
 
 
 def event_time_cdf(result: DistributionResult) -> np.ndarray:

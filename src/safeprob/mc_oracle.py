@@ -21,8 +21,10 @@ from scipy.special import ndtr
 from .errors import DataError
 from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_control_batch
 
-# Per-block noise buffers are capped near this many bytes; the block
-# partition never affects results, only memory.
+# Paths are simulated in blocks of at most BLOCK_SIZE paths, and per-block
+# noise buffers are capped near _BLOCK_BYTES bytes; the block partition
+# never affects results, only memory.
+BLOCK_SIZE = 4096
 _BLOCK_BYTES = 512_000_000
 
 
@@ -30,15 +32,13 @@ _BLOCK_BYTES = 512_000_000
 class PathConfig:
     """Simulation controls: step, horizon, ensemble size, seed.
 
-    ``block_size`` only bounds the vectorization width; results depend on
-    (seed, dt, horizon, n_paths) alone.
+    Results depend on (seed, dt, horizon, n_paths) alone.
     """
 
     dt: float
     horizon: float
     n_paths: int
     seed: int
-    block_size: int = 4096
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -49,8 +49,6 @@ class PathConfig:
             raise DataError("n_paths must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise DataError("seed must fit an unsigned 64-bit integer")
-        if self.block_size < 1:
-            raise DataError("block_size must be >= 1")
 
 
 @dataclass
@@ -114,7 +112,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     sqdt = np.sqrt(dt)
 
     per_path_bytes = 8 * n_steps * sys.k
-    block = max(64, min(cfg.block_size, int(_BLOCK_BYTES // max(per_path_bytes, 1))))
+    block = max(64, min(BLOCK_SIZE, int(_BLOCK_BYTES // max(per_path_bytes, 1))))
 
     n = cfg.n_paths
     min_phi = np.full(n, phi0)
@@ -308,16 +306,6 @@ def analytic_first_passage(x0: float, drift: float, vol: float, level: float, t)
             ndtr(np.where(t > 0, (-mu * t - d) / np.where(t > 0, sq, 1.0), -np.inf))
     out = np.where(t > 0, a + b, 0.0)
     return float(out) if out.ndim == 0 else np.asarray(out)
-
-
-def analytic_min_ccdf(x0: float, drift: float, vol: float, level: float, t):
-    """P(min of X over [0,t] >= level): survival of the down-crossing time."""
-    if level > x0:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        return float(out) if out.ndim == 0 else out
-    out = 1.0 - np.asarray(analytic_first_passage(x0, drift, vol, level, t))
-    return float(out) if out.ndim == 0 else out
 
 
 def ks_distance(a: CdfTable, b: CdfTable) -> float:

@@ -21,6 +21,8 @@ M-matrix, so fields obey a discrete maximum principle.
 Linear solves: a sparse LU factorized once on 1D and 2D grids, a
 Jacobi-preconditioned BiCGSTAB per step on 3D grids.  Neither makes a
 threaded BLAS call, so fields do not depend on the BLAS thread count.
+
+The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 """
 
 from __future__ import annotations
@@ -507,35 +509,3 @@ def has_truncation_faces(grid: GridSpec, interior_mask: np.ndarray) -> list:
         if np.any(hi_slab):
             faces.append((a, +1))
     return faces
-
-
-def export_snapshot_csv(grid: GridSpec, field: np.ndarray, path) -> None:
-    """Write one snapshot as CSV rows of node coordinates and value."""
-    nodes = grid.nodes()
-    values = np.asarray(field, dtype=float).ravel()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(grid.ndim)) + ",value\n")
-        for row, v in zip(nodes, values):
-            fh.write(",".join(repr(float(c)) for c in row) + f",{float(v)!r}\n")
-
-
-def series_to_json(series: FieldSeries, times: Sequence[float] | None = None) -> dict:
-    """Binary-free JSON layout: grid metadata plus row-major values per time."""
-    sel = range(len(series.times))
-    if times is not None:
-        wanted = [float(t) for t in times]
-        sel = [int(np.argmin(np.abs(series.times - t))) for t in wanted]
-    return {
-        "grid": {
-            "lo": list(series.grid.lo),
-            "hi": list(series.grid.hi),
-            "cells": list(series.grid.cells),
-        },
-        "dirichlet_value": series.dirichlet_value,
-        "snapshots": [
-            {"time": float(series.times[i]),
-             "values": [float(v) for v in series.fields[i].ravel()]}
-            for i in sel
-        ],
-        "diagnostics": series.diagnostics.as_dict(),
-    }

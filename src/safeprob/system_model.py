@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibilityError, ShapeError
+from .errors import DataError, InfeasibilityError, ShapeError
 
 # Below this squared norm the actuated direction L_g(phi) is treated as
 # vanished, making a violated rate constraint infeasible.
@@ -214,7 +214,7 @@ class Policy:
         out = _eval_batch(self.c, Xb, (), "c")
         if np.any(out < 0):
             bad = Xb[np.argmax(out < 0)]
-            raise ValueError(f"gradient gain c is negative at state {bad.tolist()}")
+            raise DataError(f"gradient gain c is negative at state {bad.tolist()}")
         return float(out[0]) if single else out
 
 

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from safeprob import distributions, pde_engine
+from safeprob.artifacts import export_snapshot_csv
 from safeprob.cli import main
 from safeprob.config import ExperimentConfig, config_hash, validate_config
 from safeprob.errors import ConfigError
 from safeprob.library import make_example
-from safeprob.pde_engine import GridSpec, export_snapshot_csv
+from safeprob.pde_engine import GridSpec
 
 from conftest import CONFIG_DIR, EXIT_DRIFTED, REPO_ROOT
 
@@ -56,12 +58,19 @@ class TestConfigValidation:
                              "query": {"kind": "exit_cdf", "states": [[1.0]],
                                        "horizon": 1.0, "tolerance": 0.1}})
 
-    @pytest.mark.parametrize("key, value", [("theta", 0.5), ("mollify_initial", True),
-                                            ("halo_cells", 2), ("probe_tolerance", 1e-2)])
-    def test_removed_numerics_keys_rejected(self, tmp_path, key, value):
+    # The ids of the numerics cases predate the section parameter.
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("numerics", "theta", 0.5, id="theta-0.5"),
+        pytest.param("numerics", "mollify_initial", True, id="mollify_initial-True"),
+        pytest.param("numerics", "halo_cells", 2, id="halo_cells-2"),
+        pytest.param("numerics", "probe_tolerance", 1e-2, id="probe_tolerance-0.01"),
+        pytest.param("output", "formats", ["csv"], id="output.formats"),
+        pytest.param("output", "snapshot_times", [0.5], id="output.snapshot_times"),
+    ])
+    def test_removed_numerics_keys_rejected(self, tmp_path, section, key, value):
         doc = small_bm_doc(str(tmp_path))
-        doc["numerics"][key] = value
-        with pytest.raises(ConfigError, match=f"unknown key.*numerics\\.{key}"):
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"unknown key.*{section}\\.{key}"):
             ExperimentConfig.from_doc(doc)
 
     def test_missing_barrier_pointer(self):
@@ -138,6 +147,19 @@ class TestSolveCommand:
         path = write_config(tmp_path, doc)
         assert main(["solve", "--config", path]) == 2
         assert "barrier" in capsys.readouterr().err
+
+    def test_negative_gradient_gain_exits_2(self, tmp_path, capsys):
+        doc = {"system": {"dim_state": 1, "dim_input": 1, "dim_noise": 1,
+                          "f": ["0"], "g": [["1"]], "sigma": [["1"]]},
+               "barrier": {"phi": "x1", "level": 0.0},
+               "policy": {"kind": "gradient", "c": "-1"},
+               "query": {"kind": "exit_cdf", "states": [[1.0]], "horizon": 0.1},
+               "numerics": {"box_lo": [0.0], "box_hi": [4.0], "cells": [40],
+                            "dt": 0.01, "boundary_probe": False},
+               "output": {"dir": str(tmp_path / "out")}}
+        path = write_config(tmp_path, doc)
+        assert main(["solve", "--config", path]) == 2
+        assert "gradient gain c is negative" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self):
         assert main(["solve", "--config", "/nonexistent/config.json"]) == 2
@@ -228,9 +250,10 @@ class TestMcCommand:
         assert main(["mc", "--config", path]) == 2
         assert "n_paths" in capsys.readouterr().err
 
-    def test_divergent_paths_exit_4(self, tmp_path):
+    @staticmethod
+    def _divergent_doc(out_dir, max_divergence_fraction):
         # Cubic blow-up with a large step: every path overflows quickly.
-        doc = {
+        return {
             "system": {"dim_state": 1, "dim_input": 1, "dim_noise": 1,
                        "f": ["x1^3 + 10"], "g": [["0"]], "sigma": [["1"]]},
             "barrier": {"phi": "x1", "level": 0.0},
@@ -238,11 +261,18 @@ class TestMcCommand:
             "numerics": {"box_lo": [0.0], "box_hi": [4.0], "cells": [100],
                          "dt": 0.01},
             "mc": {"n_paths": 50, "dt": 0.5, "seed": 5,
-                   "max_divergence_fraction": 0.1},
-            "output": {"dir": str(tmp_path / "out")},
+                   "max_divergence_fraction": max_divergence_fraction},
+            "output": {"dir": out_dir},
         }
-        path = write_config(tmp_path, doc)
+
+    def test_divergent_paths_exit_4(self, tmp_path):
+        path = write_config(tmp_path, self._divergent_doc(str(tmp_path / "out"), 0.1))
         assert main(["mc", "--config", path]) == 4
+
+    def test_every_path_excluded_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, self._divergent_doc(str(tmp_path / "out"), 1.0))
+        assert main(["mc", "--config", path]) == 2
+        assert "all paths were excluded" in capsys.readouterr().err
 
     def test_event_log_export(self, tmp_path):
         doc = small_bm_doc(str(tmp_path / "out"))
@@ -281,6 +311,23 @@ class TestValidateCommand:
         doc["output"]["dir"] = str(tmp_path / "out")
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 0
+
+    def test_complement_solve_skips_boundary_probe(self, tmp_path, monkeypatch):
+        # The kind solves with its probe (1 + 2 solves), the complement without.
+        calls = []
+        original = pde_engine.solve_ibvp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pde_engine, "solve_ibvp", counting)
+        monkeypatch.setattr(distributions, "solve_ibvp", counting)
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["mc"]["n_paths"] = 500
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) in (0, 1)
+        assert len(calls) == 4
 
     def test_coarse_grid_flagged_exit_1(self, tmp_path, capsys):
         with open(CONFIG_DIR / "drifted_bm_exit.json", "r", encoding="utf-8") as fh:
@@ -375,6 +422,20 @@ class TestReportCommand:
         expected = tmp_path / "expected.csv"
         export_snapshot_csv(grid, fields["snapshots"][-1]["values"], expected)
         assert heat_path.read_bytes() == expected.read_bytes()
+
+    def test_report_on_short_fields_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = small_bm_doc(str(out), horizon=0.1)
+        doc["numerics"].update(cells=[40], dt=0.01, boundary_probe=False)
+        path = write_config(tmp_path, doc)
+        assert main(["solve", "--config", path]) == 0
+        cfg = ExperimentConfig.from_file(path)
+        fields_path = out / f"exit_cdf_{cfg.hash}_fields.json"
+        fields = json.loads(fields_path.read_text())
+        del fields["snapshots"][0]["values"][5:]
+        fields_path.write_text(json.dumps(fields))
+        assert main(["report", "--config", path]) == 2
+        assert "malformed layout" in capsys.readouterr().err
 
     def test_report_without_solve_exits_2(self, tmp_path):
         doc = small_bm_doc(str(tmp_path / "empty"))

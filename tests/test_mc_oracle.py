@@ -7,7 +7,6 @@ from safeprob import (
     PathConfig,
     Policy,
     analytic_first_passage,
-    analytic_min_ccdf,
     empirical_ccdf_min,
     empirical_cdf_entry,
     empirical_cdf_exit,
@@ -16,6 +15,7 @@ from safeprob import (
     make_example,
     simulate_paths,
 )
+from safeprob import mc_oracle
 from safeprob.errors import DataError
 from safeprob.mc_oracle import CdfTable, EmpiricalDistribution
 
@@ -54,15 +54,6 @@ class TestAnalyticFirstPassage:
     def test_nonpositive_vol_rejected(self):
         with pytest.raises(ValueError):
             analytic_first_passage(1.0, 0.0, 0.0, 0.0, 1.0)
-
-    def test_min_ccdf_is_complement(self):
-        t = np.linspace(0.0, 2.0, 21)
-        hit = analytic_first_passage(1.0, 0.5, 1.0, 0.0, t)
-        np.testing.assert_allclose(analytic_min_ccdf(1.0, 0.5, 1.0, 0.0, t),
-                                   1.0 - hit, atol=1e-14)
-
-    def test_min_ccdf_above_start_is_zero(self):
-        assert analytic_min_ccdf(1.0, 0.0, 1.0, 2.0, 1.0) == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(x0=st.floats(-3, 3), mu=st.floats(-2, 2), vol=st.floats(0.1, 3),
@@ -103,10 +94,9 @@ class TestDeterministicPaths:
 
 
 class TestReproducibility:
-    def _ensemble(self, seed=11, block_size=4096, n_paths=400):
+    def _ensemble(self, seed=11, n_paths=400):
         sys = const_system_1d(1.0, 0.0, 1.0)
-        cfg = PathConfig(dt=1e-2, horizon=1.0, n_paths=n_paths, seed=seed,
-                         block_size=block_size)
+        cfg = PathConfig(dt=1e-2, horizon=1.0, n_paths=n_paths, seed=seed)
         return simulate_paths(sys, identity_barrier(), NONE_POLICY, [1.0], cfg)
 
     def test_same_seed_bit_identical(self):
@@ -115,9 +105,10 @@ class TestReproducibility:
         np.testing.assert_array_equal(a.min_phi, b.min_phi)
         np.testing.assert_array_equal(a.exit_time, b.exit_time)
 
-    def test_block_partition_does_not_change_results(self):
-        a = self._ensemble(block_size=4096)
-        b = self._ensemble(block_size=97)
+    def test_block_partition_does_not_change_results(self, monkeypatch):
+        a = self._ensemble()
+        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        b = self._ensemble()
         np.testing.assert_array_equal(a.min_phi, b.min_phi)
         np.testing.assert_array_equal(a.max_phi, b.max_phi)
         np.testing.assert_array_equal(a.exit_time, b.exit_time)

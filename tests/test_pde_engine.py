@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from safeprob import BarrierProblem, GridSpec, IbvpSpec, build_mask, pde_engine, solve_ibvp
+from safeprob.artifacts import export_snapshot_csv, series_to_json
 from safeprob.errors import DataError, SolverError
 from safeprob.pde_engine import (
     SensitivityProbe,
     ThetaStepper,
     _assemble_operator,
-    export_snapshot_csv,
     has_truncation_faces,
-    series_to_json,
 )
 
 from conftest import HEAT_HALFLINE, identity_barrier
@@ -296,11 +295,13 @@ class TestExports:
     def test_series_json_layout(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 1.0, lambda x: x >= 0.0, 0.0,
                          horizon=0.1, dt=0.05)
-        series = solve_ibvp(spec, snapshot_times=[0.1])
+        series = solve_ibvp(spec, snapshot_times=[0.05, 0.1])
         doc = series_to_json(series)
         assert doc["grid"]["cells"] == [16]
-        assert len(doc["snapshots"][0]["values"]) == 17
-        assert doc["snapshots"][-1]["time"] == pytest.approx(0.1)
+        # Only the final snapshot, at the horizon, is kept.
+        assert len(doc["snapshots"]) == 1
+        assert doc["snapshots"][0]["time"] == pytest.approx(0.1)
+        assert doc["snapshots"][0]["values"] == series.fields[-1].tolist()
 
     def test_diagnostics_json_report(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 1.0, lambda x: x >= 0.0, 0.0,
