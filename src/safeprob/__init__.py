@@ -15,8 +15,6 @@ from .system_model import (  # noqa: F401
     ControlSystem,
     Policy,
     check_cbf_constraint,
-    closed_loop_control,
-    d_phi,
     linear_rate,
     validate_barrier,
 )

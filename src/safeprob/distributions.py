@@ -206,10 +206,11 @@ def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
         pts = nodes[interior_idx]
         U, infeasible = closed_loop_control_batch(policy, sys, bar, pts)
         if np.any(infeasible):
+            bad = pts[np.argmax(infeasible)]
             raise InfeasibilityError(
-                pts[np.argmax(infeasible)],
-                "policy infeasible at an interior grid node; refine the grid or adjust "
-                f"the policy (state {pts[np.argmax(infeasible)].tolist()})")
+                bad, f"L_g phi vanishes at interior grid node {bad.tolist()} while the "
+                "rate constraint is violated there, so the zero-CBF filter has no "
+                "admissible input")
         convection[interior_idx] = sys.f_at(pts) + np.einsum("bim,bm->bi", sys.g_at(pts), U)
     initial = np.where(mask, 1.0, 0.0) if dirichlet == 0.0 else np.where(mask, 0.0, 1.0)
     return IbvpSpec(grid=grid, interior_mask=mask,

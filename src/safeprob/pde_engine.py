@@ -19,8 +19,13 @@ diffusion entries.  Without cross terms the update matrix is an
 M-matrix, so fields obey a discrete maximum principle.
 
 Linear solves: a sparse LU factorized once on 1D and 2D grids, a
-Jacobi-preconditioned BiCGSTAB per step on 3D grids.  Neither makes a
-threaded BLAS call, so fields do not depend on the BLAS thread count.
+Jacobi-preconditioned BiCGSTAB per step on 3D grids.  The LU takes a
+minimum-degree column order on the structure of A^T + A and prefers
+diagonal pivots (threshold 0.1), the standard choice for a stencil
+matrix that is diagonally dominant by rows; partial pivoting would move
+pivots off the diagonal, because upwind convection makes A not
+column-dominant, and fill more.  Neither solve makes a threaded BLAS
+call, so fields do not depend on the BLAS thread count.
 
 The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 """
@@ -46,8 +51,9 @@ LINEAR_RTOL = 1e-10
 LINEAR_MAXITER = 10_000
 
 # Grids with at least this many axes march with Jacobi-BiCGSTAB, others with
-# a sparse LU: a 59k-node 3D LU takes 14 s and about 500 MB against 3-4
-# Krylov iterations a step, while in 2D Krylov needs 25-77 iterations a step.
+# a sparse LU: a 59k-node 3D LU (COLAMD order) took 14 s and about 500 MB
+# against 3-4 Krylov iterations a step, while in 2D Krylov needs 25-77
+# iterations a step against one 0.9 ms LU solve at 29k nodes.
 _KRYLOV_MIN_NDIM = 3
 
 # A boundary probe whose two solves disagree by more than this at a query
@@ -336,7 +342,9 @@ class ThetaStepper:
         self._lu = None
         if spec.grid.ndim < _KRYLOV_MIN_NDIM:
             try:
-                self._lu = spla.splu(self.A.tocsc())
+                self._lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.1,
+                                     options={"SymmetricMode": True})
             except RuntimeError as err:
                 raise SolverError(f"step matrix is singular: {err}") from err
         else:

@@ -244,16 +244,6 @@ def d_phi_batch(sys: ControlSystem, bar: BarrierProblem, X, U) -> np.ndarray:
     return drift + actuated + trace
 
 
-def d_phi(sys: ControlSystem, bar: BarrierProblem, x, u) -> float:
-    """Expected instantaneous rate of change of phi at state x under input u.
-
-    Returns L_f(phi) + L_g(phi) u + 0.5 tr(sigma sigma^T Hess(phi)).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return float(d_phi_batch(sys, bar, x[None, :], u[None, :])[0])
-
-
 def closed_loop_control_batch(policy: Policy, sys: ControlSystem, bar: BarrierProblem,
                               X) -> tuple[np.ndarray, np.ndarray]:
     """Closed-loop inputs for stacked states.
@@ -287,23 +277,20 @@ def closed_loop_control_batch(policy: Policy, sys: ControlSystem, bar: BarrierPr
     return U, infeasible
 
 
-def closed_loop_control(policy: Policy, sys: ControlSystem, bar: BarrierProblem, x) -> np.ndarray:
-    """Closed-loop input K(x) for a single state; raises on infeasibility."""
-    x = np.asarray(x, dtype=float)
-    U, infeasible = closed_loop_control_batch(policy, sys, bar, x[None, :])
-    if infeasible[0]:
-        raise InfeasibilityError(x)
-    return U[0]
-
-
 def check_cbf_constraint(policy: Policy, sys: ControlSystem, bar: BarrierProblem,
                          x, tol: float = 1e-9) -> bool:
-    """True iff the post-filter input satisfies the rate constraint at x."""
+    """True iff the post-filter input satisfies the rate constraint at x.
+
+    Raises ``InfeasibilityError`` where the filter has no admissible input.
+    """
     if policy.kind != "zero_cbf":
         raise ValueError("check_cbf_constraint requires a zero_cbf policy")
-    u = closed_loop_control(policy, sys, bar, x)
-    slack = float(policy.rate_at(bar.phi_at(x)))
-    return d_phi(sys, bar, x, u) >= -slack - tol
+    X = np.asarray(x, dtype=float)[None, :]
+    U, infeasible = closed_loop_control_batch(policy, sys, bar, X)
+    if infeasible[0]:
+        raise InfeasibilityError(X[0])
+    slack = policy.rate_at(bar.phi_at(X))
+    return bool(d_phi_batch(sys, bar, X, U)[0] >= -slack[0] - tol)
 
 
 def validate_barrier(bar: BarrierProblem, probes, rel_tol: float = 1e-5,

@@ -211,6 +211,19 @@ class TestQueryHandling:
         with pytest.raises(InfeasibilityError):
             exit_time_cdf(ex.system, ex.barrier, weak, q)
 
+    def test_infeasibility_message_names_vanishing_lg_and_state(self):
+        # On 84x84 cells the node (-1, 0) lies on the level set with v = 0:
+        # L_g phi is zero there, so no grid refinement removes the failure.
+        ex = make_example("double_integrator")
+        num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=(84, 84), dt=ex.dt)
+        q = QuerySpec(states=[list(ex.x0)], horizon=ex.horizon, numerics=num)
+        with pytest.raises(InfeasibilityError,
+                           match=r"L_g phi vanishes at interior grid node \[-1\.0, 0\.0\].*"
+                                 r"zero-CBF filter has no admissible input") as err:
+            exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+        assert err.value.state.tolist() == [-1.0, 0.0]
+        assert "refine" not in str(err.value)
+
 
 class TestSummaryStats:
     def test_instant_passage_mean_zero(self, bm):

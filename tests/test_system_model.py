@@ -8,13 +8,11 @@ from safeprob import (
     ControlSystem,
     Policy,
     check_cbf_constraint,
-    closed_loop_control,
-    d_phi,
     linear_rate,
     validate_barrier,
 )
 from safeprob.errors import InfeasibilityError, ShapeError
-from safeprob.system_model import closed_loop_control_batch, lie_g
+from safeprob.system_model import closed_loop_control_batch, d_phi_batch, lie_g
 
 from conftest import const_system_1d, identity_barrier, quadratic_barrier, zero_nominal
 
@@ -23,32 +21,31 @@ class TestGeneratorDrift:
     def test_quadratic_barrier_noise_only(self):
         sys = const_system_1d(0.0, 1.0, 1.0)
         bar = quadratic_barrier()
-        assert d_phi(sys, bar, [1.0], [0.0]) == pytest.approx(1.0, abs=1e-12)
+        assert d_phi_batch(sys, bar, [[1.0]], [[0.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_barrier_with_input(self):
         sys = const_system_1d(0.0, 1.0, 1.0)
         bar = quadratic_barrier()
-        assert d_phi(sys, bar, [1.0], [1.0]) == pytest.approx(3.0, abs=1e-12)
+        assert d_phi_batch(sys, bar, [[1.0]], [[1.0]])[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_linear_barrier_hessian_term_vanishes(self):
         sys = const_system_1d(0.0, 1.0, 0.5)
         bar = identity_barrier()
         for x in (-2.0, 0.3, 5.0):
-            assert d_phi(sys, bar, [x], [-1.0]) == pytest.approx(-1.0, abs=1e-12)
+            assert d_phi_batch(sys, bar, [[x]], [[-1.0]])[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_dimension_mismatch_raises(self):
         sys = const_system_1d(0.0, 1.0, 1.0)
         bar = identity_barrier()
         with pytest.raises(ShapeError):
-            d_phi(sys, bar, [1.0, 2.0], [0.0])
+            d_phi_batch(sys, bar, [[1.0, 2.0]], [[0.0]])
 
     def test_affine_in_input(self):
         sys = const_system_1d(0.7, 2.0, 1.3)
         bar = quadratic_barrier()
-        x = [0.8]
-        base = d_phi(sys, bar, x, [0.0])
-        slope = d_phi(sys, bar, x, [1.0]) - base
-        assert d_phi(sys, bar, x, [2.5]) == pytest.approx(base + 2.5 * slope, abs=1e-10)
+        X = [[0.8]] * 3
+        base, one, other = d_phi_batch(sys, bar, X, [[0.0], [1.0], [2.5]])
+        assert other == pytest.approx(base + 2.5 * (one - base), abs=1e-10)
 
 
 def _min_norm_oracle(nominal: float, slack: float, lg: float) -> float:
@@ -68,22 +65,23 @@ class TestZeroCbfFilter:
 
     def test_active_filter_matches_grid_search(self):
         sys, bar, policy = self._setup(-3.0)
-        u = closed_loop_control(policy, sys, bar, [1.0])
+        U, infeasible = closed_loop_control_batch(policy, sys, bar, [[1.0]])
+        assert not infeasible[0]
         # d_phi(x, u) = u here, so the constraint is u >= -phi(1) = -1.
-        assert u[0] == pytest.approx(-1.0, abs=1e-9)
-        assert u[0] == pytest.approx(_min_norm_oracle(-3.0, 1.0, 1.0), abs=2e-3)
+        assert U[0, 0] == pytest.approx(-1.0, abs=1e-9)
+        assert U[0, 0] == pytest.approx(_min_norm_oracle(-3.0, 1.0, 1.0), abs=2e-3)
 
     def test_inactive_filter_passes_nominal(self):
         sys, bar, policy = self._setup(2.0)
-        u = closed_loop_control(policy, sys, bar, [1.0])
-        assert u[0] == pytest.approx(2.0, abs=1e-12)
+        U, _ = closed_loop_control_batch(policy, sys, bar, [[1.0]])
+        assert U[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_infeasible_state_raises(self):
         sys = const_system_1d(-5.0, 0.0, 0.5)  # no actuation at all
         bar = identity_barrier()
         policy = Policy(nominal=zero_nominal(1), kind="zero_cbf")
         with pytest.raises(InfeasibilityError) as err:
-            closed_loop_control(policy, sys, bar, [0.5])
+            check_cbf_constraint(policy, sys, bar, [0.5])
         assert "0.5" in str(err.value)
 
     def test_batch_flags_infeasible_rows(self):
@@ -115,8 +113,9 @@ class TestZeroCbfFilter:
         bar = identity_barrier()
         policy = Policy(nominal=lambda X: np.full(X.shape[:-1] + (1,), nominal),
                         kind="zero_cbf", alpha=linear_rate(gamma))
-        u = closed_loop_control(policy, sys, bar, [x])
-        assert d_phi(sys, bar, [x], u) >= -gamma * x - 1e-9
+        U, infeasible = closed_loop_control_batch(policy, sys, bar, [[x]])
+        assert not infeasible[0]
+        assert d_phi_batch(sys, bar, [[x]], U)[0] >= -gamma * x - 1e-9
 
 
 class TestGradientPolicy:
@@ -125,8 +124,8 @@ class TestGradientPolicy:
         bar = identity_barrier()
         policy = Policy(nominal=zero_nominal(1), kind="gradient",
                         c=lambda X: np.ones(X.shape[:-1]))
-        u = closed_loop_control(policy, sys, bar, [0.3])
-        assert u[0] == pytest.approx(1.0, abs=1e-12)
+        U, _ = closed_loop_control_batch(policy, sys, bar, [[0.3]])
+        assert U[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_gain(self):
         with pytest.raises(ValueError):
@@ -138,7 +137,7 @@ class TestGradientPolicy:
         policy = Policy(nominal=zero_nominal(1), kind="gradient",
                         c=lambda X: np.full(X.shape[:-1], -1.0))
         with pytest.raises(ValueError):
-            closed_loop_control(policy, sys, bar, [0.3])
+            closed_loop_control_batch(policy, sys, bar, [[0.3]])
 
     @settings(max_examples=100, deadline=None)
     @given(x=st.floats(-3, 3), c=st.floats(0, 5), gain=st.floats(-2, 2))
@@ -147,9 +146,10 @@ class TestGradientPolicy:
         bar = quadratic_barrier()
         policy = Policy(nominal=zero_nominal(1), kind="gradient",
                         c=lambda X: np.full(X.shape[:-1], c))
-        u = closed_loop_control(policy, sys, bar, [x])
+        U, _ = closed_loop_control_batch(policy, sys, bar, [[x]])
         lg = lie_g(sys, bar, np.array([x]))
-        increment = d_phi(sys, bar, [x], u) - d_phi(sys, bar, [x], [0.0])
+        with_u, without = d_phi_batch(sys, bar, [[x], [x]], np.vstack([U, [[0.0]]]))
+        increment = with_u - without
         assert increment == pytest.approx(c * float(lg @ lg), abs=1e-9)
         assert increment >= -1e-9
 
