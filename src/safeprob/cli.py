@@ -95,17 +95,24 @@ def _mc_estimates(cfg: ExperimentConfig, ens, times):
     return estimates
 
 
-def cmd_mc(cfg: ExperimentConfig) -> int:
-    system, barrier, policy = cfg.models()
+def _simulate(cfg: ExperimentConfig, system, barrier, policy, x0, level):
+    """Simulate the configured ensemble; raise DivergenceError when more than
+    ``mc.max_divergence_fraction`` of its paths were excluded."""
     pc = cfg.path_config()
-    states = cfg.query_states()
-    level = cfg.query_level()
-    ens = simulate_paths(system, barrier, policy, states[0], pc, level=level)
+    ens = simulate_paths(system, barrier, policy, x0, pc, level=level)
     frac = (ens.n_diverged + ens.n_infeasible) / pc.n_paths
     if frac > cfg.mc_max_divergence():
         raise DivergenceError(
             f"{ens.n_diverged} diverged and {ens.n_infeasible} infeasible paths "
             f"({frac:.2%}) exceed the allowed fraction {cfg.mc_max_divergence():.2%}")
+    return ens
+
+
+def cmd_mc(cfg: ExperimentConfig) -> int:
+    system, barrier, policy = cfg.models()
+    ens = _simulate(cfg, system, barrier, policy, cfg.query_states()[0],
+                    cfg.query_level())
+    pc = ens.config
     times = cfg.query_times()
     if times is None:
         times = np.linspace(0.0, pc.horizon, 101)
@@ -155,9 +162,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
             q, numerics=dataclasses.replace(q.numerics, boundary_probe=False))
         comp = solve_distribution(complementary_kind(kind), system, barrier, policy,
                                   comp_q, config_hash=cfg.hash)
-        pc = cfg.path_config()
-        ens = simulate_paths(system, barrier, policy, q.states[0], pc,
-                             level=result.level)
+        ens = _simulate(cfg, system, barrier, policy, q.states[0], result.level)
         emp = _empirical_event_table(cfg, ens, result.times, kind)
         pde_event = event_time_cdf(result)[0]
         add("mc_ks", ks_distance(CdfTable(result.times, pde_event), emp.table),

@@ -7,8 +7,10 @@ constant-coefficient systems.
 
 Per-path noise is drawn from a Philox stream keyed by (seed, path index),
 so ensembles are bit-reproducible for a fixed seed regardless of how the
-paths are blocked or scheduled.  Crossing times are refined by linear
-interpolation of the barrier value inside the crossing step.
+paths are blocked or scheduled.  Each block of paths builds one Philox
+generator and re-keys it per path, which draws exactly the per-path
+streams.  Crossing times are refined by linear interpolation of the
+barrier value inside the crossing step.
 """
 
 from __future__ import annotations
@@ -82,12 +84,24 @@ class PathEnsemble:
 
 
 def _path_noise(seed: int, first: int, count: int, n_steps: int, k: int) -> np.ndarray:
-    """Stacked per-path noise, shape (count, n_steps, k)."""
+    """Stacked per-path noise, shape (count, n_steps, k).
+
+    Path ``first + i`` draws ``standard_normal((n_steps, k))`` from a
+    Philox stream with key ``[seed, first + i]`` and counter 0.  One
+    generator serves the whole block: it is re-keyed through its ``state``
+    setter for each path, which resets the counter and the output buffer,
+    so each path's draws are exactly those of a fresh generator.
+    """
     out = np.empty((count, n_steps, k))
+    key = np.array([seed, first], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, empty buffer, no cached 32-bit half
+    state["state"]["key"] = key
     for i in range(count):
-        key = np.array([seed, first + i], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        out[i] = gen.standard_normal((n_steps, k))
+        key[1] = first + i  # ``state`` holds ``key``, so this re-keys it
+        bitgen.state = state
+        gen.standard_normal(out=out[i])
     return out
 
 
@@ -137,41 +151,61 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
         b_exit = exit_time[start:start + count]
         b_entry = entry_time[start:start + count]
 
-        for s in range(n_steps):
-            # Diverging paths legitimately overflow before they are caught
-            # and flagged below; keep the arithmetic quiet.
-            with np.errstate(over="ignore", invalid="ignore"):
+        # Alive paths whose exit/entry is still to be recorded.  While every
+        # path of the block is alive, the step skips the ``alive`` masking.
+        exit_pending = np.isnan(b_exit)
+        entry_pending = np.isnan(b_entry)
+        all_alive = True
+
+        # Diverging paths legitimately overflow before they are caught and
+        # flagged below; keep the arithmetic quiet.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(n_steps):
                 u, infeasible = closed_loop_control_batch(policy, sys, bar, x)
                 newly_inf = infeasible & alive
                 if np.any(newly_inf):
                     infeasible_flag[start:start + count][newly_inf] = True
                     alive &= ~newly_inf
+                    exit_pending &= alive
+                    entry_pending &= alive
+                    all_alive = False
                     x[newly_inf] = x0
                 drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
                 xn = x + drift * dt + np.einsum("bik,bk->bi", sys.sigma_at(x),
                                                 noise[:, s, :]) * sqdt
                 phin = np.asarray(bar.phi_at(xn), dtype=float)
-            bad = (~np.all(np.isfinite(xn), axis=1) | ~np.isfinite(phin)) & alive
-            if np.any(bad):
-                diverged[start:start + count][bad] = True
-                alive &= ~bad
-                xn[bad] = x0
-                phin[bad] = phi0
-            t_prev = s * dt
-            down = alive & (phin <= level) & np.isnan(b_exit)
-            if np.any(down):
-                denom = phi[down] - phin[down]
-                frac = np.where(denom > 0, (phi[down] - level) / np.where(denom > 0, denom, 1.0), 1.0)
-                b_exit[down] = t_prev + dt * np.clip(frac, 0.0, 1.0)
-            up = alive & (phin >= level) & np.isnan(b_entry)
-            if np.any(up):
-                denom = phin[up] - phi[up]
-                frac = np.where(denom > 0, (level - phi[up]) / np.where(denom > 0, denom, 1.0), 1.0)
-                b_entry[up] = t_prev + dt * np.clip(frac, 0.0, 1.0)
-            np.minimum(b_min, np.where(alive, phin, np.inf), out=b_min)
-            np.maximum(b_max, np.where(alive, phin, -np.inf), out=b_max)
-            x = np.where(alive[:, None], xn, x)
-            phi = np.where(alive, phin, phi)
+                if not (np.isfinite(xn).all() and np.isfinite(phin).all()):
+                    bad = (~np.all(np.isfinite(xn), axis=1) | ~np.isfinite(phin)) & alive
+                    if np.any(bad):
+                        diverged[start:start + count][bad] = True
+                        alive &= ~bad
+                        exit_pending &= alive
+                        entry_pending &= alive
+                        all_alive = False
+                        xn[bad] = x0
+                        phin[bad] = phi0
+                t_prev = s * dt
+                down = (phin <= level) & exit_pending
+                if np.any(down):
+                    denom = phi[down] - phin[down]
+                    frac = np.where(denom > 0, (phi[down] - level) / np.where(denom > 0, denom, 1.0), 1.0)
+                    b_exit[down] = t_prev + dt * np.clip(frac, 0.0, 1.0)
+                    exit_pending[down] = False
+                up = (phin >= level) & entry_pending
+                if np.any(up):
+                    denom = phin[up] - phi[up]
+                    frac = np.where(denom > 0, (level - phi[up]) / np.where(denom > 0, denom, 1.0), 1.0)
+                    b_entry[up] = t_prev + dt * np.clip(frac, 0.0, 1.0)
+                    entry_pending[up] = False
+                if all_alive:
+                    np.minimum(b_min, phin, out=b_min)
+                    np.maximum(b_max, phin, out=b_max)
+                    x, phi = xn, phin
+                else:
+                    np.minimum(b_min, np.where(alive, phin, np.inf), out=b_min)
+                    np.maximum(b_max, np.where(alive, phin, -np.inf), out=b_max)
+                    x = np.where(alive[:, None], xn, x)
+                    phi = np.where(alive, phin, phi)
 
     excluded = diverged | infeasible_flag
     return PathEnsemble(config=cfg, level=level, x0=x0, phi0=phi0,

@@ -274,6 +274,20 @@ class TestMcCommand:
         assert main(["mc", "--config", path]) == 2
         assert "all paths were excluded" in capsys.readouterr().err
 
+    def test_validate_checks_the_divergence_fraction(self, tmp_path, capsys):
+        # A milder blow-up: some paths diverge and some survive.  validate
+        # must refuse the ensemble just as mc does, not score the survivors.
+        doc = self._divergent_doc(str(tmp_path / "out"), 0.1)
+        doc["system"]["f"] = ["x1^3"]
+        doc["query"]["horizon"] = 2.0
+        doc["mc"].update(n_paths=200, dt=0.2)
+        path = write_config(tmp_path, doc)
+        assert main(["mc", "--config", path]) == 4
+        assert main(["validate", "--config", path]) == 4
+        assert "exceed the allowed fraction" in capsys.readouterr().err
+        cfg = ExperimentConfig.from_file(path)
+        assert not (tmp_path / "out" / f"validation_{cfg.hash}.json").exists()
+
     def test_event_log_export(self, tmp_path):
         doc = small_bm_doc(str(tmp_path / "out"))
         doc["mc"]["n_paths"] = 25

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeprob import (
+    ControlSystem,
     PathConfig,
     Policy,
     analytic_first_passage,
@@ -17,6 +18,7 @@ from safeprob import (
 )
 from safeprob import mc_oracle
 from safeprob.errors import DataError
+from safeprob.system_model import closed_loop_control_batch
 from safeprob.mc_oracle import CdfTable, EmpiricalDistribution
 
 from conftest import (
@@ -117,6 +119,123 @@ class TestReproducibility:
         a = self._ensemble(seed=11)
         b = self._ensemble(seed=12)
         assert not np.array_equal(a.min_phi, b.min_phi)
+
+
+class TestPathNoise:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_one_philox_stream_per_path(self, k):
+        seed, first, count, n_steps = 2024, 37, 6, 11
+        want = np.stack([
+            np.random.Generator(np.random.Philox(
+                key=np.array([seed, first + i], dtype=np.uint64))).standard_normal((n_steps, k))
+            for i in range(count)])
+        np.testing.assert_array_equal(
+            mc_oracle._path_noise(seed, first, count, n_steps, k), want)
+
+    def test_consecutive_calls_share_no_state(self):
+        # 7 draws a path leave the Philox output buffer part-used.
+        a = mc_oracle._path_noise(9, 3, 5, 7, 1)
+        b = mc_oracle._path_noise(9, 3, 5, 7, 1)
+        tail = mc_oracle._path_noise(9, 6, 2, 7, 1)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a[3:], tail)
+
+
+def _reference_paths(sys, bar, policy, x0, cfg):
+    """One path at a time, one fresh Philox generator per path, with the
+    arithmetic of ``simulate_paths``: the per-path statement of its result.
+
+    A path is dropped, and stops recording, at the step where the filter
+    is infeasible or the step leaves the finite numbers.
+    """
+    n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
+    dt = cfg.horizon / n_steps
+    sqdt = np.sqrt(dt)
+    level = bar.level
+    x_start = np.asarray(x0, dtype=float).reshape(1, sys.n)
+    phi0 = float(bar.phi_at(x_start)[0])
+    rows = []
+    for p in range(cfg.n_paths):
+        gen = np.random.Generator(np.random.Philox(
+            key=np.array([cfg.seed, p], dtype=np.uint64)))
+        noise = gen.standard_normal((n_steps, sys.k))
+        x, phi, lo, hi = x_start, phi0, phi0, phi0
+        exit_t = 0.0 if phi0 <= level else np.nan
+        entry_t = 0.0 if phi0 >= level else np.nan
+        diverged = infeasible = False
+        for s in range(n_steps):
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, infeasible_now = closed_loop_control_batch(policy, sys, bar, x)
+                if infeasible_now[0]:
+                    infeasible = True
+                    break
+                drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
+                xn = x + drift * dt + np.einsum("bik,bk->bi", sys.sigma_at(x),
+                                                noise[None, s, :]) * sqdt
+                phin = float(bar.phi_at(xn)[0])
+            if not (np.all(np.isfinite(xn)) and np.isfinite(phin)):
+                diverged = True
+                break
+            if phin <= level and np.isnan(exit_t):
+                frac = (phi - level) / (phi - phin) if phi - phin > 0 else 1.0
+                exit_t = s * dt + dt * min(max(frac, 0.0), 1.0)
+            if phin >= level and np.isnan(entry_t):
+                frac = (level - phi) / (phin - phi) if phin - phi > 0 else 1.0
+                entry_t = s * dt + dt * min(max(frac, 0.0), 1.0)
+            lo, hi = min(lo, phin), max(hi, phin)
+            x, phi = xn, phin
+        rows.append((lo, hi, exit_t, entry_t, diverged, infeasible))
+    return [np.array(col) for col in zip(*rows)]
+
+
+class TestExcludedPaths:
+    """Blocks in which some paths are excluded take the masked step."""
+
+    @staticmethod
+    def _diverging():
+        # Cubic blow-up at a coarse step: some paths overflow, some survive.
+        sys = ControlSystem(n=1, m=1, k=1, f=lambda X: X ** 3,
+                            g=lambda X: np.zeros(X.shape + (1,)),
+                            sigma=lambda X: np.ones(X.shape + (1,)))
+        cfg = PathConfig(dt=0.2, horizon=2.0, n_paths=300, seed=5)
+        return sys, NONE_POLICY, [1.0], cfg
+
+    @staticmethod
+    def _infeasible():
+        # No actuation below 0.3 against a drift that breaks the rate
+        # constraint there: the zero-CBF filter fails on most paths.  An
+        # excluded path is held at the start, 0.5, where its later steps
+        # would often cross the level if it were still recorded.
+        sys = ControlSystem(n=1, m=1, k=1, f=lambda X: np.full(X.shape, -2.0),
+                            g=lambda X: np.where(X[:, :, None] < 0.3, 0.0, 1.0),
+                            sigma=lambda X: np.full(X.shape + (1,), 3.0))
+        policy = Policy(nominal=zero_nominal(1), kind="zero_cbf")
+        cfg = PathConfig(dt=1e-2, horizon=0.1, n_paths=400, seed=3)
+        return sys, policy, [0.5], cfg
+
+    @pytest.mark.parametrize("case", ["_diverging", "_infeasible"])
+    def test_block_partition_does_not_change_results(self, case, monkeypatch):
+        sys, policy, x0, cfg = getattr(self, case)()
+        a = simulate_paths(sys, identity_barrier(), policy, x0, cfg)
+        assert 0 < a.n_diverged + a.n_infeasible < cfg.n_paths
+        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        b = simulate_paths(sys, identity_barrier(), policy, x0, cfg)
+        for field in ("min_phi", "max_phi", "exit_time", "entry_time", "excluded"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert (a.n_diverged, a.n_infeasible) == (b.n_diverged, b.n_infeasible)
+
+    @pytest.mark.parametrize("case", ["_diverging", "_infeasible"])
+    def test_matches_per_path_reference(self, case):
+        sys, policy, x0, cfg = getattr(self, case)()
+        ens = simulate_paths(sys, identity_barrier(), policy, x0, cfg)
+        lo, hi, exit_t, entry_t, diverged, infeasible = _reference_paths(
+            sys, identity_barrier(), policy, x0, cfg)
+        np.testing.assert_array_equal(ens.min_phi, lo)
+        np.testing.assert_array_equal(ens.max_phi, hi)
+        np.testing.assert_array_equal(ens.exit_time, exit_t)
+        np.testing.assert_array_equal(ens.entry_time, entry_t)
+        np.testing.assert_array_equal(ens.excluded, diverged | infeasible)
+        assert (ens.n_diverged, ens.n_infeasible) == (diverged.sum(), infeasible.sum())
 
 
 class TestPathwiseDuality:
