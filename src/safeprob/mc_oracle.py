@@ -83,16 +83,20 @@ class PathEnsemble:
         return int(np.count_nonzero(self.ok))
 
 
-def _path_noise(seed: int, first: int, count: int, n_steps: int, k: int) -> np.ndarray:
+def _path_noise(seed: int, first: int, count: int, n_steps: int, k: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Stacked per-path noise, shape (count, n_steps, k).
 
     Path ``first + i`` draws ``standard_normal((n_steps, k))`` from a
     Philox stream with key ``[seed, first + i]`` and counter 0.  One
     generator serves the whole block: it is re-keyed through its ``state``
     setter for each path, which resets the counter and the output buffer,
-    so each path's draws are exactly those of a fresh generator.
+    so each path's draws are exactly those of a fresh generator.  The
+    draws fill ``out`` (C-contiguous, of that shape) when it is given, a
+    new array otherwise.
     """
-    out = np.empty((count, n_steps, k))
+    if out is None:
+        out = np.empty((count, n_steps, k))
     key = np.array([seed, first], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
@@ -140,9 +144,11 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     if phi0 >= level:
         entry_time[:] = 0.0
 
+    # One noise buffer serves every block; the last one fills a leading slice.
+    buffer = np.empty((min(block, n), n_steps, sys.k))
     for start in range(0, n, block):
         count = min(block, n - start)
-        noise = _path_noise(cfg.seed, start, count, n_steps, sys.k)
+        noise = _path_noise(cfg.seed, start, count, n_steps, sys.k, out=buffer[:count])
         x = np.tile(x0, (count, 1))
         phi = np.full(count, phi0)
         alive = np.ones(count, dtype=bool)

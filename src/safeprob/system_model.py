@@ -234,10 +234,15 @@ def d_phi_batch(sys: ControlSystem, bar: BarrierProblem, X, U) -> np.ndarray:
     if Ub.shape[0] != Xb.shape[0]:
         raise ShapeError(f"input batch {Ub.shape[0]} does not match state batch {Xb.shape[0]}")
     grad = bar.grad_at(Xb)
+    return _d_phi(sys, bar, Xb, Ub, grad, np.einsum("bi,bim->bm", grad, sys.g_at(Xb)))
+
+
+def _d_phi(sys: ControlSystem, bar: BarrierProblem, Xb: np.ndarray, Ub: np.ndarray,
+           grad: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """``d_phi_batch`` given the batch's barrier gradient and L_g(phi)."""
     hess = bar.hess_at(Xb)
     fvec = sys.f_at(Xb)
     sig = sys.sigma_at(Xb)
-    lg = np.einsum("bi,bim->bm", grad, sys.g_at(Xb))
     drift = np.einsum("bi,bi->b", grad, fvec)
     actuated = np.einsum("bm,bm->b", lg, Ub)
     trace = 0.5 * np.einsum("bik,bjk,bij->b", sig, sig, hess)
@@ -257,13 +262,14 @@ def closed_loop_control_batch(policy: Policy, sys: ControlSystem, bar: BarrierPr
     infeasible = np.zeros(Xb.shape[0], dtype=bool)
     if policy.kind == "none":
         return U, infeasible
-    lg = lie_g(sys, bar, Xb)
+    grad = bar.grad_at(Xb)
+    lg = np.einsum("bi,bim->bm", grad, sys.g_at(Xb))
     if policy.kind == "gradient":
         c = np.atleast_1d(policy.c_at(Xb))
         return U + c[:, None] * lg, infeasible
     # zero_cbf: keep the nominal when it satisfies the rate constraint,
     # otherwise apply the minimum-norm correction along L_g(phi)^T.
-    d_nom = d_phi_batch(sys, bar, Xb, U)
+    d_nom = _d_phi(sys, bar, Xb, U, grad, lg)
     slack = policy.rate_at(bar.phi_at(Xb))
     violated = d_nom < -slack
     if np.any(violated):

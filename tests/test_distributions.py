@@ -197,6 +197,47 @@ class TestQueryHandling:
         assert res.provenance["solver_version"]
         assert len(res.provenance["query_hash"]) == 12
 
+    @staticmethod
+    def _trivial_query(lo, hi, x):
+        return QuerySpec(states=[[x]], horizon=0.5, times=np.linspace(0.0, 0.5, 6),
+                         numerics=bm_numerics(lo=lo, hi=hi, cells=40, dt=1e-2))
+
+    @pytest.mark.parametrize("kind,lo,hi,x,value", [
+        ("exit_cdf", -5.0, -1.0, -3.0, 1.0),
+        ("invariance_ccdf", -5.0, -1.0, -3.0, 0.0),
+        ("entry_cdf", 1.0, 5.0, 3.0, 1.0),
+    ])
+    @pytest.mark.filterwarnings("ignore:.*lies on the wrong side")
+    def test_mask_without_interior_node_returns_dirichlet_value(self, bm, kind, lo, hi, x,
+                                                                 value):
+        # The whole padded box lies on the pinned side: nothing marches.
+        with pytest.warns(SafeProbWarning, match="the mask is trivial"):
+            res = solve_distribution(kind, bm.system, bm.barrier, bm.policy,
+                                     self._trivial_query(lo, hi, x))
+        assert res.diagnostics["interior_nodes"] == 0
+        assert res.diagnostics["n_steps"] == 50
+        assert res.diagnostics["total_iterations"] == 0
+        assert np.all(res.values == value)
+        assert np.all(res.series.fields == value)
+
+    @pytest.mark.parametrize("kind,lo,hi,x,value", [
+        ("exit_cdf", 1.0, 5.0, 3.0, 0.0),
+        ("invariance_ccdf", 1.0, 5.0, 3.0, 1.0),
+        ("entry_cdf", -5.0, -1.0, -3.0, 0.0),
+    ])
+    def test_mask_without_pinned_node_marches_every_node(self, bm, kind, lo, hi, x, value):
+        # Every node is interior, so the march keeps the constant start
+        # (L 1 = 0 under the zero-gradient closure).
+        with pytest.warns(SafeProbWarning, match="the mask is trivial"):
+            res = solve_distribution(kind, bm.system, bm.barrier, bm.policy,
+                                     self._trivial_query(lo, hi, x))
+        assert res.diagnostics["interior_nodes"] == 43
+        assert res.diagnostics["total_iterations"] == 50
+        if value == 0.0:
+            assert np.all(res.values == 0.0)
+        else:
+            np.testing.assert_allclose(res.values, 1.0, rtol=0.0, atol=1e-14)
+
     def test_infeasible_interior_node_raises(self):
         # Even velocity cells put nodes exactly on v = 0 where the filter's
         # actuated direction vanishes; with a weak rate gain the constraint

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,23 @@ class TestPathNoise:
         tail = mc_oracle._path_noise(9, 6, 2, 7, 1)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a[3:], tail)
+
+
+    def test_blocks_share_one_noise_buffer(self, monkeypatch):
+        # Four blocks of at most 64 paths x 500 steps: only one block's
+        # noise (256 kB) may be held at a time.
+        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 64)
+        ex = make_example("drifted_bm_1d")
+        cfg = PathConfig(dt=2e-3, horizon=1.0, n_paths=3 * 64 + 10, seed=3)
+        block_bytes = 64 * 500 * 1 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_paths(ex.system, ex.barrier, ex.policy, ex.x0, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block_bytes
 
 
 def _reference_paths(sys, bar, policy, x0, cfg):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from safeprob import (
     Policy,
     check_cbf_constraint,
     linear_rate,
+    make_example,
     validate_barrier,
 )
 from safeprob.errors import InfeasibilityError, ShapeError
@@ -116,6 +119,27 @@ class TestZeroCbfFilter:
         U, infeasible = closed_loop_control_batch(policy, sys, bar, [[x]])
         assert not infeasible[0]
         assert d_phi_batch(sys, bar, [[x]], U)[0] >= -gamma * x - 1e-9
+
+
+    def test_filter_evaluates_gradient_and_g_once(self):
+        ex = make_example("double_integrator")
+        calls = {"grad_phi": 0, "g": 0}
+
+        def counted(name, fn):
+            def wrapper(X):
+                calls[name] += 1
+                return fn(X)
+            return wrapper
+
+        sys = dataclasses.replace(ex.system, g=counted("g", ex.system.g))
+        bar = dataclasses.replace(ex.barrier,
+                                  grad_phi=counted("grad_phi", ex.barrier.grad_phi))
+        X = np.array([[0.5, 0.4], [0.9, 0.3], [-0.2, -0.7]])
+        U, infeasible = closed_loop_control_batch(ex.policy, sys, bar, X)
+        assert calls == {"grad_phi": 1, "g": 1}
+        want, _ = closed_loop_control_batch(ex.policy, ex.system, ex.barrier, X)
+        np.testing.assert_array_equal(U, want)
+        assert not infeasible.any()
 
 
 class TestGradientPolicy:
