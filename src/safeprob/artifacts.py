@@ -81,7 +81,7 @@ def series_to_json(series: FieldSeries) -> dict:
         },
         "dirichlet_value": series.dirichlet_value,
         "snapshots": [{"time": float(series.times[-1]),
-                       "values": [float(v) for v in series.fields[-1].ravel()]}],
+                       "values": [float(v) for v in series.final_field.ravel()]}],
         "diagnostics": series.diagnostics.as_dict(),
     }
 

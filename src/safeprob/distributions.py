@@ -298,19 +298,12 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
                              q.horizon, q.numerics.dt, spec, pts)
 
     series = solve_ibvp(spec, snapshot_times=q.resolved_times(),
-                        sensitivity_probe=probe)
+                        sensitivity_probe=probe, points=states)
 
-    values = np.empty((states.shape[0], len(series.times)))
-    inside = on_side
-    for j, t in enumerate(series.times):
-        if t == 0.0:
-            # The initial data is exact at t=0: the indicator of the
-            # query's own side for pinned-0 kinds, of the complement for
-            # pinned-1 kinds.
-            values[:, j] = np.where(inside, 1.0 - dirichlet, dirichlet)
-        else:
-            col = series.sample(states, j)
-            values[:, j] = np.where(inside, col, dirichlet)
+    values = np.where(on_side[:, None], series.values, dirichlet)
+    # The initial data is exact at t=0: the indicator of the query's own
+    # side for pinned-0 kinds, of the complement for pinned-1 kinds.
+    values[:, 0] = np.where(on_side, 1.0 - dirichlet, dirichlet)
 
     diagnostics = series.diagnostics.as_dict()
     diagnostics.update({

@@ -20,7 +20,9 @@ M-matrix, so fields obey a discrete maximum principle.
 
 Only interior nodes are unknowns: pinned nodes hold the Dirichlet value
 g, so each step solves ``(I - dt L_II) u_I' = u_I + dt L_IP g`` over the
-interior nodes, and the full field is rebuilt only at recorded snapshots.
+interior nodes.  At each recorded time the field is sampled at the query
+points from a multilinear weight table built once; a solve keeps those
+samples and the horizon field, so its memory does not grow with the times.
 
 Linear solves: a sparse LU factorized once on 1D and 2D grids, a
 Jacobi-preconditioned BiCGSTAB per step on 3D grids.  The LU takes a
@@ -36,13 +38,13 @@ The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DataError, SolverError
 from .system_model import BarrierProblem
@@ -223,22 +225,62 @@ class SolveDiagnostics:
         }
 
 
+class GridSampler:
+    """Multilinear interpolation of flat grid fields at fixed points.
+
+    Built once per point set: ``index`` (2^d, m) holds the flat indices of
+    the corners of each point's cell (the last cell on an upper face) and
+    ``weight`` (2^d, d, m) their per-axis factors.  A term multiplies the
+    node value by its factors axis by axis and terms add in corner order,
+    SciPy's ``RegularGridInterpolator`` order in 1D and 2D.  At a node the
+    factors are exactly 0 and 1, so samples are the node values.
+    """
+
+    def __init__(self, grid: GridSpec, points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != grid.ndim:
+            raise DataError(f"sample points need shape (m, {grid.ndim}), got {points.shape}")
+        cell, frac = [], []
+        for a, x in enumerate(grid.axes()):
+            p = points[:, a]
+            if not np.all((p >= x[0]) & (p <= x[-1])):
+                raise DataError(f"sample points leave the grid box on axis {a}")
+            i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+            cell.append(i)
+            frac.append((p - x[i]) / (x[i + 1] - x[i]))
+        corners = list(itertools.product((0, 1), repeat=grid.ndim))
+        self.index = np.array([np.ravel_multi_index([i + b for i, b in zip(cell, bits)],
+                                                    grid.shape) for bits in corners])
+        self.weight = np.array([[y if b else 1.0 - y for y, b in zip(frac, bits)]
+                                for bits in corners])
+
+    def __call__(self, field: np.ndarray) -> np.ndarray:
+        """Interpolated values of a flat (C-ordered) field at the points."""
+        terms = field[self.index]
+        for a in range(self.weight.shape[1]):
+            terms *= self.weight[:, a]
+        return sum(terms, np.zeros(terms.shape[1]))
+
+
 @dataclass
 class FieldSeries:
-    """Recorded snapshots of a solve: times (starting at 0) and fields."""
+    """What a solve keeps: the field at query points over time, and at the horizon.
+
+    ``values[i, j]`` is the field at the solve's i-th query point and at
+    ``times[j]`` (0 to the horizon).  ``final_field``, the horizon field, is
+    the only full-grid field kept, so memory does not grow with the times.
+    """
 
     grid: GridSpec
     times: np.ndarray
-    fields: np.ndarray
+    values: np.ndarray
+    final_field: np.ndarray
     dirichlet_value: float
     diagnostics: SolveDiagnostics
 
-    def sample(self, states, time_index: int) -> np.ndarray:
-        """Multilinear interpolation of one snapshot at stacked states."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        interp = RegularGridInterpolator(self.grid.axes(), self.fields[time_index],
-                                         method="linear", bounds_error=True)
-        return interp(states)
+    def sample(self, states) -> np.ndarray:
+        """Multilinear interpolation of the horizon field at stacked states."""
+        return GridSampler(self.grid, states)(self.final_field.ravel())
 
 
 def _divergence(diff: np.ndarray, spacing) -> np.ndarray:
@@ -451,13 +493,16 @@ class SensitivityProbe:
 
 
 def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
-               sensitivity_probe: SensitivityProbe | None = None) -> FieldSeries:
-    """Time-march the IBVP, recording snapshots at the requested times.
+               sensitivity_probe: SensitivityProbe | None = None,
+               points=None) -> FieldSeries:
+    """Time-march the IBVP, sampling the field at ``points`` at the requested times.
 
-    Snapshot times are snapped to the step grid; t=0 is always recorded.
-    When a sensitivity probe is supplied, both probe specs are solved to
-    the horizon and their disagreement at the probe points is reported in
-    the diagnostics (a flag, never an error).
+    Requested times are snapped to the step grid; t=0 and the horizon are
+    always recorded.  ``points`` (stacked states inside the grid box, none
+    by default) are sampled at every recorded time; the full field is kept
+    at the horizon only.  When a sensitivity probe is supplied, both probe
+    specs are solved to the horizon and their disagreement at the probe
+    points is reported in the diagnostics (a flag, never an error).
     """
     diag = SolveDiagnostics()
     T = float(spec.horizon)
@@ -472,26 +517,26 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
     diag.n_steps = n_steps
     diag.dt_effective = dt_eff
 
-    if snapshot_times is None:
-        wanted = {0, n_steps}
-    else:
-        wanted = {int(round(float(t) / dt_eff)) if dt_eff > 0 else 0
-                  for t in snapshot_times}
-        wanted = {min(max(s, 0), n_steps) for s in wanted}
-        wanted.add(0)
+    wanted = {0, n_steps}
+    if snapshot_times is not None:
+        wanted |= {min(max(int(round(float(t) / dt_eff)), 0), n_steps)
+                   for t in snapshot_times}
+    steps = sorted(wanted)
 
     # Pinned nodes keep the Dirichlet value; only the interior values march.
-    field = spec.initial_field.astype(float).ravel().copy()
+    field = spec.initial_field.astype(float).ravel()
     interior = np.flatnonzero(spec.interior_mask.ravel())
-
-    times = [0.0]
-    records = [field.reshape(spec.grid.shape).copy()]
+    sampler = GridSampler(spec.grid, np.empty((0, spec.grid.ndim)) if points is None
+                          else points)
+    values = np.empty((sampler.index.shape[1], len(steps)))
+    values[:, 0] = sampler(field)
     diag.field_min = float(field.min())
     diag.field_max = float(field.max())
 
     if n_steps > 0 and interior.size:
         stepper = ThetaStepper(spec)
         u = field[interior]
+        col = 1
         for k in range(1, n_steps + 1):
             u, residual = stepper.step(u)
             diag.max_residual = max(diag.max_residual, residual)
@@ -500,15 +545,13 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
             diag.field_max = max(diag.field_max, float(u.max()))
             if k in wanted:
                 field[interior] = u
-                times.append(k * dt_eff)
-                records.append(field.reshape(spec.grid.shape).copy())
+                values[:, col] = sampler(field)
+                col += 1
         diag.total_iterations = stepper.solves
     else:
-        # No interior node: nothing marches and every snapshot is the
-        # Dirichlet field.
-        for k in sorted(wanted - {0}):
-            times.append(k * dt_eff)
-            records.append(field.reshape(spec.grid.shape).copy())
+        # No interior node: nothing marches and every recorded time holds
+        # the Dirichlet field.
+        values[:, 1:] = values[:, :1]
 
     lo_ok = min(0.0, spec.dirichlet_value) - 1e-8
     hi_ok = max(1.0, spec.dirichlet_value) + 1e-8
@@ -524,15 +567,15 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
                 f"boundary sensitivity {diag.boundary_sensitivity:.3e} exceeds "
                 f"tolerance {PROBE_TOLERANCE:.1e}")
 
-    return FieldSeries(grid=spec.grid, times=np.asarray(times), fields=np.stack(records),
+    return FieldSeries(grid=spec.grid, times=np.asarray(steps) * dt_eff, values=values,
+                       final_field=field.reshape(spec.grid.shape),
                        dirichlet_value=spec.dirichlet_value, diagnostics=diag)
 
 
 def _run_probe(probe: SensitivityProbe) -> tuple[float, bool]:
     base = solve_ibvp(probe.coarse)
     wide = solve_ibvp(probe.doubled)
-    pts = np.atleast_2d(np.asarray(probe.points, dtype=float))
-    delta = np.abs(base.sample(pts, -1) - wide.sample(pts, -1))
+    delta = np.abs(base.sample(probe.points) - wide.sample(probe.points))
     sens = float(delta.max())
     return sens, sens > PROBE_TOLERANCE
 

@@ -45,6 +45,17 @@ def strip_times_if_zero_horizon(doc):
     return doc
 
 
+def test_import_leaves_scipy_interpolate_unloaded():
+    # The solver samples fields with its own multilinear table; importing
+    # scipy.interpolate would add about 16 MB to every command's RSS.
+    pythonpath = [str(REPO_ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
+    code = "import sys, safeprob, safeprob.cli; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False"
+
+
 class TestConfigValidation:
     def test_shipped_configs_validate(self):
         for name in ("drifted_bm_exit.json", "drifted_bm_recovery.json",

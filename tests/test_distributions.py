@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,14 @@ from safeprob import (
     exit_time_cdf,
     invariance_ccdf,
     make_example,
+    solve_ibvp,
     summary_stats,
 )
 from safeprob.distributions import (
+    KIND_TABLE,
     SafeProbWarning,
+    _assemble,
+    _padded_grid,
     complementary_kind,
     event_time_cdf,
     monotonicity_violation,
@@ -218,7 +224,17 @@ class TestQueryHandling:
         assert res.diagnostics["n_steps"] == 50
         assert res.diagnostics["total_iterations"] == 0
         assert np.all(res.values == value)
-        assert np.all(res.series.fields == value)
+        assert np.all(res.series.values == value)
+        assert np.all(res.series.final_field == value)
+        # Every node at every tabulation time holds the Dirichlet value.
+        q = self._trivial_query(lo, hi, x)
+        grid = _padded_grid(q.numerics)
+        spec = _assemble(bm.system, bm.barrier, bm.policy, grid, bm.barrier.level,
+                         KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet, q.horizon,
+                         q.numerics.dt)
+        series = solve_ibvp(spec, snapshot_times=q.times, points=grid.nodes())
+        assert series.values.shape == (grid.n_nodes, 6)
+        assert np.all(series.values == value)
 
     @pytest.mark.parametrize("kind,lo,hi,x,value", [
         ("exit_cdf", 1.0, 5.0, 3.0, 0.0),
@@ -336,3 +352,24 @@ class TestUnicycleSmoke:
         res = exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
         assert 0.0 <= res.values[0, -1] <= 1.0
         assert monotonicity_violation(res) <= 1e-10
+
+
+class TestSolveMemory:
+    def test_peak_does_not_grow_with_tabulation_times(self):
+        # A solve keeps the query-state table and one full field, so 101
+        # tabulation times cost what 2 do.
+        ex = make_example("double_integrator")
+        num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=(84, 85), dt=1e-2)
+
+        def peak(n_times):
+            q = QuerySpec(states=[ex.x0], horizon=ex.horizon, numerics=num,
+                          times=np.linspace(0.0, ex.horizon, n_times))
+            tracemalloc.start()
+            try:
+                exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm-up: one-time allocations stay out of the comparison
+        assert peak(101) <= 1.2 * peak(2)

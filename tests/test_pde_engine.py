@@ -17,6 +17,7 @@ from safeprob.distributions import NumericsConfig, _assemble, _padded_grid
 from safeprob.errors import DataError, SolverError
 from safeprob.pde_engine import (
     LINEAR_RTOL,
+    GridSampler,
     SensitivityProbe,
     ThetaStepper,
     _assemble_operator,
@@ -73,6 +74,47 @@ def ball_exit_spec(cells=12, horizon=0.1, dt=1e-2):
     mask = np.sum(grid.nodes() ** 2, axis=1).reshape(grid.shape) < 1.0
     conv, diff = const_fields(grid, 0.4, 0.5)
     return IbvpSpec(grid, mask, conv, diff, 1.0, np.where(mask, 0.0, 1.0), horizon, dt)
+
+
+class TestGridSampler:
+    @pytest.mark.parametrize("cells", [(9,), (9, 12), (8, 10, 9)])
+    def test_matches_scipy_regular_grid_interpolator(self, cells):
+        from scipy.interpolate import RegularGridInterpolator
+
+        d = len(cells)
+        rng = np.random.default_rng(d)
+        grid = GridSpec(tuple(-1.3 - 0.2 * a for a in range(d)),
+                        tuple(2.1 + 0.5 * a for a in range(d)), cells)
+        lo, hi = np.array(grid.lo), np.array(grid.hi)
+        field = rng.random(grid.shape)
+        inner = lo + (hi - lo) * rng.random((400, d))
+        # Points on the upper face of each axis, and the upper corner.
+        faces = [np.where(np.arange(d) == a, hi, inner[:20]) for a in range(d)]
+        points = np.vstack([inner, grid.nodes(), *faces, hi[None]])
+        ours = GridSampler(grid, points)(field.ravel())
+        ref = RegularGridInterpolator(grid.axes(), field, method="linear",
+                                      bounds_error=True)(points)
+        if d < 3:
+            np.testing.assert_array_equal(ours, ref)
+        else:
+            # SciPy's N-D path multiplies the per-axis weights together first.
+            np.testing.assert_allclose(ours, ref, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(GridSampler(grid, grid.nodes())(field.ravel()),
+                                      field.ravel())
+
+    @pytest.mark.parametrize("point", [[1.0 + 1e-12, 1.0], [0.5, -1e-12], [np.nan, 0.5]])
+    def test_points_outside_the_box_raise(self, point):
+        grid = GridSpec((0.0, 0.0), (1.0, 2.0), (8, 8))
+        with pytest.raises(DataError, match="leave the grid box"):
+            GridSampler(grid, [point])
+
+    def test_solve_rejects_points_outside_the_box(self):
+        spec = line_spec(-2.0, 2.0, 16, 0.5, 1.0, lambda x: x >= 0.0, 0.0, horizon=0.1,
+                         dt=0.05)
+        with pytest.raises(DataError, match="leave the grid box"):
+            solve_ibvp(spec, points=[[2.5]])
+        with pytest.raises(DataError, match="leave the grid box"):
+            solve_ibvp(spec).sample([[-2.5]])
 
 
 class TestGridSpec:
@@ -194,16 +236,17 @@ class TestStep:
         # F(x, T) = erf(x / sqrt(2 T)).
         spec = line_spec(0.0, 6.0, 600, 0.0, 1.0, lambda x: x > 0.0, 0.0)
         series = solve_ibvp(spec, snapshot_times=[1.0])
-        value = float(series.sample([[1.0]], -1)[0])
+        value = float(series.sample([[1.0]])[0])
         assert value == pytest.approx(HEAT_HALFLINE, abs=5e-3)
 
 
 class TestSolveIbvp:
     def test_zero_horizon_returns_initial_snapshot(self):
         spec = line_spec(-2.0, 2.0, 16, 0.5, 1.0, lambda x: x >= 0.0, 0.0, horizon=0.0)
-        series = solve_ibvp(spec)
+        series = solve_ibvp(spec, points=spec.grid.nodes())
         assert list(series.times) == [0.0]
-        np.testing.assert_array_equal(series.fields[0], spec.initial_field)
+        np.testing.assert_array_equal(series.values[:, 0], spec.initial_field.ravel())
+        np.testing.assert_array_equal(series.final_field, spec.initial_field)
 
     def test_times_strictly_increasing_from_zero(self):
         spec = line_spec(-2.0, 2.0, 32, 0.5, 1.0, lambda x: x >= 0.0, 0.0,
@@ -220,8 +263,10 @@ class TestSolveIbvp:
 
     def test_exit_shaped_problem_nondecreasing_in_time(self):
         spec = line_spec(-2.0, 2.0, 64, 0.3, 1.0, lambda x: x >= 0.0, 1.0)
-        series = solve_ibvp(spec, snapshot_times=np.linspace(0, 1, 21))
-        diffs = np.diff(series.fields, axis=0)
+        series = solve_ibvp(spec, snapshot_times=np.linspace(0, 1, 21),
+                            points=spec.grid.nodes())
+        assert series.values.shape == (spec.grid.n_nodes, 21)
+        diffs = np.diff(series.values, axis=1)
         assert diffs.min() >= -1e-12
 
     def test_complement_linearity(self):
@@ -229,17 +274,18 @@ class TestSolveIbvp:
         spec0 = line_spec(-2.0, 2.0, 64, 0.4, 1.0, mask_fn, 0.0)
         spec1 = line_spec(-2.0, 2.0, 64, 0.4, 1.0, mask_fn, 1.0)
         times = np.linspace(0, 1, 11)
-        s0 = solve_ibvp(spec0, snapshot_times=times)
-        s1 = solve_ibvp(spec1, snapshot_times=times)
-        total = s0.fields + s1.fields
+        s0 = solve_ibvp(spec0, snapshot_times=times, points=spec0.grid.nodes())
+        s1 = solve_ibvp(spec1, snapshot_times=times, points=spec1.grid.nodes())
+        total = s0.values + s1.values
+        assert total.shape == (spec0.grid.n_nodes, 11)
         assert np.max(np.abs(total - 1.0)) < 1e-6
 
     def test_dt_refinement_consistency(self):
         # First-order stepping: halving dt should move values by O(dt).
         coarse = line_spec(0.0, 6.0, 300, 1.0, 1.0, lambda x: x > 0.0, 0.0, dt=2e-3)
         fine = line_spec(0.0, 6.0, 300, 1.0, 1.0, lambda x: x > 0.0, 0.0, dt=1e-3)
-        vc = float(solve_ibvp(coarse, snapshot_times=[1.0]).sample([[1.0]], -1)[0])
-        vf = float(solve_ibvp(fine, snapshot_times=[1.0]).sample([[1.0]], -1)[0])
+        vc = float(solve_ibvp(coarse, snapshot_times=[1.0]).sample([[1.0]])[0])
+        vf = float(solve_ibvp(fine, snapshot_times=[1.0]).sample([[1.0]])[0])
         assert abs(vc - vf) < 2e-3
 
     def test_residuals_reported(self):
@@ -325,13 +371,15 @@ class TestExports:
     def test_series_json_layout(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 1.0, lambda x: x >= 0.0, 0.0,
                          horizon=0.1, dt=0.05)
-        series = solve_ibvp(spec, snapshot_times=[0.05, 0.1])
+        series = solve_ibvp(spec, snapshot_times=[0.05, 0.1], points=spec.grid.nodes())
         doc = series_to_json(series)
         assert doc["grid"]["cells"] == [16]
         # Only the final snapshot, at the horizon, is kept.
         assert len(doc["snapshots"]) == 1
         assert doc["snapshots"][0]["time"] == pytest.approx(0.1)
-        assert doc["snapshots"][0]["values"] == series.fields[-1].tolist()
+        assert doc["snapshots"][0]["values"] == series.final_field.ravel().tolist()
+        # Node samples at the horizon are the kept field itself.
+        assert doc["snapshots"][0]["values"] == series.values[:, -1].tolist()
 
     def test_diagnostics_json_report(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 1.0, lambda x: x >= 0.0, 0.0,
@@ -354,11 +402,15 @@ class TestStepperInternals:
         # A 3D grid marches with Jacobi-BiCGSTAB; raising the axis threshold
         # puts the same spec on the direct LU path.
         spec = ball_exit_spec()
-        iterative = solve_ibvp(spec, snapshot_times=[0.05, 0.1])
+        nodes = spec.grid.nodes()
+        iterative = solve_ibvp(spec, snapshot_times=[0.05, 0.1], points=nodes)
         monkeypatch.setattr(pde_engine, "_KRYLOV_MIN_NDIM", 4)
-        direct = solve_ibvp(spec, snapshot_times=[0.05, 0.1])
+        direct = solve_ibvp(spec, snapshot_times=[0.05, 0.1], points=nodes)
         assert direct.diagnostics.total_iterations == direct.diagnostics.n_steps
-        np.testing.assert_allclose(iterative.fields, direct.fields, rtol=0.0, atol=1e-8)
+        assert iterative.values.shape == (spec.grid.n_nodes, 3)
+        np.testing.assert_allclose(iterative.values, direct.values, rtol=0.0, atol=1e-8)
+        for series in (iterative, direct):
+            np.testing.assert_array_equal(series.values[:, -1], series.final_field.ravel())
         diag = iterative.diagnostics
         assert diag.max_residual <= 1e-10
         assert diag.total_iterations >= diag.n_steps == 10
