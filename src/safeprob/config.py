@@ -140,8 +140,17 @@ def validate_config(doc: dict) -> dict:
     if "query" in doc:
         if doc["query"]["kind"] not in KINDS:
             raise ConfigError(f"unknown distribution kind {doc['query']['kind']!r}", "query.kind")
-        if doc["query"]["horizon"] < 0:
+        horizon = doc["query"]["horizon"]
+        if horizon < 0:
             raise ConfigError("horizon must be >= 0", "query.horizon")
+        times = doc["query"].get("times")
+        if times is not None:
+            if times["num"] < 1:
+                raise ConfigError("num must be >= 1", "query.times.num")
+            for key in ("start", "stop"):
+                if not 0 <= times[key] <= horizon:
+                    raise ConfigError(f"{key} must lie in [0, horizon {horizon}]",
+                                      f"query.times.{key}")
     if "policy" in doc:
         if doc["policy"]["kind"] not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {doc['policy']['kind']!r}", "policy.kind")

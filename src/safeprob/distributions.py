@@ -16,6 +16,13 @@ value, and initial indicator:
     exit_cdf          P(first time phi <= l  <= t) super side, pinned 1
     convergence_cdf   P(max phi over [0,T] < l)    sub side,   pinned 0
     entry_cdf         P(first time phi >= l <= t)  sub side,   pinned 1
+
+Whether the solve box truncates the level set is checked here too, by the
+boundary probe: when a box face cuts through the interior, the problem is
+re-solved at ``PROBE_COARSEN`` times coarser cells and time step on its own
+box and on a box doubled across the cut faces.  Their largest disagreement
+at the query states is the ``boundary_sensitivity`` diagnostic, flagged
+above ``PROBE_TOLERANCE`` (a flag, never an error).
 """
 
 from __future__ import annotations
@@ -35,9 +42,7 @@ from .pde_engine import (
     FieldSeries,
     GridSpec,
     IbvpSpec,
-    SensitivityProbe,
     build_mask,
-    has_truncation_faces,
     solve_ibvp,
 )
 from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_control_batch
@@ -81,8 +86,11 @@ RANGE_TOL = 1e-8
 # Extra cells padded onto every side of the query box, so the Dirichlet
 # region bordering the level set is represented by at least one node layer.
 HALO_CELLS = 1
-# The boundary probe solves at this factor coarser cells and time step.
+# The boundary probe solves at this factor coarser cells and time step, and
+# flags the solve when its two solves disagree by more than PROBE_TOLERANCE
+# at a query state.
 PROBE_COARSEN = 2
+PROBE_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,8 @@ class NumericsConfig:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """One batch query: initial states, level, horizon, tabulation times."""
+    """One batch query: initial states, level (the barrier's by default), horizon,
+    and tabulation times (101 evenly spaced by default)."""
 
     states: np.ndarray
     horizon: float
@@ -135,16 +144,6 @@ class QuerySpec:
                 raise DataError("tabulation times must lie in [0, horizon]")
             object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", states)
-
-    def resolved_level(self, bar: BarrierProblem) -> float:
-        return bar.level if self.level is None else float(self.level)
-
-    def resolved_times(self) -> np.ndarray:
-        if self.times is not None:
-            return np.unique(np.append(self.times, [0.0, self.horizon]))
-        if self.horizon == 0.0:
-            return np.array([0.0])
-        return np.linspace(0.0, self.horizon, 101)
 
 
 @dataclass
@@ -220,31 +219,39 @@ def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
 
 
 def _probe_specs(sys, bar, policy, level, side, dirichlet, horizon, dt: float,
-                 spec: IbvpSpec, points: np.ndarray) -> SensitivityProbe | None:
-    faces = has_truncation_faces(spec.grid, spec.interior_mask)
-    if not faces:
+                 spec: IbvpSpec) -> tuple[IbvpSpec, IbvpSpec] | None:
+    """The boundary probe's (coarse, doubled) specs, or None if no box face cuts
+    through the interior.
+
+    ``coarse`` is the spec's own box at ``PROBE_COARSEN`` times coarser cells
+    and time step; ``doubled`` extends each cut face outward by one box width
+    at the same spacing.
+    """
+    grid, mask = spec.grid, spec.interior_mask
+    cut_lo = [bool(np.any(np.take(mask, 0, axis=a))) for a in range(grid.ndim)]
+    cut_hi = [bool(np.any(np.take(mask, -1, axis=a))) for a in range(grid.ndim)]
+    if not any(cut_lo + cut_hi):
         return None
-    coarse_cells = tuple(max(MIN_CELLS, cells // PROBE_COARSEN) for cells in spec.grid.cells)
-    coarse_grid = GridSpec(spec.grid.lo, spec.grid.hi, coarse_cells)
-    lo = list(spec.grid.lo)
-    hi = list(spec.grid.hi)
-    dcells = list(coarse_cells)
-    for a in range(spec.grid.ndim):
-        # Extend each truncated face outward by one full box width at the
-        # probe's own spacing.
-        width = spec.grid.hi[a] - spec.grid.lo[a]
-        if (a, -1) in faces:
+    coarse_cells = tuple(max(MIN_CELLS, cells // PROBE_COARSEN) for cells in grid.cells)
+    lo, hi, dcells = list(grid.lo), list(grid.hi), list(coarse_cells)
+    for a in range(grid.ndim):
+        width = grid.hi[a] - grid.lo[a]
+        if cut_lo[a]:
             lo[a] -= width
             dcells[a] += coarse_cells[a]
-        if (a, +1) in faces:
+        if cut_hi[a]:
             hi[a] += width
             dcells[a] += coarse_cells[a]
-    doubled_grid = GridSpec(tuple(lo), tuple(hi), tuple(dcells))
     probe_dt = dt * PROBE_COARSEN
-    coarse = _assemble(sys, bar, policy, coarse_grid, level, side, dirichlet, horizon, probe_dt)
-    doubled = _assemble(sys, bar, policy, doubled_grid, level, side, dirichlet, horizon,
-                        probe_dt)
-    return SensitivityProbe(coarse=coarse, doubled=doubled, points=points)
+    return tuple(_assemble(sys, bar, policy, g, level, side, dirichlet, horizon, probe_dt)
+                 for g in (GridSpec(grid.lo, grid.hi, coarse_cells),
+                           GridSpec(tuple(lo), tuple(hi), tuple(dcells))))
+
+
+def _probe_sensitivity(coarse: IbvpSpec, doubled: IbvpSpec, points) -> float:
+    """Largest disagreement of the two probe solves at ``points`` at the horizon."""
+    return float(np.max(np.abs(solve_ibvp(coarse).sample(points)
+                               - solve_ibvp(doubled).sample(points))))
 
 
 def _query_hash(kind: str, q: QuerySpec, level: float) -> str:
@@ -272,7 +279,7 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
     if kind not in KINDS:
         raise DataError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
     side, dirichlet = KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet
-    level = q.resolved_level(bar)
+    level = bar.level if q.level is None else float(q.level)
     states = q.states
     phi0 = np.atleast_1d(np.asarray(bar.phi_at(states), dtype=float))
     on_side = phi0 >= level if side == "super" else phi0 < level
@@ -291,14 +298,23 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
             "trivial and the result degenerates to its initial/boundary data",
             SafeProbWarning, stacklevel=2)
 
+    # The probe specs are assembled before the march, so an infeasible probe
+    # grid fails first, and solved after it.
     probe = None
     if q.numerics.boundary_probe and q.horizon > 0:
-        pts = states[on_side] if np.any(on_side) else states
         probe = _probe_specs(sys, bar, policy, level, side, dirichlet,
-                             q.horizon, q.numerics.dt, spec, pts)
+                             q.horizon, q.numerics.dt, spec)
 
-    series = solve_ibvp(spec, snapshot_times=q.resolved_times(),
-                        sensitivity_probe=probe, points=states)
+    times = np.linspace(0.0, q.horizon, 101) if q.times is None else q.times
+    series = solve_ibvp(spec, snapshot_times=times, points=states)
+    if probe is not None:
+        diag = series.diagnostics
+        diag.boundary_sensitivity = _probe_sensitivity(
+            *probe, states[on_side] if np.any(on_side) else states)
+        diag.boundary_flagged = diag.boundary_sensitivity > PROBE_TOLERANCE
+        if diag.boundary_flagged:
+            diag.notes.append(f"boundary sensitivity {diag.boundary_sensitivity:.3e} "
+                              f"exceeds tolerance {PROBE_TOLERANCE:.1e}")
 
     values = np.where(on_side[:, None], series.values, dirichlet)
     # The initial data is exact at t=0: the indicator of the query's own

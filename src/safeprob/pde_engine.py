@@ -65,10 +65,6 @@ LINEAR_MAXITER = 10_000
 # grid); the threshold was not re-measured on them.
 _KRYLOV_MIN_NDIM = 3
 
-# A boundary probe whose two solves disagree by more than this at a query
-# state flags the solve as truncation-sensitive.
-PROBE_TOLERANCE = 1e-3
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -206,6 +202,8 @@ class SolveDiagnostics:
     total_iterations: int = 0
     field_min: float = np.inf
     field_max: float = -np.inf
+    # Filled in by ``safeprob.distributions`` after its box-doubling solves; None
+    # when they did not run.
     boundary_sensitivity: float | None = None
     boundary_flagged: bool | None = None
     notes: list = dc_field(default_factory=list)
@@ -297,28 +295,32 @@ def _divergence(diff: np.ndarray, spacing) -> np.ndarray:
 
 
 def _assemble_operator(spec: IbvpSpec) -> sp.csr_matrix:
-    """Spatial operator L with rows zeroed on masked-out nodes."""
+    """Rows of the spatial operator L at the interior nodes, shape (interior, nodes).
+
+    Row i belongs to the i-th interior node in C order; columns index every
+    node, pinned ones included.
+    """
     grid = spec.grid
     shape = grid.shape
     n = grid.ndim
     h = grid.spacing
     N = grid.n_nodes
-    mask_flat = spec.interior_mask.ravel()
+    base = np.flatnonzero(spec.interior_mask.ravel())
     velocity = spec.convection - 0.5 * _divergence(spec.diffusion, h)
-    vel_flat = velocity.reshape(N, n)
+    vel_flat = velocity.reshape(N, n)[base]
     diff_flat = spec.diffusion.reshape(N, n, n)
 
-    index = np.unravel_index(np.arange(N), shape)
+    index = np.unravel_index(base, shape)
 
     def shifted(delta) -> np.ndarray:
         coords = [np.clip(index[a] + delta[a], 0, shape[a] - 1) for a in range(n)]
         return np.ravel_multi_index(coords, shape)
 
     rows, cols, vals = [], [], []
-    base = np.arange(N)
+    row = np.arange(base.size)
 
     def add(col_idx, coeff):
-        rows.append(base)
+        rows.append(row)
         cols.append(col_idx)
         vals.append(coeff)
 
@@ -339,8 +341,8 @@ def _assemble_operator(spec: IbvpSpec) -> sp.csr_matrix:
 
         # Conservative diffusion with face-averaged coefficients.
         saa = diff_flat[:, a, a]
-        wp = 0.25 * (saa + saa[plus]) / h[a] ** 2
-        wm = 0.25 * (saa + saa[minus]) / h[a] ** 2
+        wp = 0.25 * (saa[base] + saa[plus]) / h[a] ** 2
+        wm = 0.25 * (saa[base] + saa[minus]) / h[a] ** 2
         add(plus, wp)
         add(minus, wm)
         add(base, -(wp + wm))
@@ -365,8 +367,8 @@ def _assemble_operator(spec: IbvpSpec) -> sp.csr_matrix:
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    keep = mask_flat[rows] & (vals != 0.0)
-    L = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(N, N))
+    keep = vals != 0.0
+    L = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(base.size, N))
     return L.tocsr()
 
 
@@ -391,11 +393,8 @@ class ThetaStepper:
         mask = spec.interior_mask.ravel()
         interior = np.flatnonzero(mask)
         n_int = interior.size
-        L = _assemble_operator(spec)
-        # Pinned rows of L are empty, so the interior rows are L's own
-        # arrays under a shorter row pointer; columns map through ``pos``.
-        L_I = sp.csr_matrix((L.data, L.indices, np.append(L.indptr[interior], L.nnz)),
-                            shape=(n_int, L.shape[1]))
+        L_I = _assemble_operator(spec)
+        # Interior columns of L_I map to step-matrix columns through ``pos``.
         pos = np.full(mask.size, -1)
         pos[interior] = np.arange(n_int)
         cols = pos[L_I.indices]
@@ -477,32 +476,14 @@ class ThetaStepper:
         return x, residual
 
 
-@dataclass(frozen=True)
-class SensitivityProbe:
-    """Coarse pair of solves isolating the truncation-boundary effect.
-
-    ``coarse`` matches the main spec's box at probe resolution and
-    ``doubled`` extends the truncated faces outward; the diagnostic is the
-    largest disagreement at the probe points at the final time, flagged
-    above ``PROBE_TOLERANCE``.
-    """
-
-    coarse: IbvpSpec
-    doubled: IbvpSpec
-    points: np.ndarray
-
-
 def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
-               sensitivity_probe: SensitivityProbe | None = None,
                points=None) -> FieldSeries:
     """Time-march the IBVP, sampling the field at ``points`` at the requested times.
 
     Requested times are snapped to the step grid; t=0 and the horizon are
     always recorded.  ``points`` (stacked states inside the grid box, none
     by default) are sampled at every recorded time; the full field is kept
-    at the horizon only.  When a sensitivity probe is supplied, both probe
-    specs are solved to the horizon and their disagreement at the probe
-    points is reported in the diagnostics (a flag, never an error).
+    at the horizon only.
     """
     diag = SolveDiagnostics()
     T = float(spec.horizon)
@@ -560,39 +541,7 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
             f"field left the admissible range [{lo_ok}, {hi_ok}]: "
             f"min {diag.field_min}, max {diag.field_max}", residual=diag.max_residual)
 
-    if sensitivity_probe is not None:
-        diag.boundary_sensitivity, diag.boundary_flagged = _run_probe(sensitivity_probe)
-        if diag.boundary_flagged:
-            diag.notes.append(
-                f"boundary sensitivity {diag.boundary_sensitivity:.3e} exceeds "
-                f"tolerance {PROBE_TOLERANCE:.1e}")
-
     return FieldSeries(grid=spec.grid, times=np.asarray(steps) * dt_eff, values=values,
                        final_field=field.reshape(spec.grid.shape),
                        dirichlet_value=spec.dirichlet_value, diagnostics=diag)
 
-
-def _run_probe(probe: SensitivityProbe) -> tuple[float, bool]:
-    base = solve_ibvp(probe.coarse)
-    wide = solve_ibvp(probe.doubled)
-    delta = np.abs(base.sample(probe.points) - wide.sample(probe.points))
-    sens = float(delta.max())
-    return sens, sens > PROBE_TOLERANCE
-
-
-def has_truncation_faces(grid: GridSpec, interior_mask: np.ndarray) -> list:
-    """Axis/side pairs of box faces that cut through the interior.
-
-    Returns a list of (axis, side) with side -1 for the low face and +1
-    for the high face; empty when the Dirichlet region fully encloses the
-    interior so no zero-gradient closure is active.
-    """
-    faces = []
-    for a in range(grid.ndim):
-        lo_slab = np.take(interior_mask, 0, axis=a)
-        hi_slab = np.take(interior_mask, -1, axis=a)
-        if np.any(lo_slab):
-            faces.append((a, -1))
-        if np.any(hi_slab):
-            faces.append((a, +1))
-    return faces

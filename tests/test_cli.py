@@ -84,6 +84,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"unknown key.*{section}\\.{key}"):
             ExperimentConfig.from_doc(doc)
 
+    @pytest.mark.parametrize("command", ["solve", "mc"])
+    @pytest.mark.parametrize("key,value", [("num", 0), ("num", -1), ("start", -0.5),
+                                           ("stop", 1.5)])
+    def test_bad_query_times_exit_2(self, tmp_path, capsys, command, key, value):
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["query"]["times"][key] = value
+        path = write_config(tmp_path, doc)
+        assert main([command, "--config", path]) == 2
+        assert f"query.times.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_barrier_pointer(self):
         with pytest.raises(ConfigError, match="barrier"):
             validate_config({"system": {
@@ -137,6 +148,24 @@ class TestSolveCommand:
         assert manifest["config_hash"] == cfg.hash
         for name in manifest["files"]:
             assert (Path(out) / name).exists()
+
+    def test_flagged_probe_reaches_both_json_artifacts(self, tmp_path):
+        # A box that ends 0.5 above the query state truncates the exit law.
+        out = tmp_path / "out"
+        doc = small_bm_doc(str(out))
+        doc["numerics"] = {"box_lo": [0.0], "box_hi": [1.5], "cells": [60], "dt": 0.01}
+        path = write_config(tmp_path, doc)
+        assert main(["solve", "--config", path]) == 0
+        cfg = ExperimentConfig.from_file(path)
+        result = json.loads((out / f"exit_cdf_{cfg.hash}.json").read_text())["diagnostics"]
+        fields = json.loads((out / f"exit_cdf_{cfg.hash}_fields.json").read_text())
+        fields = fields["diagnostics"]
+        assert result["boundary_flagged"] is True
+        assert result["boundary_sensitivity"] > 1e-2
+        assert result["notes"] == [f"boundary sensitivity {result['boundary_sensitivity']:.3e} "
+                                   "exceeds tolerance 1.0e-03"]
+        for key in ("boundary_sensitivity", "boundary_flagged", "notes"):
+            assert fields[key] == result[key]
 
     def test_zero_horizon_solve_returns_indicator(self, tmp_path):
         out = str(tmp_path / "out")

@@ -13,18 +13,23 @@ from safeprob import (
     solve_ibvp,
 )
 from safeprob.artifacts import export_snapshot_csv, series_to_json
-from safeprob.distributions import NumericsConfig, _assemble, _padded_grid
+from safeprob.distributions import (
+    PROBE_TOLERANCE,
+    NumericsConfig,
+    _assemble,
+    _padded_grid,
+    _probe_sensitivity,
+    _probe_specs,
+)
 from safeprob.errors import DataError, SolverError
 from safeprob.pde_engine import (
     LINEAR_RTOL,
     GridSampler,
-    SensitivityProbe,
     ThetaStepper,
     _assemble_operator,
-    has_truncation_faces,
 )
 
-from conftest import HEAT_HALFLINE, identity_barrier
+from conftest import HEAT_HALFLINE, identity_barrier, quadratic_barrier
 
 
 def const_fields(grid, mu, sig2, axis=0):
@@ -58,8 +63,14 @@ def interior_values(spec):
 def full_node_steps(spec, n_steps):
     """Reference march over every node: Dirichlet rows are identity rows of
     ``I - dt L`` and each step is one ``spsolve``; yields the interior values."""
-    pinned = ~spec.interior_mask.ravel()
-    A = (sp.identity(spec.grid.n_nodes) - spec.dt * _assemble_operator(spec)).tocsc()
+    mask = spec.interior_mask.ravel()
+    pinned = ~mask
+    interior = np.flatnonzero(mask)
+    # Place the interior rows of L at their nodes; pinned rows stay empty.
+    embed = sp.csr_matrix((np.ones(interior.size), (interior, np.arange(interior.size))),
+                          shape=(mask.size, interior.size))
+    L = embed @ _assemble_operator(spec)
+    A = (sp.identity(spec.grid.n_nodes) - spec.dt * L).tocsc()
     field = spec.initial_field.ravel()
     for _ in range(n_steps):
         b = field.copy()
@@ -330,30 +341,35 @@ class TestSensitivityProbe:
         # absorbing; doubling the box exposes the bias.
         small = line_spec(0.5, 4.0, 64, 0.0, 1.0, lambda x: x > 0.4, 0.0)
         wide = line_spec(-1.0, 4.0, 100, 0.0, 1.0, lambda x: x > 0.4, 0.0)
-        probe = SensitivityProbe(coarse=small, doubled=wide,
-                                 points=np.array([[1.0]]))
-        series = solve_ibvp(small, snapshot_times=[1.0], sensitivity_probe=probe)
-        assert series.diagnostics.boundary_flagged
-        assert series.diagnostics.boundary_sensitivity > 1e-2
+        sensitivity = _probe_sensitivity(small, wide, np.array([[1.0]]))
+        assert sensitivity > PROBE_TOLERANCE
+        assert sensitivity > 1e-2
 
     def test_well_separated_truncation_passes(self):
         base = line_spec(-0.01, 8.0, 200, 1.0, 1.0, lambda x: x >= 0.0, 0.0)
         wide = line_spec(-0.01, 16.0, 400, 1.0, 1.0, lambda x: x >= 0.0, 0.0)
-        probe = SensitivityProbe(coarse=base, doubled=wide,
-                                 points=np.array([[1.0]]))
-        series = solve_ibvp(base, snapshot_times=[1.0], sensitivity_probe=probe)
-        assert not series.diagnostics.boundary_flagged
-        assert series.diagnostics.boundary_sensitivity < 1e-6
+        sensitivity = _probe_sensitivity(base, wide, np.array([[1.0]]))
+        assert sensitivity <= PROBE_TOLERANCE
+        assert sensitivity < 1e-6
 
     def test_truncation_face_detection(self):
-        grid = GridSpec((-2.0,), (2.0,), (8,))
-        mask = grid.axes()[0] >= 0.0
-        assert has_truncation_faces(grid, mask) == [(0, +1)]
-        full = np.ones(grid.shape, dtype=bool)
-        assert set(has_truncation_faces(grid, full)) == {(0, -1), (0, +1)}
-        enclosed = np.zeros(grid.shape, dtype=bool)
-        enclosed[3:6] = True
-        assert has_truncation_faces(grid, enclosed) == []
+        ex = make_example("drifted_bm_1d")
+        grid = GridSpec((-2.0,), (2.0,), (16,))
+
+        def probe_specs(barrier, side, level):
+            spec = _assemble(ex.system, barrier, ex.policy, grid, level, side, 0.0, 1.0, 0.1)
+            return _probe_specs(ex.system, barrier, ex.policy, level, side, 0.0, 1.0, 0.1,
+                                spec)
+
+        # x^2 < 1 is enclosed by pinned nodes: no probe.
+        assert probe_specs(quadratic_barrier(), "sub", 1.0) is None
+        # x >= 0 cuts the high face only; every node >= -5 cuts both.
+        for level, doubled in ((0.0, GridSpec((-2.0,), (6.0,), (16,))),
+                               (-5.0, GridSpec((-6.0,), (6.0,), (24,)))):
+            coarse, wide = probe_specs(identity_barrier(), "super", level)
+            assert coarse.grid == GridSpec((-2.0,), (2.0,), (8,))
+            assert wide.grid == doubled
+            assert coarse.dt == wide.dt == 0.2
 
 
 class TestExports:
