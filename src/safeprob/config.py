@@ -151,6 +151,8 @@ def validate_config(doc: dict) -> dict:
                 if not 0 <= times[key] <= horizon:
                     raise ConfigError(f"{key} must lie in [0, horizon {horizon}]",
                                       f"query.times.{key}")
+            if times["start"] > times["stop"]:
+                raise ConfigError("start must not exceed stop", "query.times.start")
     if "policy" in doc:
         if doc["policy"]["kind"] not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {doc['policy']['kind']!r}", "policy.kind")

@@ -17,6 +17,9 @@ value, and initial indicator:
     convergence_cdf   P(max phi over [0,T] < l)    sub side,   pinned 0
     entry_cdf         P(first time phi >= l <= t)  sub side,   pinned 1
 
+The two kinds of a side share mask and generator and their data sum to 1,
+so their values sum to 1 within horizon times the solve's ``row_sum_defect``.
+
 Whether the solve box truncates the level set is checked here too, by the
 boundary probe: when a box face cuts through the interior, the problem is
 re-solved at ``PROBE_COARSEN`` times coarser cells and time step on its own
@@ -57,27 +60,25 @@ class KindSpec:
     """What sets one distribution kind apart from the others.
 
     ``side`` is the mask side of the level set and ``dirichlet`` the value
-    pinned outside it.  The initial field is the mask indicator for
-    pinned-0 problems and its complement for pinned-1; the Dirichlet value
-    doubles as the exact result on the wrong side of the level set.
-    ``increasing`` marks kinds whose curve must not decrease in time (the
-    others must not increase), ``complement`` the kind whose values sum
-    with this one to 1 pointwise, and ``event`` the passage time the kind
-    describes.
+    pinned outside it.  The initial field is ``1 - dirichlet`` on the mask
+    and ``dirichlet`` off it, so the two kinds of a side (pinned 0 and 1)
+    have data summing to 1; the Dirichlet value doubles as the exact
+    result on the wrong side of the level set.  ``increasing`` marks kinds
+    whose curve must not decrease in time (the others must not increase),
+    and ``event`` the passage time the kind describes.
     """
 
     side: str
     dirichlet: float
     increasing: bool
-    complement: str
     event: str
 
 
 KIND_TABLE = {
-    "invariance_ccdf": KindSpec("super", 0.0, False, "exit_cdf", "exit"),
-    "exit_cdf": KindSpec("super", 1.0, True, "invariance_ccdf", "exit"),
-    "convergence_cdf": KindSpec("sub", 0.0, False, "entry_cdf", "entry"),
-    "entry_cdf": KindSpec("sub", 1.0, True, "convergence_cdf", "entry"),
+    "invariance_ccdf": KindSpec("super", 0.0, False, "exit"),
+    "exit_cdf": KindSpec("super", 1.0, True, "exit"),
+    "convergence_cdf": KindSpec("sub", 0.0, False, "entry"),
+    "entry_cdf": KindSpec("sub", 1.0, True, "entry"),
 }
 KINDS = tuple(KIND_TABLE)
 
@@ -113,6 +114,8 @@ class NumericsConfig:
         object.__setattr__(self, "box_lo", tuple(float(v) for v in self.box_lo))
         object.__setattr__(self, "box_hi", tuple(float(v) for v in self.box_hi))
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
+        if not len(self.box_lo) == len(self.box_hi) == len(self.cells):
+            raise DataError("box_lo, box_hi and cells must have equal lengths")
         if self.dt <= 0:
             raise DataError("dt must be positive")
 
@@ -166,11 +169,6 @@ class DistributionResult:
                 f"probabilities out of range: [{self.values.min()}, {self.values.max()}]")
 
 
-def complementary_kind(kind: str) -> str:
-    """The kind whose values sum with this one to 1 pointwise."""
-    return KIND_TABLE[kind].complement
-
-
 def monotonicity_violation(result: DistributionResult) -> float:
     """Largest wrong-direction increment along the time axis (0 if clean)."""
     diffs = np.diff(result.values, axis=1)
@@ -211,7 +209,7 @@ def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                 "rate constraint is violated there, so the zero-CBF filter has no "
                 "admissible input")
         convection[interior_idx] = sys.f_at(pts) + np.einsum("bim,bm->bi", sys.g_at(pts), U)
-    initial = np.where(mask, 1.0, 0.0) if dirichlet == 0.0 else np.where(mask, 0.0, 1.0)
+    initial = np.where(mask, 1.0 - dirichlet, dirichlet)
     return IbvpSpec(grid=grid, interior_mask=mask,
                     convection=convection.reshape(grid.shape + (n,)),
                     diffusion=diffusion, dirichlet_value=dirichlet,

@@ -57,12 +57,11 @@ LINEAR_RTOL = 1e-10
 LINEAR_MAXITER = 10_000
 
 # Grids with at least this many axes march with Jacobi-BiCGSTAB, others with
-# a sparse LU.  Measured on full-node step matrices: a 59k-node 3D LU (COLAMD
-# order) took 14 s and about 500 MB against 3-4 Krylov iterations a step,
-# while in 2D Krylov needs 25-77 iterations a step against one 0.9 ms LU solve
-# at 29k nodes.  The step matrices now hold interior nodes only (33,831 of
-# 59,643 on the benchmark's 3D grid, 20,192 of 29,412 on the shipped 2D
-# grid); the threshold was not re-measured on them.
+# a sparse LU.  Measured on the interior-only step matrices (2 vCPUs, one BLAS
+# thread): on the shipped 2D grid (20,192 unknowns) Krylov takes 13.7 ms a
+# step (24 iterations) against 1.2 ms for an LU solve; on the benchmark's 3D
+# grid (33,831 unknowns) the LU takes 4.5 s to factor, fills 20.3M nonzeros
+# and 31.5 ms a step against 4.9 ms (3.5 iterations) for Krylov.
 _KRYLOV_MIN_NDIM = 3
 
 
@@ -79,18 +78,18 @@ class GridSpec:
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
         if not (len(self.lo) == len(self.hi) == len(self.cells)):
-            raise ValueError("lo, hi, cells must have equal lengths")
+            raise DataError("lo, hi, cells must have equal lengths")
         if self.ndim == 0:
-            raise ValueError("grid needs at least one axis")
+            raise DataError("grid needs at least one axis")
         if self.ndim > MAX_GRID_DIM:
-            raise ValueError(f"grids above {MAX_GRID_DIM}D are rejected (got {self.ndim}D)")
+            raise DataError(f"grids above {MAX_GRID_DIM}D are rejected (got {self.ndim}D)")
         for a, (lo, hi, c) in enumerate(zip(self.lo, self.hi, self.cells)):
             if not lo < hi:
-                raise ValueError(f"axis {a}: lower bound {lo} must be below upper bound {hi}")
+                raise DataError(f"axis {a}: lower bound {lo} must be below upper bound {hi}")
             if c < MIN_CELLS:
-                raise ValueError(f"axis {a}: cell count {c} below minimum {MIN_CELLS}")
+                raise DataError(f"axis {a}: cell count {c} below minimum {MIN_CELLS}")
         if self.n_nodes > DEFAULT_NODE_CAP:
-            raise ValueError(f"grid has {self.n_nodes} nodes, above cap {DEFAULT_NODE_CAP}")
+            raise DataError(f"grid has {self.n_nodes} nodes, above cap {DEFAULT_NODE_CAP}")
 
     @property
     def ndim(self) -> int:
@@ -200,6 +199,7 @@ class SolveDiagnostics:
     max_residual: float = 0.0
     last_residual: float = 0.0
     total_iterations: int = 0
+    row_sum_defect: float = 0.0
     field_min: float = np.inf
     field_max: float = -np.inf
     # Filled in by ``safeprob.distributions`` after its box-doubling solves; None
@@ -215,6 +215,7 @@ class SolveDiagnostics:
             "max_residual": self.max_residual,
             "last_residual": self.last_residual,
             "total_iterations": self.total_iterations,
+            "row_sum_defect": self.row_sum_defect,
             "field_min": None if np.isinf(self.field_min) else self.field_min,
             "field_max": None if np.isinf(self.field_max) else self.field_max,
             "boundary_sensitivity": self.boundary_sensitivity,
@@ -402,6 +403,8 @@ class ThetaStepper:
         rows = np.repeat(np.arange(n_int), np.diff(L_I.indptr))
         L_II = sp.csr_matrix((L_I.data[inner], (rows[inner], cols[inner])),
                              shape=(n_int, n_int))
+        # Zero up to rounding: the generator sends constants to zero.
+        self.row_sum_defect = float(np.max(np.abs(L_I @ np.ones(mask.size))))
         g = float(spec.dirichlet_value)
         self._load = spec.dt * (L_I @ np.where(mask, 0.0, g))
         # ||b||^2 of the full-node right-hand side contributed by pinned rows.
@@ -529,6 +532,7 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
                 values[:, col] = sampler(field)
                 col += 1
         diag.total_iterations = stepper.solves
+        diag.row_sum_defect = stepper.row_sum_defect
     else:
         # No interior node: nothing marches and every recorded time holds
         # the Dirichlet field.

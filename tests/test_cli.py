@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from safeprob import distributions, pde_engine
 from safeprob.artifacts import export_snapshot_csv
@@ -85,15 +86,33 @@ class TestConfigValidation:
             ExperimentConfig.from_doc(doc)
 
     @pytest.mark.parametrize("command", ["solve", "mc"])
-    @pytest.mark.parametrize("key,value", [("num", 0), ("num", -1), ("start", -0.5),
-                                           ("stop", 1.5)])
-    def test_bad_query_times_exit_2(self, tmp_path, capsys, command, key, value):
+    @pytest.mark.parametrize("times,key", [
+        pytest.param({"num": 0}, "num", id="num-0"),
+        pytest.param({"num": -1}, "num", id="num--1"),
+        pytest.param({"start": -0.5}, "start", id="start--0.5"),
+        pytest.param({"stop": 1.5}, "stop", id="stop-1.5"),
+        pytest.param({"start": 1.0, "stop": 0.0}, "start", id="start-after-stop"),
+    ])
+    def test_bad_query_times_exit_2(self, tmp_path, capsys, command, times, key):
         doc = small_bm_doc(str(tmp_path / "out"))
-        doc["query"]["times"][key] = value
+        doc["query"]["times"].update(times)
         path = write_config(tmp_path, doc)
         assert main([command, "--config", path]) == 2
         assert f"query.times.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cells,message", [
+        ([800, 10], "equal lengths"),
+        ([4], "below minimum"),
+        ([5_000_000], "above cap"),
+    ])
+    def test_malformed_numerics_exit_2(self, tmp_path, capsys, cells, message):
+        out = tmp_path / "out"
+        argv = ["solve", "--config", str(CONFIG_DIR / "drifted_bm_exit.json"),
+                "--out", str(out), "--override", f"numerics.cells={json.dumps(cells)}"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_barrier_pointer(self):
         with pytest.raises(ConfigError, match="barrier"):
@@ -215,6 +234,17 @@ class TestSolveCommand:
         for name in (f"exit_cdf_{cfg.hash}.csv", f"exit_cdf_{cfg.hash}.json"):
             assert (Path(out1) / name).read_bytes() == (Path(out2) / name).read_bytes()
 
+    def test_row_sum_defect_reported_on_2d_zero_cbf_solve(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["solve", "--config", str(CONFIG_DIR / "double_integrator_exit.json"),
+                "--out", str(out), "--override", "query.horizon=0.05",
+                "--override", "query.times.stop=0.05"]
+        assert main(argv) == 0
+        for name in ("exit_cdf_*[0-9a-f].json", "exit_cdf_*_fields.json"):
+            [artifact] = out.glob(name)
+            defect = json.loads(artifact.read_text())["diagnostics"]["row_sum_defect"]
+            assert 0.0 <= defect <= 1e-10
+
     @staticmethod
     def _solve_per_blas_thread_count(tmp_path, config, overrides) -> list:
         """exit_cdf result bytes from fresh processes with one and two OpenBLAS threads."""
@@ -282,6 +312,17 @@ class TestMcCommand:
         cfg2 = ExperimentConfig.from_file(path, ["mc.seed=1234"])
         assert cfg1.hash != cfg2.hash
         assert (tmp_path / "m3" / f"mc_exit_cdf_{cfg2.hash}.json").exists()
+
+    def test_prints_the_time_it_reports(self, tmp_path, capsys):
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["query"]["times"]["stop"] = 0.5
+        doc["mc"]["n_paths"] = 500
+        path = write_config(tmp_path, doc)
+        assert main(["mc", "--config", path]) == 0
+        cfg = ExperimentConfig.from_file(path)
+        curve = json.loads((tmp_path / "out" / f"mc_exit_cdf_{cfg.hash}.json").read_text())
+        assert curve["grid"][-1] == 0.5
+        assert f"P(exit<=0.5) = {curve['values'][-1]:.4f}" in capsys.readouterr().out
 
     def test_zero_paths_exits_2(self, tmp_path, capsys):
         doc = small_bm_doc(str(tmp_path / "out"))
@@ -366,8 +407,9 @@ class TestValidateCommand:
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 0
 
-    def test_complement_solve_skips_boundary_probe(self, tmp_path, monkeypatch):
-        # The kind solves with its probe (1 + 2 solves), the complement without.
+    def test_validate_runs_one_distribution_solve(self, tmp_path, monkeypatch):
+        # The query solves with its probe (1 + 2 solves); complementarity is
+        # read off the operator, not from a solve of the complement kind.
         calls = []
         original = pde_engine.solve_ibvp
 
@@ -381,7 +423,50 @@ class TestValidateCommand:
         doc["mc"]["n_paths"] = 500
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) in (0, 1)
-        assert len(calls) == 4
+        assert len(calls) == 3
+
+    @staticmethod
+    def _validate_with_operator(tmp_path, monkeypatch, capsys, mutate):
+        """Run validate on the small 1D exit query with ``mutate(spec, L_I)``
+        in place of the assembled interior rows; returns (exit code, stdout)."""
+        original = pde_engine._assemble_operator
+        monkeypatch.setattr(pde_engine, "_assemble_operator",
+                            lambda spec: mutate(spec, original(spec)))
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["mc"]["n_paths"] = 500
+        rc = main(["validate", "--config", write_config(tmp_path, doc)])
+        return rc, capsys.readouterr().out
+
+    def test_perturbed_operator_row_fails_complementarity(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def perturb(spec, L):
+            # The first interior row's pinned neighbour loses 1e-3 of weight.
+            L = L.tolil()
+            L[0, 0] -= 1e-3
+            return L.tocsr()
+
+        rc, out = self._validate_with_operator(tmp_path, monkeypatch, capsys, perturb)
+        assert rc == 1
+        # Horizon 1 times the row-sum defect 1e-3.
+        assert "FAIL complementarity: 1.000e-03" in out
+
+    def test_broken_closure_fails_complementarity(self, tmp_path, monkeypatch, capsys):
+        # A Dirichlet-0 closure: the interior node on the upper box face loses
+        # its folded-in outward neighbour (upwind drift plus diffusion weight),
+        # as if that neighbour were pinned to 0 instead of mirroring the face.
+        def dirichlet_zero(spec, L):
+            base = np.flatnonzero(spec.interior_mask.ravel())
+            face = base == spec.interior_mask.size - 1
+            h = spec.grid.spacing[0]
+            weight = (np.maximum(spec.convection.ravel(), 0.0) / h
+                      + 0.5 * spec.diffusion.ravel() / h ** 2)[base[face]]
+            rows = np.flatnonzero(face)
+            return (L - sp.csr_matrix((weight, (rows, base[face])), shape=L.shape)).tocsr()
+
+        rc, out = self._validate_with_operator(tmp_path, monkeypatch, capsys,
+                                               dirichlet_zero)
+        assert rc == 1
+        assert "FAIL complementarity: 1.000e+00" in out
 
     def test_coarse_grid_flagged_exit_1(self, tmp_path, capsys):
         with open(CONFIG_DIR / "drifted_bm_exit.json", "r", encoding="utf-8") as fh:

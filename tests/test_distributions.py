@@ -17,10 +17,10 @@ from safeprob import (
 )
 from safeprob.distributions import (
     KIND_TABLE,
+    KINDS,
     SafeProbWarning,
     _assemble,
     _padded_grid,
-    complementary_kind,
     event_time_cdf,
     monotonicity_violation,
     solve_distribution,
@@ -126,9 +126,19 @@ class TestIdentities:
         total = entry.values + conv.values
         assert np.max(np.abs(total - 1.0)) <= 1e-6
 
-    def test_complementary_kind_mapping(self):
-        assert complementary_kind("invariance_ccdf") == "exit_cdf"
-        assert complementary_kind("entry_cdf") == "convergence_cdf"
+    def test_kind_table_pairs_complement(self, bm):
+        # Each side holds one kind pair: Dirichlet values summing to 1 and
+        # opposite time directions, whose assembled initial fields sum to 1
+        # at every node.  validate's complementarity bound rests on this.
+        grid = _padded_grid(bm_numerics(cells=80))
+        for side in ("super", "sub"):
+            pair = [KIND_TABLE[k] for k in KINDS if KIND_TABLE[k].side == side]
+            assert len(pair) == 2
+            assert pair[0].dirichlet + pair[1].dirichlet == 1.0
+            assert pair[0].increasing != pair[1].increasing
+            init = [_assemble(bm.system, bm.barrier, bm.policy, grid, 0.0, side,
+                              k.dirichlet, 1.0, 1e-2).initial_field for k in pair]
+            assert np.array_equal(init[0] + init[1], np.ones(grid.shape))
 
     def test_monotone_tabulations(self, invariance_result, exit_result, recovery_results):
         entry, conv = recovery_results
