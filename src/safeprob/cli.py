@@ -25,6 +25,7 @@ from .artifacts import (
 from .config import ExperimentConfig
 from .distributions import (
     KIND_TABLE,
+    TABULATION_TIMES,
     QuerySpec,
     event_time_cdf,
     monotonicity_violation,
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .mc_oracle import (
     CdfTable,
+    PathConfig,
     analytic_first_passage,
     empirical_ccdf_min,
     empirical_cdf_entry,
@@ -55,18 +57,32 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGENCE = 4
 
-def _query_spec(cfg: ExperimentConfig) -> QuerySpec:
-    return QuerySpec(states=cfg.query_states(), horizon=cfg.query_horizon(),
-                     numerics=cfg.numerics(), level=cfg.query_level(),
-                     times=cfg.query_times())
+def _query(cfg: ExperimentConfig, n: int) -> dict:
+    """The query's QuerySpec fields but numerics, for a system of dimension n."""
+    states = cfg.get("query.states")
+    if not states or any(len(x) != n for x in states):
+        raise ConfigError(f"states must be a non-empty list of {n}-vectors", "query.states")
+    level = cfg.get("query.level")
+    return {"states": np.asarray(states, dtype=float),
+            "horizon": float(cfg.get("query.horizon")),
+            "level": None if level is None else float(level),
+            "times": cfg.query_times()}
+
+
+def _mc_settings(cfg: ExperimentConfig, horizon: float):
+    """The ensemble's PathConfig, its DKW confidence and the fraction of its
+    paths that may be excluded."""
+    pc = PathConfig(dt=float(cfg.get("mc.dt")), horizon=horizon,
+                    n_paths=int(cfg.get("mc.n_paths")), seed=int(cfg.get("mc.seed")))
+    return pc, float(cfg.get("mc.confidence")), float(cfg.get("mc.max_divergence_fraction"))
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
+    kind = cfg.get("query.kind")
+    out = cfg.get("output.dir")
     system, barrier, policy = cfg.models()
-    q = _query_spec(cfg)
-    kind = cfg.query_kind()
+    q = QuerySpec(numerics=cfg.numerics(), **_query(cfg, system.n))
     result = solve_distribution(kind, system, barrier, policy, q, config_hash=cfg.hash)
-    out = cfg.output_dir()
     files = write_result(result, out, cfg.hash)
     files.append(write_manifest(out, cfg.hash, "solve", files, cfg.doc))
     for i, x in enumerate(result.states):
@@ -76,8 +92,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _mc_estimates(cfg: ExperimentConfig, ens, times):
-    conf = cfg.mc_confidence()
+def _mc_estimates(ens, times, conf):
     # The time-axis estimates come first: with every path excluded they
     # raise DataError before the level span below reduces an empty array.
     estimates = {"exit_cdf": empirical_cdf_exit(ens, times, conf),
@@ -93,30 +108,29 @@ def _mc_estimates(cfg: ExperimentConfig, ens, times):
     return estimates
 
 
-def _simulate(cfg: ExperimentConfig, system, barrier, policy, x0, level):
-    """Simulate the configured ensemble; raise DivergenceError when more than
-    ``mc.max_divergence_fraction`` of its paths were excluded."""
-    pc = cfg.path_config()
-    ens = simulate_paths(system, barrier, policy, x0, pc, level=level)
+def _simulate(models, x0, level, pc: PathConfig, max_fraction: float):
+    """Simulate the ensemble; raise DivergenceError when more than
+    ``max_fraction`` of its paths were excluded."""
+    ens = simulate_paths(*models, x0, pc, level=level)
     frac = (ens.n_diverged + ens.n_infeasible) / pc.n_paths
-    if frac > cfg.mc_max_divergence():
+    if frac > max_fraction:
         raise DivergenceError(
             f"{ens.n_diverged} diverged and {ens.n_infeasible} infeasible paths "
-            f"({frac:.2%}) exceed the allowed fraction {cfg.mc_max_divergence():.2%}")
+            f"({frac:.2%}) exceed the allowed fraction {max_fraction:.2%}")
     return ens
 
 
 def cmd_mc(cfg: ExperimentConfig) -> int:
-    system, barrier, policy = cfg.models()
-    ens = _simulate(cfg, system, barrier, policy, cfg.query_states()[0],
-                    cfg.query_level())
-    pc = ens.config
-    times = cfg.query_times()
+    models = cfg.models()
+    query = _query(cfg, models[0].n)
+    pc, conf, max_fraction = _mc_settings(cfg, query["horizon"])
+    event_log = cfg.get("mc.event_log")
+    out = cfg.get("output.dir")
+    ens = _simulate(models, query["states"][0], query["level"], pc, max_fraction)
+    times = query["times"]
     if times is None:
-        times = np.linspace(0.0, pc.horizon, 101)
-    estimates = _mc_estimates(cfg, ens, times)
-    out = cfg.output_dir()
-    event_log = bool(cfg.doc.get("mc", {}).get("event_log", False))
+        times = np.linspace(0.0, pc.horizon, TABULATION_TIMES)
+    estimates = _mc_estimates(ens, times, conf)
     files = write_empirical(estimates, ens, out, cfg.hash, event_log=event_log)
     files.append(write_manifest(out, cfg.hash, "mc", files, cfg.doc))
     emp = estimates["exit_cdf"]
@@ -126,57 +140,49 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _empirical_event_table(cfg, ens, times, kind):
-    conf = cfg.mc_confidence()
-    if KIND_TABLE[kind].event == "exit":
-        return empirical_cdf_exit(ens, times, conf)
-    return empirical_cdf_entry(ens, times, conf)
-
-
 def cmd_validate(cfg: ExperimentConfig) -> int:
-    section = cfg.doc.get("validation", {})
-    tol = cfg.tolerances()
+    pde_artifact = cfg.get("validation.pde_artifact")
+    mc_artifact = cfg.get("validation.mc_artifact")
+    analytic = cfg.get("validation.analytic")
+    tol = {name: cfg.get(f"validation.tolerances.{name}") for name in
+           ("mc_ks", "analytic_ks", "complementarity", "monotonicity", "boundary")}
+    out = cfg.get("output.dir")
     checks = []
 
-    def add(name, value, tolerance):
-        entry = {"name": name, "value": value, "tolerance": tolerance,
-                 "passed": bool(value is None or value <= tolerance)}
-        checks.append(entry)
+    def add(name, value):
+        checks.append({"name": name, "value": value, "tolerance": tol[name],
+                       "passed": bool(value is None or value <= tol[name])})
 
-    if "pde_artifact" in section or "mc_artifact" in section:
-        if not ("pde_artifact" in section and "mc_artifact" in section):
+    if pde_artifact is not None or mc_artifact is not None:
+        if pde_artifact is None or mc_artifact is None:
             raise ConfigError("artifact comparison needs both pde_artifact and mc_artifact",
                               "validation")
-        _, pde_table = load_table(section["pde_artifact"])
-        _, mc_table = load_table(section["mc_artifact"])
-        add("mc_ks", ks_distance(pde_table, mc_table), tol["mc_ks"])
+        _, pde_table = load_table(pde_artifact)
+        _, mc_table = load_table(mc_artifact)
+        add("mc_ks", ks_distance(pde_table, mc_table))
     else:
-        system, barrier, policy = cfg.models()
-        q = _query_spec(cfg)
-        kind = cfg.query_kind()
-        result = solve_distribution(kind, system, barrier, policy, q, config_hash=cfg.hash)
-        ens = _simulate(cfg, system, barrier, policy, q.states[0], result.level)
-        emp = _empirical_event_table(cfg, ens, result.times, kind)
-        pde_event = event_time_cdf(result)[0]
-        add("mc_ks", ks_distance(CdfTable(result.times, pde_event), emp.table),
-            tol["mc_ks"])
-        if "analytic" in section:
-            ana = section["analytic"]
-            ref = analytic_first_passage(ana["x0"], ana["drift"], ana["vol"],
+        kind = cfg.get("query.kind")
+        models = cfg.models()
+        q = QuerySpec(numerics=cfg.numerics(), **_query(cfg, models[0].n))
+        pc, conf, max_fraction = _mc_settings(cfg, q.horizon)
+        result = solve_distribution(kind, *models, q, config_hash=cfg.hash)
+        ens = _simulate(models, q.states[0], result.level, pc, max_fraction)
+        empirical = (empirical_cdf_exit if KIND_TABLE[kind].event == "exit"
+                     else empirical_cdf_entry)
+        pde_event = CdfTable(result.times, event_time_cdf(result)[0])
+        add("mc_ks", ks_distance(pde_event, empirical(ens, result.times, conf).table))
+        if analytic is not None:
+            ref = analytic_first_passage(analytic["x0"], analytic["drift"], analytic["vol"],
                                          result.level, result.times)
-            add("analytic_ks",
-                ks_distance(CdfTable(result.times, pde_event),
-                            CdfTable(result.times, np.asarray(ref))),
-                tol["analytic_ks"])
+            add("analytic_ks", ks_distance(pde_event, CdfTable(result.times, np.asarray(ref))))
         # F + G - 1 for the kind and its complement starts at 0, a backward-Euler
         # step moves it by at most dt * row_sum_defect, and F, G in [0, 1] cap it.
-        add("complementarity", min(1.0, q.horizon * result.diagnostics["row_sum_defect"]),
-            tol["complementarity"])
-        add("monotonicity", monotonicity_violation(result), tol["monotonicity"])
-        add("boundary", result.diagnostics.get("boundary_sensitivity"), tol["boundary"])
+        add("complementarity", min(1.0, q.horizon * result.diagnostics["row_sum_defect"]))
+        add("monotonicity", monotonicity_violation(result))
+        add("boundary", result.diagnostics.get("boundary_sensitivity"))
 
     all_pass = all(c["passed"] for c in checks)
-    path = write_validation(cfg.output_dir(), cfg.hash, all_pass, checks)
+    path = write_validation(out, cfg.hash, all_pass, checks)
     for c in checks:
         shown = "skipped" if c["value"] is None else f"{c['value']:.3e}"
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {shown} "
@@ -186,8 +192,8 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:
-    out = cfg.output_dir()
-    files = write_report(out, cfg.query_kind(), cfg.hash)
+    out = cfg.get("output.dir")
+    files = write_report(out, cfg.get("query.kind"), cfg.hash)
     files.append(write_manifest(out, cfg.hash, "report", files, cfg.doc))
     print(f"wrote {len(files)} files to {out}")
     return EXIT_OK

@@ -1,11 +1,14 @@
-"""Experiment configuration: schema validation and model resolution.
+"""Experiment configuration: one schema of keys, one lookup, model resolution.
 
-Configurations are JSON documents.  ``validate_config`` checks them
-against the shipped schema (unknown keys rejected, missing required keys
-reported with a pointer), and ``ExperimentConfig`` resolves the validated
-document into model objects, numerics, and query/MC settings.  A built-in
-example may be named via ``example``; explicit ``system``/``barrier``/
-``policy`` sections replace the bundle's parts.
+A configuration is a JSON document naming the paper's objects: the
+controlled SDE (``system``), the ``barrier``, the safe-control ``policy``,
+the distribution ``query``, the PDE ``numerics`` and the Monte Carlo check
+(``mc``).  ``SCHEMA`` is the one table of keys, each with its default (or
+``REQUIRED``) and type; ``validate_config`` rejects unknown, missing and
+out-of-range values by key.  ``ExperimentConfig.get("a.b.c")`` returns a
+value or its default, never writing defaults into the hashed document.  A
+built-in ``example`` supplies the system, barrier, policy and numerics;
+explicit sections replace its parts.
 """
 
 from __future__ import annotations
@@ -20,79 +23,82 @@ from .distributions import KINDS, NumericsConfig
 from .errors import ConfigError
 from .expressions import compile_matrix, compile_scalar, compile_vector
 from .library import ExampleBundle, example_names, make_example
-from .mc_oracle import PathConfig
 from .system_model import POLICY_KINDS, BarrierProblem, ControlSystem, Policy, linear_rate
 
 _NUMBER = (int, float)
+# The default of a key that must be present whenever its section is.
+REQUIRED = object()
 
-# Schema node forms:
-#   dict  -> nested object: key -> (required, schema)
+# The one table of config keys: each key maps to (default, schema), where
+# the default is REQUIRED or the value ``ExperimentConfig.get`` returns when
+# the key is absent (None: absent means unset).  Schema node forms:
+#   dict  -> nested object of such keys
 #   type / tuple of types -> scalar leaf
 #   [schema] -> homogeneous list
 SCHEMA: dict = {
-    "example": (False, str),
-    "system": (False, {
-        "dim_state": (True, int),
-        "dim_input": (True, int),
-        "dim_noise": (True, int),
-        "f": (True, [str]),
-        "g": (True, [[str]]),
-        "sigma": (True, [[str]]),
+    "example": (None, str),
+    "system": (None, {
+        "dim_state": (REQUIRED, int),
+        "dim_input": (REQUIRED, int),
+        "dim_noise": (REQUIRED, int),
+        "f": (REQUIRED, [str]),
+        "g": (REQUIRED, [[str]]),
+        "sigma": (REQUIRED, [[str]]),
     }),
-    "barrier": (False, {
-        "phi": (True, str),
-        "level": (False, _NUMBER),
+    "barrier": (None, {
+        "phi": (REQUIRED, str),
+        "level": (0, _NUMBER),
     }),
-    "policy": (False, {
-        "kind": (True, str),
-        "nominal": (False, [str]),
-        "alpha_gain": (False, _NUMBER),
-        "c": (False, str),
+    "policy": (None, {
+        "kind": (REQUIRED, str),
+        "nominal": (None, [str]),
+        "alpha_gain": (1, _NUMBER),
+        "c": (None, str),
     }),
-    "query": (False, {
-        "kind": (True, str),
-        "states": (True, [[_NUMBER]]),
-        "level": (False, _NUMBER),
-        "horizon": (True, _NUMBER),
-        "times": (False, {
-            "start": (True, _NUMBER),
-            "stop": (True, _NUMBER),
-            "num": (True, int),
+    "query": (None, {
+        "kind": (REQUIRED, str),
+        "states": (REQUIRED, [[_NUMBER]]),
+        "level": (None, _NUMBER),
+        "horizon": (REQUIRED, _NUMBER),
+        "times": (None, {
+            "start": (REQUIRED, _NUMBER),
+            "stop": (REQUIRED, _NUMBER),
+            "num": (REQUIRED, int),
         }),
     }),
-    "numerics": (False, {
-        "box_lo": (True, [_NUMBER]),
-        "box_hi": (True, [_NUMBER]),
-        "cells": (True, [int]),
-        "dt": (True, _NUMBER),
-        "boundary_probe": (False, bool),
+    "numerics": (None, {
+        "box_lo": (REQUIRED, [_NUMBER]),
+        "box_hi": (REQUIRED, [_NUMBER]),
+        "cells": (REQUIRED, [int]),
+        "dt": (REQUIRED, _NUMBER),
+        "boundary_probe": (True, bool),
     }),
-    "mc": (False, {
-        "n_paths": (True, int),
-        "dt": (True, _NUMBER),
-        "seed": (True, int),
-        "confidence": (False, _NUMBER),
-        "max_divergence_fraction": (False, _NUMBER),
+    "mc": (None, {
+        "n_paths": (REQUIRED, int),
+        "dt": (REQUIRED, _NUMBER),
+        "seed": (REQUIRED, int),
+        "confidence": (0.95, _NUMBER),
+        "max_divergence_fraction": (0.01, _NUMBER),
         "event_log": (False, bool),
     }),
-    "output": (False, {
-        "dir": (False, str),
+    "output": (None, {
+        "dir": ("out", str),
     }),
-    "validation": (False, {
-        "tolerances": (False, {
-            "mc_ks": (False, _NUMBER),
-            "analytic_ks": (False, _NUMBER),
-            "complementarity": (False, _NUMBER),
-            "monotonicity": (False, _NUMBER),
-            "boundary": (False, _NUMBER),
+    "validation": (None, {
+        "tolerances": (None, {
+            "mc_ks": (0.02, _NUMBER),
+            "analytic_ks": (5e-3, _NUMBER),
+            "complementarity": (1e-6, _NUMBER),
+            "monotonicity": (1e-8, _NUMBER),
+            "boundary": (1e-3, _NUMBER),
         }),
-        "analytic": (False, {
-            "x0": (True, _NUMBER),
-            "drift": (True, _NUMBER),
-            "vol": (True, _NUMBER),
+        "analytic": (None, {
+            "x0": (REQUIRED, _NUMBER),
+            "drift": (REQUIRED, _NUMBER),
+            "vol": (REQUIRED, _NUMBER),
         }),
-        "pde_artifact": (False, str),
-        "mc_artifact": (False, str),
+        "pde_artifact": (None, str),
+        "mc_artifact": (None, str),
     }),
 }
 
@@ -104,10 +110,10 @@ def _validate_node(value, schema, path: str) -> None:
         for key in value:
             if key not in schema:
                 raise ConfigError("unknown key", f"{path}.{key}" if path else key)
-        for key, (required, sub) in schema.items():
+        for key, (default, sub) in schema.items():
             here = f"{path}.{key}" if path else key
             if key not in value:
-                if required:
+                if default is REQUIRED:
                     raise ConfigError("missing required key", here)
                 continue
             _validate_node(value[key], sub, here)
@@ -127,6 +133,23 @@ def _validate_node(value, schema, path: str) -> None:
             raise ConfigError(f"expected {want}", path)
 
 
+def _lookup(doc: dict, dotted: str):
+    """The value at the dotted key of a validated document, or its SCHEMA
+    default; a key without one raises at the outermost absent key."""
+    keys = dotted.split(".")
+    node, schema = doc, SCHEMA
+    for i, key in enumerate(keys):
+        default, schema = schema[key]
+        if key not in node:
+            for inner in keys[i + 1:]:
+                default, schema = schema[inner]
+            if default is REQUIRED:
+                raise ConfigError("missing required key", ".".join(keys[:i + 1]))
+            return default
+        node = node[key]
+    return node
+
+
 def validate_config(doc: dict) -> dict:
     """Validate a raw configuration document; returns it unchanged."""
     _validate_node(doc, SCHEMA, "")
@@ -143,7 +166,7 @@ def validate_config(doc: dict) -> dict:
         horizon = doc["query"]["horizon"]
         if horizon < 0:
             raise ConfigError("horizon must be >= 0", "query.horizon")
-        times = doc["query"].get("times")
+        times = _lookup(doc, "query.times")
         if times is not None:
             if times["num"] < 1:
                 raise ConfigError("num must be >= 1", "query.times.num")
@@ -165,6 +188,13 @@ def validate_config(doc: dict) -> dict:
             raise ConfigError("dt must be positive", "mc.dt")
         if not 0 <= doc["mc"]["seed"] < 2**64:
             raise ConfigError("seed must fit an unsigned 64-bit integer", "mc.seed")
+    if not 0 < _lookup(doc, "mc.confidence") < 1:
+        raise ConfigError("confidence must lie in (0, 1)", "mc.confidence")
+    if not 0 <= _lookup(doc, "mc.max_divergence_fraction") <= 1:
+        raise ConfigError("max_divergence_fraction must lie in [0, 1]",
+                          "mc.max_divergence_fraction")
+    if not _lookup(doc, "policy.alpha_gain") > 0:
+        raise ConfigError("alpha_gain must be positive", "policy.alpha_gain")
     return doc
 
 
@@ -212,11 +242,6 @@ def _system_from_doc(section: dict) -> ControlSystem:
                          sigma=compile_matrix(section["sigma"], n))
 
 
-def _barrier_from_doc(section: dict, n: int) -> BarrierProblem:
-    phi = compile_scalar(section["phi"], n)
-    return BarrierProblem(phi=phi, level=float(section.get("level", 0.0)))
-
-
 def _policy_from_doc(section: dict, n: int, m: int) -> Policy:
     kind = section["kind"]
     if "nominal" in section:
@@ -227,7 +252,7 @@ def _policy_from_doc(section: dict, n: int, m: int) -> Policy:
         def nominal(X):
             X = np.atleast_2d(np.asarray(X, dtype=float))
             return np.zeros((X.shape[0], m))
-    alpha = linear_rate(float(section.get("alpha_gain", 1.0)))
+    alpha = linear_rate(float(_lookup({"policy": section}, "policy.alpha_gain")))
     c = compile_scalar(section["c"], n) if "c" in section else None
     return Policy(nominal=nominal, kind=kind, alpha=alpha, c=c)
 
@@ -256,89 +281,46 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {err}") from None
         return cls.from_doc(doc, overrides)
 
+    def get(self, dotted: str):
+        """The value at a dotted key such as ``"mc.confidence"``, or its SCHEMA
+        default; ConfigError names the outermost absent key of a required one."""
+        return _lookup(self.doc, dotted)
+
     def bundle(self) -> ExampleBundle | None:
-        name = self.doc.get("example")
+        name = self.get("example")
         return make_example(name) if name else None
 
     def models(self) -> tuple[ControlSystem, BarrierProblem, Policy]:
+        # validate_config requires system and barrier when no example is named.
         bundle = self.bundle()
-        if "system" in self.doc:
-            system = _system_from_doc(self.doc["system"])
-        elif bundle is not None:
-            system = bundle.system
-        else:
-            raise ConfigError("missing required key", "system")
+        system = (_system_from_doc(self.doc["system"]) if "system" in self.doc
+                  else bundle.system)
         if "barrier" in self.doc:
-            barrier = _barrier_from_doc(self.doc["barrier"], system.n)
-        elif bundle is not None:
-            barrier = bundle.barrier
+            barrier = BarrierProblem(phi=compile_scalar(self.get("barrier.phi"), system.n),
+                                     level=float(self.get("barrier.level")))
         else:
-            raise ConfigError("missing required key", "barrier")
+            barrier = bundle.barrier
         if "policy" in self.doc:
             policy = _policy_from_doc(self.doc["policy"], system.n, system.m)
         elif bundle is not None:
             policy = bundle.policy
         else:
-            policy = Policy(nominal=lambda X: np.zeros(
-                (np.atleast_2d(X).shape[0], system.m)), kind="none")
+            policy = _policy_from_doc({"kind": "none"}, system.n, system.m)
         return system, barrier, policy
 
     def numerics(self) -> NumericsConfig:
         bundle = self.bundle()
-        section = self.doc.get("numerics")
-        if section is None:
-            if bundle is None:
-                raise ConfigError("missing required key", "numerics")
+        if "numerics" not in self.doc and bundle is not None:
             return NumericsConfig(box_lo=bundle.box_lo, box_hi=bundle.box_hi,
                                   cells=bundle.cells, dt=bundle.dt)
-        return NumericsConfig(box_lo=tuple(section["box_lo"]),
-                              box_hi=tuple(section["box_hi"]),
-                              cells=tuple(section["cells"]),
-                              dt=float(section["dt"]),
-                              boundary_probe=section.get("boundary_probe", True))
-
-    def query_kind(self) -> str:
-        if "query" not in self.doc:
-            raise ConfigError("missing required key", "query")
-        return self.doc["query"]["kind"]
-
-    def query_states(self) -> np.ndarray:
-        return np.asarray(self.doc["query"]["states"], dtype=float)
+        return NumericsConfig(box_lo=tuple(self.get("numerics.box_lo")),
+                              box_hi=tuple(self.get("numerics.box_hi")),
+                              cells=tuple(self.get("numerics.cells")),
+                              dt=float(self.get("numerics.dt")),
+                              boundary_probe=self.get("numerics.boundary_probe"))
 
     def query_times(self) -> np.ndarray | None:
-        section = self.doc["query"].get("times")
+        section = self.get("query.times")
         if section is None:
             return None
         return np.linspace(section["start"], section["stop"], section["num"])
-
-    def query_level(self) -> float | None:
-        level = self.doc["query"].get("level")
-        return None if level is None else float(level)
-
-    def query_horizon(self) -> float:
-        return float(self.doc["query"]["horizon"])
-
-    def path_config(self) -> PathConfig:
-        if "mc" not in self.doc:
-            raise ConfigError("missing required key", "mc")
-        section = self.doc["mc"]
-        horizon = self.query_horizon() if "query" in self.doc else None
-        if horizon is None:
-            raise ConfigError("mc runs need a query section for the horizon", "query")
-        return PathConfig(dt=float(section["dt"]), horizon=horizon,
-                          n_paths=int(section["n_paths"]), seed=int(section["seed"]))
-
-    def mc_confidence(self) -> float:
-        return float(self.doc.get("mc", {}).get("confidence", 0.95))
-
-    def mc_max_divergence(self) -> float:
-        return float(self.doc.get("mc", {}).get("max_divergence_fraction", 0.01))
-
-    def output_dir(self) -> str:
-        return self.doc.get("output", {}).get("dir", "out")
-
-    def tolerances(self) -> dict:
-        tol = {"mc_ks": 0.02, "analytic_ks": 5e-3, "complementarity": 1e-6,
-               "monotonicity": 1e-8, "boundary": 1e-3}
-        tol.update(self.doc.get("validation", {}).get("tolerances", {}))
-        return tol

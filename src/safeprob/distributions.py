@@ -92,6 +92,8 @@ HALO_CELLS = 1
 # at a query state.
 PROBE_COARSEN = 2
 PROBE_TOLERANCE = 1e-3
+# Evenly spaced tabulation times over [0, horizon] when a query names none.
+TABULATION_TIMES = 101
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,11 @@ class NumericsConfig:
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
         if not len(self.box_lo) == len(self.box_hi) == len(self.cells):
             raise DataError("box_lo, box_hi and cells must have equal lengths")
+        # The padded grid adds 2 * HALO_CELLS an axis and needs MIN_CELLS.
+        for a, c in enumerate(self.cells):
+            if c < MIN_CELLS - 2 * HALO_CELLS:
+                raise DataError(f"axis {a}: cell count {c} below minimum "
+                                f"{MIN_CELLS - 2 * HALO_CELLS}")
         if self.dt <= 0:
             raise DataError("dt must be positive")
 
@@ -123,7 +130,7 @@ class NumericsConfig:
 @dataclass(frozen=True)
 class QuerySpec:
     """One batch query: initial states, level (the barrier's by default), horizon,
-    and tabulation times (101 evenly spaced by default)."""
+    and tabulation times (``TABULATION_TIMES`` evenly spaced by default)."""
 
     states: np.ndarray
     horizon: float
@@ -303,7 +310,7 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
         probe = _probe_specs(sys, bar, policy, level, side, dirichlet,
                              q.horizon, q.numerics.dt, spec)
 
-    times = np.linspace(0.0, q.horizon, 101) if q.times is None else q.times
+    times = np.linspace(0.0, q.horizon, TABULATION_TIMES) if q.times is None else q.times
     series = solve_ibvp(spec, snapshot_times=times, points=states)
     if probe is not None:
         diag = series.diagnostics

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from safeprob import distributions, pde_engine
+from safeprob import cli, distributions, pde_engine
 from safeprob.artifacts import export_snapshot_csv
 from safeprob.cli import main
-from safeprob.config import ExperimentConfig, config_hash, validate_config
+from safeprob.config import REQUIRED, SCHEMA, ExperimentConfig, config_hash, validate_config
 from safeprob.errors import ConfigError
 from safeprob.library import make_example
 from safeprob.pde_engine import GridSpec
@@ -101,9 +102,11 @@ class TestConfigValidation:
         assert f"query.times.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # The message names the configured count and minimum, not the padded ones;
+    # the case keeps its id from when it matched "below minimum" alone.
     @pytest.mark.parametrize("cells,message", [
         ([800, 10], "equal lengths"),
-        ([4], "below minimum"),
+        pytest.param([4], "axis 0: cell count 4 below minimum 6", id="cells1-below minimum"),
         ([5_000_000], "above cap"),
     ])
     def test_malformed_numerics_exit_2(self, tmp_path, capsys, cells, message):
@@ -113,6 +116,85 @@ class TestConfigValidation:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("solve", "query"), ("mc", "query"), ("validate", "query"), ("report", "query"),
+        ("mc", "mc"), ("validate", "mc"), ("solve", "numerics"),
+    ])
+    def test_missing_section_exits_2(self, tmp_path, capsys, command, section):
+        doc = small_bm_doc(str(tmp_path / "out"))
+        if section == "numerics":
+            # An inline system has no example to take the numerics from.
+            del doc["example"]
+            doc.update(system={"dim_state": 1, "dim_input": 1, "dim_noise": 1,
+                               "f": ["1"], "g": [["0"]], "sigma": [["1"]]},
+                       barrier={"phi": "x1"})
+        del doc[section]
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"missing required key (at config key '{section}')" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_without_mc_fails_before_solving(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate solved a query it cannot check")
+
+        monkeypatch.setattr(distributions, "solve_distribution", refuse)
+        monkeypatch.setattr(cli, "solve_distribution", refuse)
+        doc = small_bm_doc(str(tmp_path / "out"))
+        del doc["mc"]
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("mc", "mc.confidence=1", "mc.confidence"),
+        ("mc", "mc.confidence=1.5", "mc.confidence"),
+        ("mc", "mc.confidence=0", "mc.confidence"),
+        ("mc", "mc.max_divergence_fraction=-1", "mc.max_divergence_fraction"),
+        ("mc", "mc.max_divergence_fraction=1.5", "mc.max_divergence_fraction"),
+        ("solve", 'policy={"kind": "none", "alpha_gain": -1}', "policy.alpha_gain"),
+        ("solve", 'policy={"kind": "none", "alpha_gain": 0}', "policy.alpha_gain"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, command, override, key):
+        path = write_config(tmp_path, small_bm_doc(str(tmp_path / "out")))
+        assert main([command, "--config", path, "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert f"(at config key '{key}')" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "mc", "validate"])
+    @pytest.mark.parametrize("states", [[], [[1.0, 2.0]]], ids=["empty", "2-vector"])
+    def test_bad_query_states_exit_2(self, tmp_path, capsys, command, states):
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["query"]["states"] = states
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "states must be a non-empty list of 1-vectors" in err
+        assert "(at config key 'query.states')" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_shipped_config_hashes(self):
+        # The hash names every artifact; schema defaults never enter it.
+        expected = {"drifted_bm_exit": "4f57a6361805", "drifted_bm_recovery": "f3065e5bd867",
+                    "double_integrator_exit": "6b5d90a84265",
+                    "unicycle_disk_exit": "1c1bb92352e4"}
+        for name, digest in expected.items():
+            assert ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json").hash == digest
+
+    def test_readme_table_gives_every_schema_default(self):
+        def optional_leaves(schema, prefix=""):
+            for key, (default, sub) in schema.items():
+                if isinstance(sub, dict):
+                    yield from optional_leaves(sub, f"{prefix}{key}.")
+                elif default is not REQUIRED:
+                    yield f"{prefix}{key}", default
+
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \|", readme, re.M))
+        for key, default in optional_leaves(SCHEMA):
+            shown = "unset" if default is None else f"`{json.dumps(default)}`"
+            assert rows[key].startswith(shown), key
 
     def test_missing_barrier_pointer(self):
         with pytest.raises(ConfigError, match="barrier"):
