@@ -59,7 +59,7 @@ def main() -> None:
     # Where does the filter actually intervene?
     rng = np.random.default_rng(5)
     states = rng.uniform(np.asarray(ex.box_lo), np.asarray(ex.box_hi), (20_000, 2))
-    inside = np.asarray(ex.barrier.phi_at(states)) >= 0.0
+    inside = ex.barrier.phi_at(states) >= 0.0
     u, _ = closed_loop_control_batch(ex.policy, ex.system, ex.barrier, states[inside])
     active = np.abs(u[:, 0]) > 1e-12
     print(f"filter active at {active.mean():.1%} of sampled safe states "

@@ -95,17 +95,14 @@ def export_snapshot_csv(grid: GridSpec, field: np.ndarray, path) -> None:
 
 
 def write_result(result: DistributionResult, out_dir: str, tag: str) -> list:
-    """Persist a distribution result, and its final field when it carries
-    one; returns the written file paths."""
+    """Persist a distribution result and its final field; returns the written
+    file paths."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path, fields_path = _result_paths(out_dir, result.kind, tag)
     _write_text(csv_path, result_csv(result))
     _dump_json(json_path, result_json(result))
-    written = [csv_path, json_path]
-    if result.series is not None:
-        _dump_json(fields_path, series_to_json(result.series))
-        written.append(fields_path)
-    return written
+    _dump_json(fields_path, series_to_json(result.series))
+    return [csv_path, json_path, fields_path]
 
 
 def write_report(out_dir: str, kind: str, tag: str) -> list:

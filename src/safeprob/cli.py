@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
+import warnings
 
 import numpy as np
 
@@ -72,7 +73,10 @@ def _query(cfg: ExperimentConfig, n: int) -> dict:
 def _mc_settings(cfg: ExperimentConfig, horizon: float):
     """The ensemble's PathConfig, its DKW confidence and the fraction of its
     paths that may be excluded."""
-    pc = PathConfig(dt=float(cfg.get("mc.dt")), horizon=horizon,
+    dt = float(cfg.get("mc.dt"))
+    if dt > horizon:
+        raise ConfigError(f"dt must not exceed the query horizon {horizon}", "mc.dt")
+    pc = PathConfig(dt=dt, horizon=horizon,
                     n_paths=int(cfg.get("mc.n_paths")), seed=int(cfg.get("mc.seed")))
     return pc, float(cfg.get("mc.confidence")), float(cfg.get("mc.max_divergence_fraction"))
 
@@ -222,6 +226,10 @@ _COMMANDS = {"solve": cmd_solve, "mc": cmd_mc, "validate": cmd_validate,
              "report": cmd_report}
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=_sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = list(args.override)
@@ -231,7 +239,10 @@ def main(argv=None) -> int:
         overrides.append(f"mc.seed={args.seed}")
     try:
         cfg = ExperimentConfig.from_file(args.config, overrides)
-        return _COMMANDS[args.command](cfg)
+        # One stderr line per warning; catch_warnings restores the caller's state.
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return _COMMANDS[args.command](cfg)
     except (ConfigError, DataError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -181,6 +181,13 @@ def validate_config(doc: dict) -> dict:
             raise ConfigError(f"unknown policy kind {doc['policy']['kind']!r}", "policy.kind")
         if doc["policy"]["kind"] == "gradient" and "c" not in doc["policy"]:
             raise ConfigError("gradient policy requires key", "policy.c")
+    if "numerics" in doc:
+        if doc["numerics"]["dt"] <= 0:
+            raise ConfigError("dt must be positive", "numerics.dt")
+        for a, (lo, hi) in enumerate(zip(doc["numerics"]["box_lo"], doc["numerics"]["box_hi"])):
+            if not lo < hi:
+                raise ConfigError(f"axis {a}: box_hi {hi} must exceed box_lo {lo}",
+                                  "numerics.box_hi")
     if "mc" in doc:
         if doc["mc"]["n_paths"] < 1:
             raise ConfigError("n_paths must be >= 1", "mc.n_paths")
@@ -250,8 +257,7 @@ def _policy_from_doc(section: dict, n: int, m: int) -> Policy:
         nominal = compile_vector(section["nominal"], n)
     else:
         def nominal(X):
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return np.zeros((X.shape[0], m))
+            return np.zeros((len(X), m))
     alpha = linear_rate(float(_lookup({"policy": section}, "policy.alpha_gain")))
     c = compile_scalar(section["c"], n) if "c" in section else None
     return Policy(nominal=nominal, kind=kind, alpha=alpha, c=c)

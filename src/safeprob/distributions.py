@@ -168,7 +168,7 @@ class DistributionResult:
     values: np.ndarray
     diagnostics: dict
     provenance: dict
-    series: FieldSeries | None = None
+    series: FieldSeries
 
     def __post_init__(self):
         if self.values.min() < -RANGE_TOL or self.values.max() > 1.0 + RANGE_TOL:
@@ -286,7 +286,7 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
     side, dirichlet = KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet
     level = bar.level if q.level is None else float(q.level)
     states = q.states
-    phi0 = np.atleast_1d(np.asarray(bar.phi_at(states), dtype=float))
+    phi0 = bar.phi_at(states)
     on_side = phi0 >= level if side == "super" else phi0 < level
     if not np.all(on_side):
         bad = states[~on_side][0]

@@ -26,7 +26,6 @@ class ExampleBundle:
     dt: float
     x0: tuple
     horizon: float
-    description: str = ""
 
 
 def _drifted_bm_1d() -> ExampleBundle:
@@ -50,7 +49,6 @@ def _drifted_bm_1d() -> ExampleBundle:
         name="drifted_bm_1d", system=sys, barrier=bar, policy=policy,
         box_lo=(0.0,), box_hi=(8.0,), cells=(800,), dt=1e-3,
         x0=(1.0,), horizon=1.0,
-        description="1D Brownian motion with unit drift, identity barrier, no filter",
     )
 
 
@@ -99,7 +97,6 @@ def _double_integrator() -> ExampleBundle:
         name="double_integrator", system=sys, barrier=bar, policy=policy,
         box_lo=(-1.05, -1.05), box_hi=(1.05, 1.05), cells=(168, 169), dt=1e-3,
         x0=(0.0, 0.0), horizon=1.0,
-        description="stochastic double integrator with zero-CBF filter on the unit disk",
     )
 
 
@@ -152,7 +149,6 @@ def _unicycle_disk() -> ExampleBundle:
         box_lo=(-1.1, -1.1, -np.pi), box_hi=(1.1, 1.1, np.pi),
         cells=(22, 22, 12), dt=2e-3,
         x0=(0.0, 0.0, 0.0), horizon=0.5,
-        description="noisy unicycle with gradient safety policy on the unit disk",
     )
 
 

@@ -123,7 +123,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     if not np.all(np.isfinite(x0)):
         raise DataError("initial state must be finite")
     level = bar.level if level is None else float(level)
-    phi0 = float(bar.phi_at(x0))
+    phi0 = float(bar.phi_at(x0[None])[0])
 
     n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
     dt = cfg.horizon / n_steps
@@ -179,7 +179,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                 drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
                 xn = x + drift * dt + np.einsum("bik,bk->bi", sys.sigma_at(x),
                                                 noise[:, s, :]) * sqdt
-                phin = np.asarray(bar.phi_at(xn), dtype=float)
+                phin = bar.phi_at(xn)
                 if not (np.isfinite(xn).all() and np.isfinite(phin).all()):
                     bad = (~np.all(np.isfinite(xn), axis=1) | ~np.isfinite(phin)) & alive
                     if np.any(bad):

@@ -129,7 +129,7 @@ def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
         raise ValueError(f"side must be 'super' or 'sub', got {side!r}")
     if level is None:
         level = bar.level
-    phi = np.asarray(bar.phi_at(grid.nodes()), dtype=float).reshape(grid.shape)
+    phi = bar.phi_at(grid.nodes()).reshape(grid.shape)
     return phi >= level if side == "super" else phi < level
 
 

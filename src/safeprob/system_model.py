@@ -10,10 +10,11 @@ supported policy kinds and the generator drift of ``phi`` used by the
 distribution solvers.
 
 Evaluators are callables on stacked states of shape ``(B, n)`` that
-return outputs with a leading batch axis.  The ``*_at`` helpers also
-accept a single state of shape ``(n,)``; it reaches the evaluator as a
-batch of one.  Evaluators must be pure: repeated evaluation at the same
-state must return identical values.
+return outputs with a leading batch axis.  The ``*_at`` helpers and the
+batch functions take stacked states only and raise ``ShapeError`` on any
+other shape; a lone state ``x`` is passed as ``x[None]``.  Evaluators
+must be pure: repeated evaluation at the same state must return
+identical values.
 """
 
 from __future__ import annotations
@@ -35,16 +36,12 @@ FD_STEP = 1e-5
 POLICY_KINDS = ("none", "zero_cbf", "gradient")
 
 
-def _as_batch(x, n: int, name: str = "state") -> tuple[np.ndarray, bool]:
-    """Coerce ``x`` to shape (B, n); report whether the input was a single state."""
+def _as_batch(x, n: int | None = None, name: str = "state") -> np.ndarray:
+    """``x`` as stacked states of shape (B, n), any n when ``n`` is None."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != n:
-            raise ShapeError(f"{name} has shape {arr.shape}, expected ({n},)")
-        return arr[None, :], True
-    if arr.ndim == 2 and arr.shape[1] == n:
-        return arr, False
-    raise ShapeError(f"{name} has shape {arr.shape}, expected (B, {n})")
+    if arr.ndim != 2 or n not in (None, arr.shape[1]):
+        raise ShapeError(f"{name} has shape {arr.shape}, expected (B, {n or 'n'})")
+    return arr
 
 
 def _eval_batch(fn: Callable, X: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -58,11 +55,9 @@ def _eval_batch(fn: Callable, X: np.ndarray, shape: tuple[int, ...], name: str) 
 
 def fd_gradient_batch(fn: Callable, X: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Central finite-difference gradients of a batch-capable scalar function."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _as_batch(X)
     cols = []
-    for i in range(X.shape[1]):
-        e = np.zeros(X.shape[1])
-        e[i] = step
+    for e in step * np.eye(X.shape[1]):
         cols.append((np.asarray(fn(X + e), dtype=float)
                      - np.asarray(fn(X - e), dtype=float)) / (2.0 * step))
     return np.stack(cols, axis=1)
@@ -70,18 +65,15 @@ def fd_gradient_batch(fn: Callable, X: np.ndarray, step: float = FD_STEP) -> np.
 
 def fd_hessian_batch(fn: Callable, X: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Symmetric finite-difference Hessians of a batch-capable scalar function."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _as_batch(X)
     n = X.shape[1]
     out = np.empty((X.shape[0], n, n))
     f0 = np.asarray(fn(X), dtype=float)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
+    steps = step * np.eye(n)
+    for i, ei in enumerate(steps):
         out[:, i, i] = (np.asarray(fn(X + ei), dtype=float) - 2.0 * f0
                         + np.asarray(fn(X - ei), dtype=float)) / step**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
+        for j, ej in enumerate(steps[i + 1:], start=i + 1):
             v = (np.asarray(fn(X + ei + ej), dtype=float)
                  - np.asarray(fn(X + ei - ej), dtype=float)
                  - np.asarray(fn(X - ei + ej), dtype=float)
@@ -112,19 +104,13 @@ class ControlSystem:
                 raise ValueError(f"{name} must be a positive integer")
 
     def f_at(self, X) -> np.ndarray:
-        Xb, single = _as_batch(X, self.n)
-        out = _eval_batch(self.f, Xb, (self.n,), "f")
-        return out[0] if single else out
+        return _eval_batch(self.f, _as_batch(X, self.n), (self.n,), "f")
 
     def g_at(self, X) -> np.ndarray:
-        Xb, single = _as_batch(X, self.n)
-        out = _eval_batch(self.g, Xb, (self.n, self.m), "g")
-        return out[0] if single else out
+        return _eval_batch(self.g, _as_batch(X, self.n), (self.n, self.m), "g")
 
     def sigma_at(self, X) -> np.ndarray:
-        Xb, single = _as_batch(X, self.n)
-        out = _eval_batch(self.sigma, Xb, (self.n, self.k), "sigma")
-        return out[0] if single else out
+        return _eval_batch(self.sigma, _as_batch(X, self.n), (self.n, self.k), "sigma")
 
 
 @dataclass(frozen=True)
@@ -141,29 +127,20 @@ class BarrierProblem:
     hess_phi: Callable | None = None
     level: float = 0.0
 
-    def phi_at(self, X) -> np.ndarray | float:
-        n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
-        Xb, single = _as_batch(X, n)
-        out = _eval_batch(self.phi, Xb, (), "phi")
-        return float(out[0]) if single else out
+    def phi_at(self, X) -> np.ndarray:
+        return _eval_batch(self.phi, _as_batch(X), (), "phi")
 
     def grad_at(self, X) -> np.ndarray:
-        n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
-        Xb, single = _as_batch(X, n)
+        X = _as_batch(X)
         if self.grad_phi is None:
-            out = fd_gradient_batch(self.phi, Xb)
-        else:
-            out = _eval_batch(self.grad_phi, Xb, (n,), "grad_phi")
-        return out[0] if single else out
+            return fd_gradient_batch(self.phi, X)
+        return _eval_batch(self.grad_phi, X, (X.shape[1],), "grad_phi")
 
     def hess_at(self, X) -> np.ndarray:
-        n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
-        Xb, single = _as_batch(X, n)
+        X = _as_batch(X)
         if self.hess_phi is None:
-            out = fd_hessian_batch(self.phi, Xb)
-        else:
-            out = _eval_batch(self.hess_phi, Xb, (n, n), "hess_phi")
-        return out[0] if single else out
+            return fd_hessian_batch(self.phi, X)
+        return _eval_batch(self.hess_phi, X, (X.shape[1], X.shape[1]), "hess_phi")
 
 
 def linear_rate(gain: float) -> Callable:
@@ -203,38 +180,36 @@ class Policy:
         return np.asarray(alpha(np.asarray(s, dtype=float)), dtype=float)
 
     def nominal_at(self, X, m: int) -> np.ndarray:
-        n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
-        Xb, single = _as_batch(X, n)
-        out = _eval_batch(self.nominal, Xb, (m,), "nominal")
-        return out[0] if single else out
+        return _eval_batch(self.nominal, _as_batch(X), (m,), "nominal")
 
     def c_at(self, X) -> np.ndarray:
-        n = np.atleast_1d(np.asarray(X, dtype=float)).shape[-1]
-        Xb, single = _as_batch(X, n)
-        out = _eval_batch(self.c, Xb, (), "c")
+        X = _as_batch(X)
+        out = _eval_batch(self.c, X, (), "c")
         if np.any(out < 0):
-            bad = Xb[np.argmax(out < 0)]
+            bad = X[np.argmax(out < 0)]
             raise DataError(f"gradient gain c is negative at state {bad.tolist()}")
-        return float(out[0]) if single else out
+        return out
+
+
+def _grad_lie_g(sys: ControlSystem, bar: BarrierProblem,
+                Xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The barrier gradient and L_g(phi) = grad(phi)^T g at stacked states."""
+    grad = bar.grad_at(Xb)
+    return grad, np.einsum("bi,bim->bm", grad, sys.g_at(Xb))
 
 
 def lie_g(sys: ControlSystem, bar: BarrierProblem, X) -> np.ndarray:
-    """Actuated direction L_g(phi) = grad(phi)^T g, shape (m,) per state."""
-    Xb, single = _as_batch(X, sys.n)
-    grad = bar.grad_at(Xb)
-    gmat = sys.g_at(Xb)
-    out = np.einsum("bi,bim->bm", grad, gmat)
-    return out[0] if single else out
+    """Actuated direction L_g(phi) = grad(phi)^T g at stacked states, shape (B, m)."""
+    return _grad_lie_g(sys, bar, _as_batch(X, sys.n))[1]
 
 
 def d_phi_batch(sys: ControlSystem, bar: BarrierProblem, X, U) -> np.ndarray:
     """Generator drift of phi at stacked states/inputs, shape (B,)."""
-    Xb, _ = _as_batch(X, sys.n)
-    Ub, _ = _as_batch(U, sys.m, "input")
+    Xb = _as_batch(X, sys.n)
+    Ub = _as_batch(U, sys.m, "input")
     if Ub.shape[0] != Xb.shape[0]:
         raise ShapeError(f"input batch {Ub.shape[0]} does not match state batch {Xb.shape[0]}")
-    grad = bar.grad_at(Xb)
-    return _d_phi(sys, bar, Xb, Ub, grad, np.einsum("bi,bim->bm", grad, sys.g_at(Xb)))
+    return _d_phi(sys, bar, Xb, Ub, *_grad_lie_g(sys, bar, Xb))
 
 
 def _d_phi(sys: ControlSystem, bar: BarrierProblem, Xb: np.ndarray, Ub: np.ndarray,
@@ -257,16 +232,14 @@ def closed_loop_control_batch(policy: Policy, sys: ControlSystem, bar: BarrierPr
     the zero-CBF filter has no admissible input (the returned row there is
     the unmodified nominal and must not be trusted).
     """
-    Xb, _ = _as_batch(X, sys.n)
+    Xb = _as_batch(X, sys.n)
     U = policy.nominal_at(Xb, sys.m)
     infeasible = np.zeros(Xb.shape[0], dtype=bool)
     if policy.kind == "none":
         return U, infeasible
-    grad = bar.grad_at(Xb)
-    lg = np.einsum("bi,bim->bm", grad, sys.g_at(Xb))
+    grad, lg = _grad_lie_g(sys, bar, Xb)
     if policy.kind == "gradient":
-        c = np.atleast_1d(policy.c_at(Xb))
-        return U + c[:, None] * lg, infeasible
+        return U + policy.c_at(Xb)[:, None] * lg, infeasible
     # zero_cbf: keep the nominal when it satisfies the rate constraint,
     # otherwise apply the minimum-norm correction along L_g(phi)^T.
     d_nom = _d_phi(sys, bar, Xb, U, grad, lg)
@@ -309,17 +282,17 @@ def validate_barrier(bar: BarrierProblem, probes, rel_tol: float = 1e-5,
     ValueError on the first violation.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    phi = bar.phi_at(probes)
     if level_band is None:
-        level_band = 1e-2 * (1.0 + float(np.max(np.abs(bar.phi_at(probes)))))
-    for x in probes:
-        h = bar.hess_at(x)
+        level_band = 1e-2 * (1.0 + float(np.max(np.abs(phi))))
+    # Checked probe by probe, so the first violation in probe order is raised.
+    for x, p, h, g, g_fd in zip(probes, phi, bar.hess_at(probes), bar.grad_at(probes),
+                                fd_gradient_batch(bar.phi, probes)):
         scale = max(1.0, float(np.max(np.abs(h))))
         if np.max(np.abs(h - h.T)) > sym_tol * scale:
             raise ValueError(f"Hessian not symmetric at {x.tolist()}")
-        g = bar.grad_at(x)
-        g_fd = fd_gradient_batch(bar.phi, x[None, :])[0]
         denom = max(float(np.linalg.norm(g_fd)), 1e-12)
         if np.linalg.norm(g - g_fd) / denom > rel_tol:
             raise ValueError(f"gradient inconsistent with phi at {x.tolist()}")
-        if abs(float(bar.phi_at(x)) - bar.level) <= level_band and np.linalg.norm(g) < 1e-8:
+        if abs(float(p) - bar.level) <= level_band and np.linalg.norm(g) < 1e-8:
             raise ValueError(f"gradient vanishes on the level set near {x.tolist()}")

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,8 +155,19 @@ class TestConfigValidation:
         ("mc", "mc.max_divergence_fraction=1.5", "mc.max_divergence_fraction"),
         ("solve", 'policy={"kind": "none", "alpha_gain": -1}', "policy.alpha_gain"),
         ("solve", 'policy={"kind": "none", "alpha_gain": 0}', "policy.alpha_gain"),
+        ("solve", "numerics.box_hi=[-1]", "numerics.box_hi"),
+        ("solve", "numerics.box_hi=[0]", "numerics.box_hi"),
+        ("solve", "numerics.dt=0", "numerics.dt"),
+        ("mc", "mc.dt=5", "mc.dt"),
+        ("validate", "mc.dt=5", "mc.dt"),
     ])
-    def test_out_of_range_value_exits_2(self, tmp_path, capsys, command, override, key):
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                        override, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command ran before rejecting its config")
+
+        monkeypatch.setattr(cli, "solve_distribution", refuse)
+        monkeypatch.setattr(cli, "simulate_paths", refuse)
         path = write_config(tmp_path, small_bm_doc(str(tmp_path / "out")))
         assert main([command, "--config", path, "--override", override]) == 2
         err = capsys.readouterr().err
@@ -228,7 +240,7 @@ class TestConfigValidation:
         }
         cfg = ExperimentConfig.from_doc(doc)
         system, barrier, policy = cfg.models()
-        assert float(barrier.phi_at(np.array([2.0]))) == 2.0
+        assert barrier.phi_at(np.array([[2.0]]))[0] == 2.0
         np.testing.assert_allclose(system.f_at(np.array([[3.0]])), [[1.0]])
 
 
@@ -249,6 +261,17 @@ class TestSolveCommand:
         assert manifest["config_hash"] == cfg.hash
         for name in manifest["files"]:
             assert (Path(out) / name).exists()
+
+    @pytest.mark.filterwarnings("always::safeprob.distributions.SafeProbWarning")
+    def test_warnings_print_one_line_each(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_bm_doc(str(tmp_path / "out")))
+        shown = warnings.showwarning
+        assert main(["solve", "--config", path, "--override", "query.level=100"]) == 0
+        assert warnings.showwarning is shown
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("warning: exit_cdf: ") for line in err)
+        assert "lies on the wrong side" in err[0] and "the mask is trivial" in err[1]
 
     def test_flagged_probe_reaches_both_json_artifacts(self, tmp_path):
         # A box that ends 0.5 above the query state truncates the exit law.

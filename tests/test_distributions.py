@@ -348,7 +348,7 @@ class TestSummaryStats:
             kind=exit_result.kind, states=exit_result.states, z=exit_result.z,
             times=exit_result.times, level=exit_result.level,
             values=np.abs(np.sin(np.linspace(0, 6, exit_result.values.shape[1])))[None, :],
-            diagnostics={}, provenance={})
+            diagnostics={}, provenance={}, series=exit_result.series)
         with pytest.raises(DataError, match="monotone"):
             summary_stats(broken)
 

@@ -171,7 +171,7 @@ class TestGradientPolicy:
         policy = Policy(nominal=zero_nominal(1), kind="gradient",
                         c=lambda X: np.full(X.shape[:-1], c))
         U, _ = closed_loop_control_batch(policy, sys, bar, [[x]])
-        lg = lie_g(sys, bar, np.array([x]))
+        lg = lie_g(sys, bar, [[x]])[0]
         with_u, without = d_phi_batch(sys, bar, [[x], [x]], np.vstack([U, [[0.0]]]))
         increment = with_u - without
         assert increment == pytest.approx(c * float(lg @ lg), abs=1e-9)
@@ -194,7 +194,32 @@ class TestEvaluatorContracts:
                                g=lambda X: np.zeros((X.shape[0], 2, 1)),
                                sigma=lambda X: np.zeros((X.shape[0], 2, 1)))
         with pytest.raises(ShapeError, match="returned shape"):
-            broken.f_at([0.0, 0.0])
+            broken.f_at([[0.0, 0.0]])
+
+    # Every evaluator entry point takes stacked (B, n) states only.
+    BATCH_ONLY = {
+        "f_at": lambda ex, x: ex.system.f_at(x),
+        "g_at": lambda ex, x: ex.system.g_at(x),
+        "sigma_at": lambda ex, x: ex.system.sigma_at(x),
+        "phi_at": lambda ex, x: ex.barrier.phi_at(x),
+        "grad_at": lambda ex, x: ex.barrier.grad_at(x),
+        "hess_at": lambda ex, x: ex.barrier.hess_at(x),
+        "nominal_at": lambda ex, x: ex.policy.nominal_at(x, ex.system.m),
+        "c_at": lambda ex, x: ex.policy.c_at(x),
+        "lie_g": lambda ex, x: lie_g(ex.system, ex.barrier, x),
+        "d_phi_batch": lambda ex, x: d_phi_batch(ex.system, ex.barrier, x,
+                                                 np.zeros((1, ex.system.m))),
+        "closed_loop_control_batch":
+            lambda ex, x: closed_loop_control_batch(ex.policy, ex.system, ex.barrier, x),
+    }
+
+    @pytest.mark.parametrize("name", list(BATCH_ONLY))
+    def test_single_state_raises_shape_error(self, name):
+        ex = make_example("unicycle_disk")
+        x = np.array([0.1, -0.2, 0.3])
+        with pytest.raises(ShapeError, match=r"shape \(3,\), expected \(B, (3|n)\)"):
+            self.BATCH_ONLY[name](ex, x)
+        self.BATCH_ONLY[name](ex, x[None])
 
     def test_positive_dims_required(self):
         with pytest.raises(ValueError):
