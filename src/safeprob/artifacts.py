@@ -197,8 +197,8 @@ def load_table(path: str, state_index: int = 0) -> tuple[str, CdfTable]:
             points, values = doc["grid"], doc["values"]
         else:
             points, values = doc["times"], doc["values"][state_index]
-        return doc["kind"], CdfTable(np.asarray(points, dtype=float),
-                                     np.asarray(values, dtype=float))
+        return str(doc["kind"]), CdfTable(np.asarray(points, dtype=float),
+                                          np.asarray(values, dtype=float))
 
 
 def write_empirical(estimates: dict, ens: PathEnsemble, out_dir: str, tag: str,

@@ -161,8 +161,18 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         if pde_artifact is None or mc_artifact is None:
             raise ConfigError("artifact comparison needs both pde_artifact and mc_artifact",
                               "validation")
-        _, pde_table = load_table(pde_artifact)
-        _, mc_table = load_table(mc_artifact)
+        pde_kind, pde_table = load_table(pde_artifact)
+        mc_kind, mc_table = load_table(mc_artifact)
+        spec = KIND_TABLE.get(pde_kind)
+        if spec is None:
+            raise ConfigError(f"{pde_kind!r} is not a distribution kind",
+                              "validation.pde_artifact")
+        if mc_kind != f"{spec.event}_cdf":
+            raise ConfigError(f"a {pde_kind} result needs an {spec.event}_cdf artifact, "
+                              f"not {mc_kind!r}", "validation.mc_artifact")
+        # Both curves compare as the CDF of the passage time of the kind.
+        if not spec.increasing:
+            pde_table = CdfTable(pde_table.points, 1.0 - pde_table.values)
         add("mc_ks", ks_distance(pde_table, mc_table))
     else:
         kind = cfg.get("query.kind")

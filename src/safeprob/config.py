@@ -8,7 +8,8 @@ the distribution ``query``, the PDE ``numerics`` and the Monte Carlo check
 out-of-range values by key.  ``ExperimentConfig.get("a.b.c")`` returns a
 value or its default, never writing defaults into the hashed document.  A
 built-in ``example`` supplies the system, barrier, policy and numerics;
-explicit sections replace its parts.
+explicit sections replace its system, barrier and policy, and a
+``numerics`` section overrides only the keys it names.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .distributions import KINDS, NumericsConfig
 from .errors import ConfigError
 from .expressions import compile_matrix, compile_scalar, compile_vector
-from .library import ExampleBundle, example_names, make_example
+from .library import example_names, make_example
 from .system_model import POLICY_KINDS, BarrierProblem, ControlSystem, Policy, linear_rate
 
 _NUMBER = (int, float)
@@ -102,8 +103,12 @@ SCHEMA: dict = {
     }),
 }
 
+# The numerics keys a named example supplies where its numerics section
+# omits them; ExampleBundle holds each under the same name.
+_EXAMPLE_NUMERICS = frozenset(f"numerics.{key}" for key in ("box_lo", "box_hi", "cells", "dt"))
 
-def _validate_node(value, schema, path: str) -> None:
+
+def _validate_node(value, schema, path: str, supplied=frozenset()) -> None:
     if isinstance(schema, dict):
         if not isinstance(value, dict):
             raise ConfigError("expected an object", path or "<root>")
@@ -113,15 +118,15 @@ def _validate_node(value, schema, path: str) -> None:
         for key, (default, sub) in schema.items():
             here = f"{path}.{key}" if path else key
             if key not in value:
-                if default is REQUIRED:
+                if default is REQUIRED and here not in supplied:
                     raise ConfigError("missing required key", here)
                 continue
-            _validate_node(value[key], sub, here)
+            _validate_node(value[key], sub, here, supplied)
     elif isinstance(schema, list):
         if not isinstance(value, list):
             raise ConfigError("expected a list", path)
         for i, item in enumerate(value):
-            _validate_node(item, schema[0], f"{path}[{i}]")
+            _validate_node(item, schema[0], f"{path}[{i}]", supplied)
     else:
         # bool is an int subclass; keep the two apart.
         if schema is int and isinstance(value, bool):
@@ -134,13 +139,16 @@ def _validate_node(value, schema, path: str) -> None:
 
 
 def _lookup(doc: dict, dotted: str):
-    """The value at the dotted key of a validated document, or its SCHEMA
-    default; a key without one raises at the outermost absent key."""
+    """The value at the dotted key of a validated document, else its named
+    example's numerics value or its SCHEMA default; a key without one raises
+    at the outermost absent key."""
     keys = dotted.split(".")
     node, schema = doc, SCHEMA
     for i, key in enumerate(keys):
         default, schema = schema[key]
         if key not in node:
+            if dotted in _EXAMPLE_NUMERICS and "example" in doc:
+                return getattr(make_example(doc["example"]), keys[-1])
             for inner in keys[i + 1:]:
                 default, schema = schema[inner]
             if default is REQUIRED:
@@ -152,7 +160,8 @@ def _lookup(doc: dict, dotted: str):
 
 def validate_config(doc: dict) -> dict:
     """Validate a raw configuration document; returns it unchanged."""
-    _validate_node(doc, SCHEMA, "")
+    named = isinstance(doc, dict) and "example" in doc
+    _validate_node(doc, SCHEMA, "", _EXAMPLE_NUMERICS if named else frozenset())
     if "example" in doc and doc["example"] not in example_names():
         raise ConfigError(f"unknown example {doc['example']!r}; "
                           f"available: {', '.join(example_names())}", "example")
@@ -182,9 +191,16 @@ def validate_config(doc: dict) -> dict:
         if doc["policy"]["kind"] == "gradient" and "c" not in doc["policy"]:
             raise ConfigError("gradient policy requires key", "policy.c")
     if "numerics" in doc:
-        if doc["numerics"]["dt"] <= 0:
+        n = (doc["system"]["dim_state"] if "system" in doc
+             else make_example(doc["example"]).system.n)
+        num = {key: _lookup(doc, f"numerics.{key}") for key in ("box_lo", "box_hi", "cells")}
+        for key, axes in num.items():
+            if len(axes) != n:
+                raise ConfigError("box_lo, box_hi and cells must have equal lengths, "
+                                  f"one per state axis ({n})", f"numerics.{key}")
+        if _lookup(doc, "numerics.dt") <= 0:
             raise ConfigError("dt must be positive", "numerics.dt")
-        for a, (lo, hi) in enumerate(zip(doc["numerics"]["box_lo"], doc["numerics"]["box_hi"])):
+        for a, (lo, hi) in enumerate(zip(num["box_lo"], num["box_hi"])):
             if not lo < hi:
                 raise ConfigError(f"axis {a}: box_hi {hi} must exceed box_lo {lo}",
                                   "numerics.box_hi")
@@ -292,13 +308,9 @@ class ExperimentConfig:
         default; ConfigError names the outermost absent key of a required one."""
         return _lookup(self.doc, dotted)
 
-    def bundle(self) -> ExampleBundle | None:
-        name = self.get("example")
-        return make_example(name) if name else None
-
     def models(self) -> tuple[ControlSystem, BarrierProblem, Policy]:
         # validate_config requires system and barrier when no example is named.
-        bundle = self.bundle()
+        bundle = make_example(self.doc["example"]) if "example" in self.doc else None
         system = (_system_from_doc(self.doc["system"]) if "system" in self.doc
                   else bundle.system)
         if "barrier" in self.doc:
@@ -315,10 +327,6 @@ class ExperimentConfig:
         return system, barrier, policy
 
     def numerics(self) -> NumericsConfig:
-        bundle = self.bundle()
-        if "numerics" not in self.doc and bundle is not None:
-            return NumericsConfig(box_lo=bundle.box_lo, box_hi=bundle.box_hi,
-                                  cells=bundle.cells, dt=bundle.dt)
         return NumericsConfig(box_lo=tuple(self.get("numerics.box_lo")),
                               box_hi=tuple(self.get("numerics.box_hi")),
                               cells=tuple(self.get("numerics.cells")),

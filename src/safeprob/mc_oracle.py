@@ -109,6 +109,29 @@ def _path_noise(seed: int, first: int, count: int, n_steps: int, k: int,
     return out
 
 
+def _exclude(newly: np.ndarray, flag: np.ndarray, alive: np.ndarray,
+             *pending: np.ndarray) -> None:
+    """Flag the ``newly`` excluded paths and stop them recording."""
+    if np.any(newly):
+        flag[newly] = True
+        alive &= ~newly
+        for mask in pending:
+            mask &= alive
+
+
+def _record_down_crossing(before: np.ndarray, after: np.ndarray, level: float,
+                          pending: np.ndarray, times: np.ndarray, t0: float, dt: float) -> None:
+    """Record the first down-crossings of ``level`` in a step, interpolated
+    linearly, and clear their pending flags.  An up-crossing is the
+    down-crossing of the negated values: negation is exact."""
+    hit = (after <= level) & pending
+    if np.any(hit):
+        denom = before[hit] - after[hit]
+        frac = np.where(denom > 0, (before[hit] - level) / np.where(denom > 0, denom, 1.0), 1.0)
+        times[hit] = t0 + dt * np.clip(frac, 0.0, 1.0)
+        pending[hit] = False
+
+
 def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                    x0, cfg: PathConfig, level: float | None = None) -> PathEnsemble:
     """Euler-Maruyama ensemble recording barrier extrema and crossing times.
@@ -117,7 +140,8 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     recorded against ``level`` (the barrier's own level by default).
     Paths that produce non-finite states are flagged and excluded; paths
     reaching states where the zero-CBF filter is infeasible are likewise
-    flagged and counted separately.
+    flagged and counted separately.  An excluded path freezes at its last
+    state and records nothing more.
     """
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if not np.all(np.isfinite(x0)):
@@ -135,89 +159,58 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     n = cfg.n_paths
     min_phi = np.full(n, phi0)
     max_phi = np.full(n, phi0)
-    exit_time = np.full(n, np.nan)
-    entry_time = np.full(n, np.nan)
+    exit_time = np.full(n, 0.0 if phi0 <= level else np.nan)
+    entry_time = np.full(n, 0.0 if phi0 >= level else np.nan)
     diverged = np.zeros(n, dtype=bool)
     infeasible_flag = np.zeros(n, dtype=bool)
-    if phi0 <= level:
-        exit_time[:] = 0.0
-    if phi0 >= level:
-        entry_time[:] = 0.0
 
     # One noise buffer serves every block; the last one fills a leading slice.
     buffer = np.empty((min(block, n), n_steps, sys.k))
     for start in range(0, n, block):
         count = min(block, n - start)
+        rows = slice(start, start + count)
         noise = _path_noise(cfg.seed, start, count, n_steps, sys.k, out=buffer[:count])
         x = np.tile(x0, (count, 1))
         phi = np.full(count, phi0)
         alive = np.ones(count, dtype=bool)
-        b_min = min_phi[start:start + count]
-        b_max = max_phi[start:start + count]
-        b_exit = exit_time[start:start + count]
-        b_entry = entry_time[start:start + count]
-
-        # Alive paths whose exit/entry is still to be recorded.  While every
-        # path of the block is alive, the step skips the ``alive`` masking.
-        exit_pending = np.isnan(b_exit)
-        entry_pending = np.isnan(b_entry)
-        all_alive = True
+        b_min, b_max = min_phi[rows], max_phi[rows]
+        b_exit, b_entry = exit_time[rows], entry_time[rows]
+        # Alive paths whose exit/entry is still to be recorded.
+        exit_pending, entry_pending = np.isnan(b_exit), np.isnan(b_entry)
 
         # Diverging paths legitimately overflow before they are caught and
         # flagged below; keep the arithmetic quiet.
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(n_steps):
                 u, infeasible = closed_loop_control_batch(policy, sys, bar, x)
-                newly_inf = infeasible & alive
-                if np.any(newly_inf):
-                    infeasible_flag[start:start + count][newly_inf] = True
-                    alive &= ~newly_inf
-                    exit_pending &= alive
-                    entry_pending &= alive
-                    all_alive = False
-                    x[newly_inf] = x0
+                _exclude(infeasible & alive, infeasible_flag[rows], alive,
+                         exit_pending, entry_pending)
                 drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
                 xn = x + drift * dt + np.einsum("bik,bk->bi", sys.sigma_at(x),
                                                 noise[:, s, :]) * sqdt
                 phin = bar.phi_at(xn)
                 if not (np.isfinite(xn).all() and np.isfinite(phin).all()):
-                    bad = (~np.all(np.isfinite(xn), axis=1) | ~np.isfinite(phin)) & alive
-                    if np.any(bad):
-                        diverged[start:start + count][bad] = True
-                        alive &= ~bad
-                        exit_pending &= alive
-                        entry_pending &= alive
-                        all_alive = False
-                        xn[bad] = x0
-                        phin[bad] = phi0
-                t_prev = s * dt
-                down = (phin <= level) & exit_pending
-                if np.any(down):
-                    denom = phi[down] - phin[down]
-                    frac = np.where(denom > 0, (phi[down] - level) / np.where(denom > 0, denom, 1.0), 1.0)
-                    b_exit[down] = t_prev + dt * np.clip(frac, 0.0, 1.0)
-                    exit_pending[down] = False
-                up = (phin >= level) & entry_pending
-                if np.any(up):
-                    denom = phin[up] - phi[up]
-                    frac = np.where(denom > 0, (level - phi[up]) / np.where(denom > 0, denom, 1.0), 1.0)
-                    b_entry[up] = t_prev + dt * np.clip(frac, 0.0, 1.0)
-                    entry_pending[up] = False
-                if all_alive:
-                    np.minimum(b_min, phin, out=b_min)
-                    np.maximum(b_max, phin, out=b_max)
-                    x, phi = xn, phin
-                else:
-                    np.minimum(b_min, np.where(alive, phin, np.inf), out=b_min)
-                    np.maximum(b_max, np.where(alive, phin, -np.inf), out=b_max)
-                    x = np.where(alive[:, None], xn, x)
-                    phi = np.where(alive, phin, phi)
+                    bad = ~(np.all(np.isfinite(xn), axis=1) & np.isfinite(phin))
+                    _exclude(bad & alive, diverged[rows], alive, exit_pending, entry_pending)
+                # Excluded paths freeze: their phi lies in [min, max] already and
+                # nothing pends on them, so the one update below keeps their statistics.
+                if not alive.all():
+                    frozen = ~alive
+                    xn[frozen] = x[frozen]
+                    phin[frozen] = phi[frozen]
+                # phi0 is on one side of the level, so at most one event pends.
+                if exit_pending.any():
+                    _record_down_crossing(phi, phin, level, exit_pending, b_exit, s * dt, dt)
+                if entry_pending.any():
+                    _record_down_crossing(-phi, -phin, -level, entry_pending, b_entry, s * dt, dt)
+                np.minimum(b_min, phin, out=b_min)
+                np.maximum(b_max, phin, out=b_max)
+                x, phi = xn, phin
 
-    excluded = diverged | infeasible_flag
     return PathEnsemble(config=cfg, level=level, x0=x0, phi0=phi0,
                         min_phi=min_phi, max_phi=max_phi,
                         exit_time=exit_time, entry_time=entry_time,
-                        excluded=excluded,
+                        excluded=diverged | infeasible_flag,
                         n_diverged=int(diverged.sum()),
                         n_infeasible=int(infeasible_flag.sum()))
 
@@ -259,66 +252,53 @@ class EmpiricalDistribution:
         return CdfTable(self.grid, self.values)
 
 
-def _finish(kind: str, samples: np.ndarray, n_total: int, n_censored: int,
-            grid, values, confidence: float) -> EmpiricalDistribution:
-    return EmpiricalDistribution(kind=kind, samples=np.sort(samples),
-                                 n_total=n_total, n_censored=n_censored,
-                                 confidence=confidence,
-                                 grid=np.asarray(grid, dtype=float),
-                                 values=np.asarray(values, dtype=float))
-
-
-def _ok_or_raise(ens: PathEnsemble) -> np.ndarray:
-    ok = ens.ok
-    if not np.any(ok):
+def _ok_values(ens: PathEnsemble, values: np.ndarray) -> np.ndarray:
+    """``values`` of the paths not excluded; DataError when none is left."""
+    if not np.any(ens.ok):
         raise DataError("all paths were excluded; nothing to estimate")
-    return ok
+    return values[ens.ok]
 
 
 def empirical_ccdf_min(ens: PathEnsemble, levels, confidence: float = 0.95
                        ) -> EmpiricalDistribution:
     """P(min of phi over [0,T] >= level) on the given level grid."""
-    ok = _ok_or_raise(ens)
-    samples = np.sort(ens.min_phi[ok])
+    samples = np.sort(_ok_values(ens, ens.min_phi))
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     counts = samples.size - np.searchsorted(samples, levels, side="left")
-    return _finish("min_ccdf", samples, samples.size, 0, levels,
-                   counts / samples.size, confidence)
+    return EmpiricalDistribution("min_ccdf", samples, samples.size, 0, confidence,
+                                 levels, counts / samples.size)
 
 
 def empirical_cdf_max(ens: PathEnsemble, levels, confidence: float = 0.95
                       ) -> EmpiricalDistribution:
     """P(max of phi over [0,T] < level) on the given level grid."""
-    ok = _ok_or_raise(ens)
-    samples = np.sort(ens.max_phi[ok])
+    samples = np.sort(_ok_values(ens, ens.max_phi))
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     counts = np.searchsorted(samples, levels, side="left")
-    return _finish("max_cdf", samples, samples.size, 0, levels,
-                   counts / samples.size, confidence)
+    return EmpiricalDistribution("max_cdf", samples, samples.size, 0, confidence,
+                                 levels, counts / samples.size)
 
 
-def _event_cdf(kind: str, times_obs: np.ndarray, ok: np.ndarray, grid,
-               confidence: float) -> EmpiricalDistribution:
-    obs = times_obs[ok]
+def _event_cdf(kind: str, obs: np.ndarray, grid, confidence: float) -> EmpiricalDistribution:
     events = obs[~np.isnan(obs)]
     n_total = obs.size
     n_censored = n_total - events.size
     samples = np.sort(events)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     values = np.searchsorted(samples, grid, side="right") / n_total
-    return _finish(kind, samples, n_total, n_censored, grid, values, confidence)
+    return EmpiricalDistribution(kind, samples, n_total, n_censored, confidence, grid, values)
 
 
 def empirical_cdf_exit(ens: PathEnsemble, times, confidence: float = 0.95
                        ) -> EmpiricalDistribution:
     """P(first crossing below the level <= t) on the given time grid."""
-    return _event_cdf("exit_cdf", ens.exit_time, _ok_or_raise(ens), times, confidence)
+    return _event_cdf("exit_cdf", _ok_values(ens, ens.exit_time), times, confidence)
 
 
 def empirical_cdf_entry(ens: PathEnsemble, times, confidence: float = 0.95
                         ) -> EmpiricalDistribution:
     """P(first crossing above the level <= t) on the given time grid."""
-    return _event_cdf("entry_cdf", ens.entry_time, _ok_or_raise(ens), times, confidence)
+    return _event_cdf("entry_cdf", _ok_values(ens, ens.entry_time), times, confidence)
 
 
 def analytic_first_passage(x0: float, drift: float, vol: float, level: float, t):

@@ -14,6 +14,7 @@ from safeprob import cli, distributions, pde_engine
 from safeprob.artifacts import export_snapshot_csv
 from safeprob.cli import main
 from safeprob.config import REQUIRED, SCHEMA, ExperimentConfig, config_hash, validate_config
+from safeprob.distributions import NumericsConfig
 from safeprob.errors import ConfigError
 from safeprob.library import make_example
 from safeprob.pde_engine import GridSpec
@@ -137,6 +138,24 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_numerics_section_overrides_example_keys(self):
+        ex = make_example("double_integrator")
+        cfg = ExperimentConfig.from_file(CONFIG_DIR / "double_integrator_exit.json",
+                                         ["numerics.dt=0.002"])
+        assert cfg.numerics() == NumericsConfig(ex.box_lo, ex.box_hi, ex.cells, 0.002)
+        assert "box_lo" not in cfg.doc["numerics"]
+
+    def test_partial_numerics_without_example_exits_2(self, tmp_path, capsys):
+        doc = small_bm_doc(str(tmp_path / "out"))
+        del doc["example"]
+        doc.update(system={"dim_state": 1, "dim_input": 1, "dim_noise": 1,
+                           "f": ["1"], "g": [["0"]], "sigma": [["1"]]},
+                   barrier={"phi": "x1"}, numerics={"dt": 0.002})
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+        assert "missing required key (at config key 'numerics.box_lo')" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_validate_without_mc_fails_before_solving(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("validate solved a query it cannot check")
@@ -158,6 +177,7 @@ class TestConfigValidation:
         ("solve", "numerics.box_hi=[-1]", "numerics.box_hi"),
         ("solve", "numerics.box_hi=[0]", "numerics.box_hi"),
         ("solve", "numerics.dt=0", "numerics.dt"),
+        ("solve", "numerics.cells=[10,10]", "numerics.cells"),
         ("mc", "mc.dt=5", "mc.dt"),
         ("validate", "mc.dt=5", "mc.dt"),
     ])
@@ -604,6 +624,45 @@ class TestValidateCommand:
         report = json.loads(
             (tmp_path / "out" / f"validation_{cfg2.hash}.json").read_text())
         assert report["checks"][0]["value"] == 0.0
+
+    def test_artifact_mode_compares_event_cdfs(self, tmp_path):
+        # An invariance_ccdf result is the survival function of the exit
+        # time: against mc_exit_cdf it reads what solve mode reads.
+        out = tmp_path / "out"
+        doc = small_bm_doc(str(out), kind="invariance_ccdf")
+        path = write_config(tmp_path, doc)
+        assert main(["solve", "--config", path]) == 0
+        assert main(["mc", "--config", path]) == 0
+        assert main(["validate", "--config", path]) in (0, 1)
+        tag = ExperimentConfig.from_file(path).hash
+        solved = json.loads((out / f"validation_{tag}.json").read_text())["checks"][0]
+        doc["validation"] = {"pde_artifact": str(out / f"invariance_ccdf_{tag}.json"),
+                             "mc_artifact": str(out / f"mc_exit_cdf_{tag}.json")}
+        path2 = write_config(tmp_path, doc, name="cmp.json")
+        assert main(["validate", "--config", path2]) in (0, 1)
+        report = json.loads(
+            (out / f"validation_{ExperimentConfig.from_file(path2).hash}.json").read_text())
+        assert solved["name"] == report["checks"][0]["name"] == "mc_ks"
+        assert report["checks"][0]["value"] == pytest.approx(solved["value"], abs=1e-12)
+        assert report["checks"][0]["value"] < 0.05
+
+    @pytest.mark.parametrize("pde, mc, key", [
+        ("exit_cdf", "mc_entry_cdf", "validation.mc_artifact"),
+        ("mc_min_ccdf", "mc_exit_cdf", "validation.pde_artifact"),
+    ])
+    def test_artifact_of_another_kind_exits_2(self, tmp_path, capsys, pde, mc, key):
+        out = tmp_path / "out"
+        doc = small_bm_doc(str(out))
+        doc["mc"]["n_paths"] = 500
+        path = write_config(tmp_path, doc)
+        assert main(["solve", "--config", path]) == 0
+        assert main(["mc", "--config", path]) == 0
+        tag = ExperimentConfig.from_file(path).hash
+        doc["validation"] = {"pde_artifact": str(out / f"{pde}_{tag}.json"),
+                             "mc_artifact": str(out / f"{mc}_{tag}.json")}
+        capsys.readouterr()
+        assert main(["validate", "--config", write_config(tmp_path, doc, name="cmp.json")]) == 2
+        assert f"(at config key '{key}')" in capsys.readouterr().err
 
     def test_missing_artifact_exits_2(self, tmp_path):
         doc = small_bm_doc(str(tmp_path / "out"))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeprob import (
+    BarrierProblem,
     ControlSystem,
     PathConfig,
     Policy,
@@ -208,7 +209,8 @@ def _reference_paths(sys, bar, policy, x0, cfg):
 
 
 class TestExcludedPaths:
-    """Blocks in which some paths are excluded take the masked step."""
+    """Excluded paths freeze in place and leave their block's statistics, and
+    every other path's, as the per-path reference has them."""
 
     @staticmethod
     def _diverging():
@@ -222,9 +224,8 @@ class TestExcludedPaths:
     @staticmethod
     def _infeasible():
         # No actuation below 0.3 against a drift that breaks the rate
-        # constraint there: the zero-CBF filter fails on most paths.  An
-        # excluded path is held at the start, 0.5, where its later steps
-        # would often cross the level if it were still recorded.
+        # constraint there: the zero-CBF filter fails on most paths, and
+        # each stays excluded though its block keeps stepping.
         sys = ControlSystem(n=1, m=1, k=1, f=lambda X: np.full(X.shape, -2.0),
                             g=lambda X: np.where(X[:, :, None] < 0.3, 0.0, 1.0),
                             sigma=lambda X: np.full(X.shape + (1,), 3.0))
@@ -271,6 +272,21 @@ class TestPathwiseDuality:
         ens = simulate_paths(sys, identity_barrier(), NONE_POLICY, [-0.5], cfg)
         entered = ~np.isnan(ens.entry_time)
         np.testing.assert_array_equal(ens.max_phi >= ens.level, entered)
+
+    def test_entry_is_exit_of_the_negated_barrier(self):
+        # With policy "none" the barrier does not steer, so both runs draw
+        # the same paths and only the sign of phi and of the level differs.
+        sys = const_system_1d(0.2, 0.0, 1.0)
+        cfg = PathConfig(dt=1e-2, horizon=1.0, n_paths=2000, seed=9)
+        negated = BarrierProblem(phi=lambda X: -X[..., 0], level=0.0)
+        ens = simulate_paths(sys, identity_barrier(), NONE_POLICY, [-0.5], cfg, level=0.25)
+        neg = simulate_paths(sys, negated, NONE_POLICY, [-0.5], cfg, level=-0.25)
+        entered = ~np.isnan(ens.entry_time)
+        assert 0 < entered.sum() < cfg.n_paths
+        np.testing.assert_array_equal(ens.entry_time, neg.exit_time)
+        np.testing.assert_array_equal(ens.max_phi, -neg.min_phi)
+        np.testing.assert_array_equal(ens.exit_time, neg.entry_time)
+        np.testing.assert_array_equal(ens.min_phi, -neg.max_phi)
 
 
 class TestEmpiricalDistributions:
