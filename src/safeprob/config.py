@@ -190,7 +190,7 @@ def validate_config(doc: dict) -> dict:
             raise ConfigError(f"unknown policy kind {doc['policy']['kind']!r}", "policy.kind")
         if doc["policy"]["kind"] == "gradient" and "c" not in doc["policy"]:
             raise ConfigError("gradient policy requires key", "policy.c")
-    if "numerics" in doc:
+    if "numerics" in doc or "example" in doc:
         n = (doc["system"]["dim_state"] if "system" in doc
              else make_example(doc["example"]).system.n)
         num = {key: _lookup(doc, f"numerics.{key}") for key in ("box_lo", "box_hi", "cells")}

@@ -9,8 +9,8 @@ pinned to the distribution's boundary value.  Queries are reported at the
 consistent augmented coordinate ``z = [phi(x), x]``; values of the
 augmented-space problem off that manifold are not exposed.
 
-The four kinds share one pipeline and differ only in mask side, Dirichlet
-value, and initial indicator:
+The four kinds share one pipeline and differ only in mask side and
+Dirichlet value; the solve starts from 1 minus that value on the mask:
 
     invariance_ccdf   P(min phi over [0,T] >= l)   super side, pinned 0
     exit_cdf          P(first time phi <= l  <= t) super side, pinned 1
@@ -42,6 +42,7 @@ from . import __version__
 from .errors import DataError, InfeasibilityError, SafeProbError
 from .pde_engine import (
     MIN_CELLS,
+    RANGE_TOL,
     FieldSeries,
     GridSpec,
     IbvpSpec,
@@ -60,9 +61,9 @@ class KindSpec:
     """What sets one distribution kind apart from the others.
 
     ``side`` is the mask side of the level set and ``dirichlet`` the value
-    pinned outside it.  The initial field is ``1 - dirichlet`` on the mask
-    and ``dirichlet`` off it, so the two kinds of a side (pinned 0 and 1)
-    have data summing to 1; the Dirichlet value doubles as the exact
+    pinned outside it; ``solve_ibvp`` starts the march from
+    ``1 - dirichlet`` on the mask, so the two kinds of a side (pinned 0 and
+    1) have data summing to 1.  The Dirichlet value doubles as the exact
     result on the wrong side of the level set.  ``increasing`` marks kinds
     whose curve must not decrease in time (the others must not increase),
     and ``event`` the passage time the kind describes.
@@ -81,8 +82,6 @@ KIND_TABLE = {
     "entry_cdf": KindSpec("sub", 1.0, True, "entry"),
 }
 KINDS = tuple(KIND_TABLE)
-
-RANGE_TOL = 1e-8
 
 # Extra cells padded onto every side of the query box, so the Dirichlet
 # region bordering the level set is represented by at least one node layer.
@@ -216,23 +215,19 @@ def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                 "rate constraint is violated there, so the zero-CBF filter has no "
                 "admissible input")
         convection[interior_idx] = sys.f_at(pts) + np.einsum("bim,bm->bi", sys.g_at(pts), U)
-    initial = np.where(mask, 1.0 - dirichlet, dirichlet)
     return IbvpSpec(grid=grid, interior_mask=mask,
                     convection=convection.reshape(grid.shape + (n,)),
-                    diffusion=diffusion, dirichlet_value=dirichlet,
-                    initial_field=initial, horizon=horizon, dt=dt)
+                    diffusion=diffusion, dirichlet_value=dirichlet, horizon=horizon, dt=dt)
 
 
-def _probe_specs(sys, bar, policy, level, side, dirichlet, horizon, dt: float,
-                 spec: IbvpSpec) -> tuple[IbvpSpec, IbvpSpec] | None:
-    """The boundary probe's (coarse, doubled) specs, or None if no box face cuts
-    through the interior.
+def _probe_grids(grid: GridSpec, mask: np.ndarray) -> tuple[GridSpec, GridSpec] | None:
+    """The boundary probe's (coarse, doubled) grids, or None if no face of
+    ``grid`` cuts through the interior ``mask``.
 
-    ``coarse`` is the spec's own box at ``PROBE_COARSEN`` times coarser cells
-    and time step; ``doubled`` extends each cut face outward by one box width
-    at the same spacing.
+    ``coarse`` is the grid's own box at ``PROBE_COARSEN`` times coarser cells;
+    ``doubled`` extends each cut face outward by one box width at the same
+    spacing.
     """
-    grid, mask = spec.grid, spec.interior_mask
     cut_lo = [bool(np.any(np.take(mask, 0, axis=a))) for a in range(grid.ndim)]
     cut_hi = [bool(np.any(np.take(mask, -1, axis=a))) for a in range(grid.ndim)]
     if not any(cut_lo + cut_hi):
@@ -247,10 +242,8 @@ def _probe_specs(sys, bar, policy, level, side, dirichlet, horizon, dt: float,
         if cut_hi[a]:
             hi[a] += width
             dcells[a] += coarse_cells[a]
-    probe_dt = dt * PROBE_COARSEN
-    return tuple(_assemble(sys, bar, policy, g, level, side, dirichlet, horizon, probe_dt)
-                 for g in (GridSpec(grid.lo, grid.hi, coarse_cells),
-                           GridSpec(tuple(lo), tuple(hi), tuple(dcells))))
+    return (GridSpec(grid.lo, grid.hi, coarse_cells),
+            GridSpec(tuple(lo), tuple(hi), tuple(dcells)))
 
 
 def _probe_sensitivity(coarse: IbvpSpec, doubled: IbvpSpec, points) -> float:
@@ -295,8 +288,11 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
             f"the boundary condition fixes its value to {dirichlet}", SafeProbWarning,
             stacklevel=2)
 
+    def assemble(grid: GridSpec, dt: float) -> IbvpSpec:
+        return _assemble(sys, bar, policy, grid, level, side, dirichlet, q.horizon, dt)
+
     grid = _padded_grid(q.numerics)
-    spec = _assemble(sys, bar, policy, grid, level, side, dirichlet, q.horizon, q.numerics.dt)
+    spec = assemble(grid, q.numerics.dt)
     if spec.interior_mask.all() or not spec.interior_mask.any():
         warnings.warn(
             f"{kind}: the level set does not intersect the solve box; the mask is "
@@ -307,8 +303,9 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
     # grid fails first, and solved after it.
     probe = None
     if q.numerics.boundary_probe and q.horizon > 0:
-        probe = _probe_specs(sys, bar, policy, level, side, dirichlet,
-                             q.horizon, q.numerics.dt, spec)
+        grids = _probe_grids(grid, spec.interior_mask)
+        if grids is not None:
+            probe = [assemble(g, q.numerics.dt * PROBE_COARSEN) for g in grids]
 
     times = np.linspace(0.0, q.horizon, TABULATION_TIMES) if q.times is None else q.times
     series = solve_ibvp(spec, snapshot_times=times, points=states)

@@ -39,7 +39,7 @@ The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +55,8 @@ MIN_CELLS = 8
 
 LINEAR_RTOL = 1e-10
 LINEAR_MAXITER = 10_000
+# How far a probability field may leave [0, 1] through rounding.
+RANGE_TOL = 1e-8
 
 # Grids with at least this many axes march with Jacobi-BiCGSTAB, others with
 # a sparse LU.  Measured on the interior-only step matrices (2 vCPUs, one BLAS
@@ -140,8 +142,8 @@ class IbvpSpec:
     ``convection`` holds the drift mu per node (shape + (n,)) and
     ``diffusion`` the tensor Sigma per node (shape + (n, n), symmetric
     PSD).  Nodes outside ``interior_mask`` are pinned to
-    ``dirichlet_value`` for all time.  ``initial_field`` must be a 0/1
-    indicator agreeing with the Dirichlet data on pinned nodes.
+    ``dirichlet_value`` g, 0 or 1, for all time, and the march starts from
+    1 - g on the interior.
     """
 
     grid: GridSpec
@@ -149,7 +151,6 @@ class IbvpSpec:
     convection: np.ndarray
     diffusion: np.ndarray
     dirichlet_value: float
-    initial_field: np.ndarray
     horizon: float
     dt: float
 
@@ -159,15 +160,12 @@ class IbvpSpec:
         mask = np.asarray(self.interior_mask, dtype=bool)
         conv = np.asarray(self.convection, dtype=float)
         diff = np.asarray(self.diffusion, dtype=float)
-        init = np.asarray(self.initial_field, dtype=float)
         if mask.shape != shape:
             raise DataError(f"interior_mask shape {mask.shape} != grid shape {shape}")
         if conv.shape != shape + (n,):
             raise DataError(f"convection shape {conv.shape} != {shape + (n,)}")
         if diff.shape != shape + (n, n):
             raise DataError(f"diffusion shape {diff.shape} != {shape + (n, n)}")
-        if init.shape != shape:
-            raise DataError(f"initial_field shape {init.shape} != grid shape {shape}")
         if not np.all(np.isfinite(conv)) or not np.all(np.isfinite(diff)):
             raise DataError("convection/diffusion fields contain non-finite values")
         scale = max(1.0, float(np.max(np.abs(diff))))
@@ -176,10 +174,8 @@ class IbvpSpec:
         eigs = np.linalg.eigvalsh(diff.reshape(-1, n, n))
         if eigs.min() < -1e-10 * scale:
             raise DataError(f"diffusion tensor not PSD (min eigenvalue {eigs.min():.3e})")
-        if not np.all((init == 0.0) | (init == 1.0)):
-            raise DataError("initial_field values must be 0 or 1")
-        if not np.all(init[~mask] == float(self.dirichlet_value)):
-            raise DataError("initial_field disagrees with Dirichlet data on masked-out nodes")
+        if self.dirichlet_value not in (0.0, 1.0):
+            raise DataError(f"dirichlet_value must be 0 or 1, got {self.dirichlet_value}")
         if self.horizon < 0:
             raise DataError("horizon must be >= 0")
         if self.dt <= 0:
@@ -187,8 +183,7 @@ class IbvpSpec:
         object.__setattr__(self, "interior_mask", mask)
         object.__setattr__(self, "convection", conv)
         object.__setattr__(self, "diffusion", diff)
-        object.__setattr__(self, "initial_field", init)
-        for arr in (mask, conv, diff, init):
+        for arr in (mask, conv, diff):
             arr.setflags(write=False)
 
 
@@ -209,19 +204,7 @@ class SolveDiagnostics:
     notes: list = dc_field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "dt_effective": self.dt_effective,
-            "max_residual": self.max_residual,
-            "last_residual": self.last_residual,
-            "total_iterations": self.total_iterations,
-            "row_sum_defect": self.row_sum_defect,
-            "field_min": None if np.isinf(self.field_min) else self.field_min,
-            "field_max": None if np.isinf(self.field_max) else self.field_max,
-            "boundary_sensitivity": self.boundary_sensitivity,
-            "boundary_flagged": self.boundary_flagged,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 class GridSampler:
@@ -289,9 +272,7 @@ def _divergence(diff: np.ndarray, spacing) -> np.ndarray:
     out = np.zeros(shape + (n,))
     for b in range(n):
         for a in range(n):
-            comp = diff[..., a, b]
-            if comp.shape[a] > 1:
-                out[..., b] += np.gradient(comp, spacing[a], axis=a)
+            out[..., b] += np.gradient(diff[..., a, b], spacing[a], axis=a)
     return out
 
 
@@ -508,7 +489,8 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
     steps = sorted(wanted)
 
     # Pinned nodes keep the Dirichlet value; only the interior values march.
-    field = spec.initial_field.astype(float).ravel()
+    g = spec.dirichlet_value
+    field = np.where(spec.interior_mask, 1.0 - g, g).ravel()
     interior = np.flatnonzero(spec.interior_mask.ravel())
     sampler = GridSampler(spec.grid, np.empty((0, spec.grid.ndim)) if points is None
                           else points)
@@ -538,11 +520,9 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
         # the Dirichlet field.
         values[:, 1:] = values[:, :1]
 
-    lo_ok = min(0.0, spec.dirichlet_value) - 1e-8
-    hi_ok = max(1.0, spec.dirichlet_value) + 1e-8
-    if diag.field_min < lo_ok or diag.field_max > hi_ok:
+    if diag.field_min < -RANGE_TOL or diag.field_max > 1.0 + RANGE_TOL:
         raise SolverError(
-            f"field left the admissible range [{lo_ok}, {hi_ok}]: "
+            f"field left the admissible range [{-RANGE_TOL}, {1.0 + RANGE_TOL}]: "
             f"min {diag.field_min}, max {diag.field_max}", residual=diag.max_residual)
 
     return FieldSeries(grid=spec.grid, times=np.asarray(steps) * dt_eff, values=values,

@@ -145,6 +145,20 @@ class TestConfigValidation:
         assert cfg.numerics() == NumericsConfig(ex.box_lo, ex.box_hi, ex.cells, 0.002)
         assert "box_lo" not in cfg.doc["numerics"]
 
+    def test_example_numerics_checked_against_inline_system(self, tmp_path, capsys):
+        # The example supplies a 2D box, which an inline 1D system cannot use.
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc.update(example="double_integrator",
+                   system={"dim_state": 1, "dim_input": 1, "dim_noise": 1,
+                           "f": ["1"], "g": [["0"]], "sigma": [["1"]]},
+                   barrier={"phi": "x1"})
+        del doc["numerics"]
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "one per state axis (1) (at config key 'numerics.box_lo')" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_partial_numerics_without_example_exits_2(self, tmp_path, capsys):
         doc = small_bm_doc(str(tmp_path / "out"))
         del doc["example"]

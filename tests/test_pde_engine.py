@@ -18,8 +18,8 @@ from safeprob.distributions import (
     NumericsConfig,
     _assemble,
     _padded_grid,
+    _probe_grids,
     _probe_sensitivity,
-    _probe_specs,
 )
 from safeprob.errors import DataError, SolverError
 from safeprob.pde_engine import (
@@ -29,7 +29,7 @@ from safeprob.pde_engine import (
     _assemble_operator,
 )
 
-from conftest import HEAT_HALFLINE, identity_barrier, quadratic_barrier
+from conftest import HEAT_HALFLINE, identity_barrier
 
 
 def const_fields(grid, mu, sig2, axis=0):
@@ -43,21 +43,21 @@ def const_fields(grid, mu, sig2, axis=0):
     return conv, diff
 
 
-def line_spec(lo, hi, cells, mu, sig2, mask_fn, dirichlet, init_from_mask=True,
-              horizon=1.0, dt=1e-3):
+def line_spec(lo, hi, cells, mu, sig2, mask_fn, dirichlet, horizon=1.0, dt=1e-3):
     grid = GridSpec((lo,), (hi,), (cells,))
-    x = grid.axes()[0]
-    mask = mask_fn(x)
+    mask = mask_fn(grid.axes()[0])
     conv, diff = const_fields(grid, mu, sig2)
-    if init_from_mask:
-        init = np.where(mask, 1.0 - dirichlet, dirichlet)
-    else:
-        init = np.full(grid.shape, dirichlet)
-    return IbvpSpec(grid, mask, conv, diff, dirichlet, init, horizon, dt)
+    return IbvpSpec(grid, mask, conv, diff, dirichlet, horizon, dt)
+
+
+def initial_field(spec):
+    """The field a solve starts from: 1 - g on the interior, g on pinned nodes."""
+    g = spec.dirichlet_value
+    return np.where(spec.interior_mask, 1.0 - g, g)
 
 
 def interior_values(spec):
-    return spec.initial_field.ravel()[spec.interior_mask.ravel()]
+    return initial_field(spec)[spec.interior_mask]
 
 
 def full_node_steps(spec, n_steps):
@@ -71,7 +71,7 @@ def full_node_steps(spec, n_steps):
                           shape=(mask.size, interior.size))
     L = embed @ _assemble_operator(spec)
     A = (sp.identity(spec.grid.n_nodes) - spec.dt * L).tocsc()
-    field = spec.initial_field.ravel()
+    field = initial_field(spec).ravel()
     for _ in range(n_steps):
         b = field.copy()
         b[pinned] = spec.dirichlet_value
@@ -84,7 +84,7 @@ def ball_exit_spec(cells=12, horizon=0.1, dt=1e-2):
     grid = GridSpec((-1.5,) * 3, (1.5,) * 3, (cells,) * 3)
     mask = np.sum(grid.nodes() ** 2, axis=1).reshape(grid.shape) < 1.0
     conv, diff = const_fields(grid, 0.4, 0.5)
-    return IbvpSpec(grid, mask, conv, diff, 1.0, np.where(mask, 0.0, 1.0), horizon, dt)
+    return IbvpSpec(grid, mask, conv, diff, 1.0, horizon, dt)
 
 
 class TestGridSampler:
@@ -188,13 +188,6 @@ class TestBuildMask:
 
 
 class TestIbvpSpecValidation:
-    def _parts(self):
-        grid = GridSpec((-2.0,), (2.0,), (8,))
-        mask = grid.axes()[0] >= 0.0
-        conv, diff = const_fields(grid, 0.0, 1.0)
-        init = np.where(mask, 1.0, 0.0)
-        return grid, mask, conv, diff, init
-
     def test_asymmetric_diffusion_rejected(self):
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (8, 8))
         mask = np.ones(grid.shape, dtype=bool)
@@ -202,18 +195,14 @@ class TestIbvpSpecValidation:
         diff = np.zeros(grid.shape + (2, 2))
         diff[..., 0, 1] = 1.0
         with pytest.raises(DataError, match="symmetric"):
-            IbvpSpec(grid, mask, conv, diff, 0.0, np.ones(grid.shape), 1.0, 0.1)
+            IbvpSpec(grid, mask, conv, diff, 0.0, 1.0, 0.1)
 
-    def test_non_indicator_initial_rejected(self):
-        grid, mask, conv, diff, init = self._parts()
+    @pytest.mark.parametrize("dirichlet", [0.5, -1.0, np.nan])
+    def test_dirichlet_value_must_be_0_or_1(self, dirichlet):
+        grid = GridSpec((-2.0,), (2.0,), (8,))
+        conv, diff = const_fields(grid, 0.0, 1.0)
         with pytest.raises(DataError, match="0 or 1"):
-            IbvpSpec(grid, mask, conv, diff, 0.0, init * 0.5, 1.0, 0.1)
-
-    def test_initial_must_match_dirichlet(self):
-        grid, mask, conv, diff, _ = self._parts()
-        init = np.ones(grid.shape)
-        with pytest.raises(DataError, match="disagrees"):
-            IbvpSpec(grid, mask, conv, diff, 0.0, init, 1.0, 0.1)
+            IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, diff, dirichlet, 1.0, 0.1)
 
     def test_non_psd_diffusion_rejected(self):
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (8, 8))
@@ -223,7 +212,7 @@ class TestIbvpSpecValidation:
         diff[..., 0, 1] = 1.0
         diff[..., 1, 0] = 1.0
         with pytest.raises(DataError, match="PSD"):
-            IbvpSpec(grid, mask, conv, diff, 0.0, np.ones(grid.shape), 1.0, 0.1)
+            IbvpSpec(grid, mask, conv, diff, 0.0, 1.0, 0.1)
 
 
 class TestStep:
@@ -234,10 +223,9 @@ class TestStep:
         np.testing.assert_array_equal(out, start)
 
     def test_constants_are_solutions(self):
-        spec = line_spec(-2.0, 2.0, 16, 0.7, 1.3, lambda x: x >= 0.0, 1.0,
-                         init_from_mask=False)
+        spec = line_spec(-2.0, 2.0, 16, 0.7, 1.3, lambda x: x >= 0.0, 1.0)
         stepper = ThetaStepper(spec)
-        values = interior_values(spec)
+        values = np.ones(int(spec.interior_mask.sum()))
         for _ in range(5):
             values, _ = stepper.step(values)
         np.testing.assert_allclose(values, 1.0, atol=1e-12)
@@ -253,11 +241,13 @@ class TestStep:
 
 class TestSolveIbvp:
     def test_zero_horizon_returns_initial_snapshot(self):
-        spec = line_spec(-2.0, 2.0, 16, 0.5, 1.0, lambda x: x >= 0.0, 0.0, horizon=0.0)
-        series = solve_ibvp(spec, points=spec.grid.nodes())
-        assert list(series.times) == [0.0]
-        np.testing.assert_array_equal(series.values[:, 0], spec.initial_field.ravel())
-        np.testing.assert_array_equal(series.final_field, spec.initial_field)
+        for g in (0.0, 1.0):
+            spec = line_spec(-2.0, 2.0, 16, 0.5, 1.0, lambda x: x >= 0.0, g, horizon=0.0)
+            series = solve_ibvp(spec, points=spec.grid.nodes())
+            assert list(series.times) == [0.0]
+            expected = initial_field(spec)
+            np.testing.assert_array_equal(series.values[:, 0], expected.ravel())
+            np.testing.assert_array_equal(series.final_field, expected)
 
     def test_times_strictly_increasing_from_zero(self):
         spec = line_spec(-2.0, 2.0, 32, 0.5, 1.0, lambda x: x >= 0.0, 0.0,
@@ -326,8 +316,7 @@ class TestCrossDerivativeStencil:
         diff[..., 1, 1] = 1.0
         diff[..., 0, 1] = r
         diff[..., 1, 0] = r
-        init = np.zeros(grid.shape)
-        spec = IbvpSpec(grid, mask, conv, diff, 0.0, init, 1.0, 0.1)
+        spec = IbvpSpec(grid, mask, conv, diff, 0.0, 1.0, 0.1)
         L = _assemble_operator(spec)
         xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
         F = (xs * ys).ravel()
@@ -353,23 +342,16 @@ class TestSensitivityProbe:
         assert sensitivity < 1e-6
 
     def test_truncation_face_detection(self):
-        ex = make_example("drifted_bm_1d")
         grid = GridSpec((-2.0,), (2.0,), (16,))
-
-        def probe_specs(barrier, side, level):
-            spec = _assemble(ex.system, barrier, ex.policy, grid, level, side, 0.0, 1.0, 0.1)
-            return _probe_specs(ex.system, barrier, ex.policy, level, side, 0.0, 1.0, 0.1,
-                                spec)
-
+        x = grid.axes()[0]
         # x^2 < 1 is enclosed by pinned nodes: no probe.
-        assert probe_specs(quadratic_barrier(), "sub", 1.0) is None
-        # x >= 0 cuts the high face only; every node >= -5 cuts both.
-        for level, doubled in ((0.0, GridSpec((-2.0,), (6.0,), (16,))),
-                               (-5.0, GridSpec((-6.0,), (6.0,), (24,)))):
-            coarse, wide = probe_specs(identity_barrier(), "super", level)
-            assert coarse.grid == GridSpec((-2.0,), (2.0,), (8,))
-            assert wide.grid == doubled
-            assert coarse.dt == wide.dt == 0.2
+        assert _probe_grids(grid, x ** 2 < 1.0) is None
+        # x >= 0 cuts the high face only; every node cuts both.
+        for mask, doubled in ((x >= 0.0, GridSpec((-2.0,), (6.0,), (16,))),
+                              (x >= -5.0, GridSpec((-6.0,), (6.0,), (24,)))):
+            coarse, wide = _probe_grids(grid, mask)
+            assert coarse == GridSpec((-2.0,), (2.0,), (8,))
+            assert wide == doubled
 
 
 class TestExports:
@@ -474,7 +456,7 @@ class TestStepperInternals:
         diff[..., 0, 0] = 1.0
         diff[..., 1, 1] = 0.5
         diff[..., 0, 1] = diff[..., 1, 0] = 0.6
-        spec = IbvpSpec(grid, mask, conv, diff, 1.0, np.where(mask, 0.0, 1.0), 0.1, 1e-2)
+        spec = IbvpSpec(grid, mask, conv, diff, 1.0, 0.1, 1e-2)
         stepper = ThetaStepper(spec)
         values = interior_values(spec)
         for expected in full_node_steps(spec, 5):
