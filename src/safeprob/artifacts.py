@@ -183,22 +183,22 @@ def artifact_layout(path: str):
         raise DataError(f"artifact {path} has a malformed layout: {err}") from None
 
 
-def load_table(path: str, state_index: int = 0) -> tuple[str, CdfTable]:
-    """Load either artifact layout as (kind, table).
+def load_table(path: str, state_index: int = 0) -> tuple[str, CdfTable, float | None]:
+    """Load either artifact layout as (kind, table, DKW band).
 
-    An empirical artifact gives its whole curve, a solve result the curve
-    of query state ``state_index``.
+    An empirical artifact gives its whole curve and its band, a solve
+    result the curve of query state ``state_index`` and no band.
     """
     doc = read_artifact(path)
     if not isinstance(doc, dict) or ("grid" not in doc and "times" not in doc):
         raise DataError(f"artifact {path} has neither a result nor an empirical layout")
     with artifact_layout(path):
         if "grid" in doc:
-            points, values = doc["grid"], doc["values"]
+            points, values, band = doc["grid"], doc["values"], float(doc["dkw_band"])
         else:
-            points, values = doc["times"], doc["values"][state_index]
+            points, values, band = doc["times"], doc["values"][state_index], None
         return str(doc["kind"]), CdfTable(np.asarray(points, dtype=float),
-                                          np.asarray(values, dtype=float))
+                                          np.asarray(values, dtype=float)), band
 
 
 def write_empirical(estimates: dict, ens: PathEnsemble, out_dir: str, tag: str,

@@ -11,27 +11,37 @@ is the generator form 1/2 tr(Sigma Hess F) + mu . grad F, so a solve with
 ``mu`` the closed-loop drift and ``Sigma = sigma sigma^T`` marches the
 probability fields produced by the distribution layer.
 
-Discretization: backward Euler in time, first-order upwind convection
-oriented for the backward generator (positive velocity pulls from the
-positive neighbor), conservative central diffusion with face-averaged
-coefficients, and a four-point cross-derivative stencil for off-diagonal
-diffusion entries.  Without cross terms the update matrix is an
-M-matrix, so fields obey a discrete maximum principle.
+Discretization: backward Euler in time, split into one factor per axis,
+first-order upwind convection oriented for the backward generator
+(positive velocity pulls from the positive neighbor), conservative central
+diffusion with face-averaged coefficients, and a four-point
+cross-derivative stencil for off-diagonal diffusion entries.  Without
+cross terms each factor's matrix is an M-matrix, so fields obey a discrete
+maximum principle.
 
 Only interior nodes are unknowns: pinned nodes hold the Dirichlet value
-g, so each step solves ``(I - dt L_II) u_I' = u_I + dt L_IP g`` over the
-interior nodes.  At each recorded time the field is sampled at the query
-points from a multilinear weight table built once; a solve keeps those
-samples and the horizon field, so its memory does not grow with the times.
+g.  The operator is the sum of per-axis rows L_a (the axis-a convection
+and diffusion, and the cross terms pairing axis a with each later axis),
+and a step applies one backward-Euler factor per axis in turn, each
+solving ``(I - dt L_a,II) u_I' = u_I + dt L_a,IP g`` over the interior
+nodes: the fractional-step method (Yanenko, The Method of Fractional
+Steps, 1971; Douglas & Rachford, Trans. AMS 82, 1956), first order in dt
+like backward Euler itself.  In 1D the one factor is the whole step.  At
+each recorded time the field is sampled at the query points from a
+multilinear weight table built once; a solve keeps those samples and the
+horizon field, so its memory does not grow with the times.
 
-Linear solves: a sparse LU factorized once on 1D and 2D grids, a
-Jacobi-preconditioned BiCGSTAB per step on 3D grids.  The LU takes a
-minimum-degree column order on the structure of A^T + A and prefers
-diagonal pivots (threshold 0.1), the standard choice for a stencil
-matrix that is diagonally dominant by rows; partial pivoting would move
-pivots off the diagonal, because upwind convection makes A not
-column-dominant, and fill more.  Neither solve makes a threaded BLAS
-call, so fields do not depend on the BLAS thread count.
+Linear solves: each factor's matrix is LU-factorized once and each step
+solves once with it.  Without cross terms a factor is a set of
+independent tridiagonal line systems and the LU has no fill.  The LU
+takes a minimum-degree column order on the structure of A^T + A and
+prefers diagonal pivots (threshold 0.1), the standard choice for a
+stencil matrix that is diagonally dominant by rows; partial pivoting
+would move pivots off the diagonal, because upwind convection makes A
+not column-dominant, and fill more.  A panel of one column keeps SuperLU's
+transient work area small, which matters with one factor per axis.  No
+solve makes a threaded BLAS call, so fields do not depend on the BLAS
+thread count.
 
 The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 """
@@ -54,17 +64,8 @@ DEFAULT_NODE_CAP = 4_000_000
 MIN_CELLS = 8
 
 LINEAR_RTOL = 1e-10
-LINEAR_MAXITER = 10_000
 # How far a probability field may leave [0, 1] through rounding.
 RANGE_TOL = 1e-8
-
-# Grids with at least this many axes march with Jacobi-BiCGSTAB, others with
-# a sparse LU.  Measured on the interior-only step matrices (2 vCPUs, one BLAS
-# thread): on the shipped 2D grid (20,192 unknowns) Krylov takes 13.7 ms a
-# step (24 iterations) against 1.2 ms for an LU solve; on the benchmark's 3D
-# grid (33,831 unknowns) the LU takes 4.5 s to factor, fills 20.3M nonzeros
-# and 31.5 ms a step against 4.9 ms (3.5 iterations) for Krylov.
-_KRYLOV_MIN_NDIM = 3
 
 
 @dataclass(frozen=True)
@@ -265,37 +266,31 @@ class FieldSeries:
         return GridSampler(self.grid, states)(self.final_field.ravel())
 
 
-def _divergence(diff: np.ndarray, spacing) -> np.ndarray:
-    """Per-node divergence of the tensor field: out[..., b] = sum_a d_a Sigma_ab."""
-    shape = diff.shape[:-2]
-    n = diff.shape[-1]
-    out = np.zeros(shape + (n,))
-    for b in range(n):
-        for a in range(n):
-            out[..., b] += np.gradient(diff[..., a, b], spacing[a], axis=a)
-    return out
+def _assemble_operator(spec: IbvpSpec, axis: int) -> sp.csr_matrix:
+    """Axis ``axis``'s rows of the spatial operator L at the interior nodes,
+    shape (interior, nodes).
 
-
-def _assemble_operator(spec: IbvpSpec) -> sp.csr_matrix:
-    """Rows of the spatial operator L at the interior nodes, shape (interior, nodes).
-
-    Row i belongs to the i-th interior node in C order; columns index every
-    node, pinned ones included.
+    They hold the upwind convection and the diffusion along the axis, and
+    the cross-derivative terms pairing it with each later axis; summed over
+    the axes they are L.  Row i belongs to the i-th interior node in C
+    order; columns index every node, pinned ones included.
     """
     grid = spec.grid
     shape = grid.shape
     n = grid.ndim
     h = grid.spacing
     N = grid.n_nodes
+    a = axis
     base = np.flatnonzero(spec.interior_mask.ravel())
-    velocity = spec.convection - 0.5 * _divergence(spec.diffusion, h)
-    vel_flat = velocity.reshape(N, n)[base]
+    # The axis component of mu - 1/2 div Sigma, with (div Sigma)_a = sum_b d_b Sigma_ba.
+    div = sum(np.gradient(spec.diffusion[..., b, a], h[b], axis=b) for b in range(n))
+    v = (spec.convection[..., a] - 0.5 * div).ravel()[base]
     diff_flat = spec.diffusion.reshape(N, n, n)
 
     index = np.unravel_index(base, shape)
 
     def shifted(delta) -> np.ndarray:
-        coords = [np.clip(index[a] + delta[a], 0, shape[a] - 1) for a in range(n)]
+        coords = [np.clip(index[c] + delta[c], 0, shape[c] - 1) for c in range(n)]
         return np.ravel_multi_index(coords, shape)
 
     rows, cols, vals = [], [], []
@@ -306,45 +301,41 @@ def _assemble_operator(spec: IbvpSpec) -> sp.csr_matrix:
         cols.append(col_idx)
         vals.append(coeff)
 
-    for a in range(n):
-        dp = tuple(1 if i == a else 0 for i in range(n))
-        dm = tuple(-1 if i == a else 0 for i in range(n))
-        plus = shifted(dp)
-        minus = shifted(dm)
+    plus = shifted(tuple(1 if i == a else 0 for i in range(n)))
+    minus = shifted(tuple(-1 if i == a else 0 for i in range(n)))
 
-        # Upwind convection for the backward generator: positive velocity
-        # pulls the field value from the positive neighbor.
-        v = vel_flat[:, a]
-        vp = np.maximum(v, 0.0) / h[a]
-        vm = np.minimum(v, 0.0) / h[a]
-        add(plus, vp)
-        add(minus, -vm)
-        add(base, -(vp - vm))
+    # Upwind convection for the backward generator: positive velocity
+    # pulls the field value from the positive neighbor.
+    vp = np.maximum(v, 0.0) / h[a]
+    vm = np.minimum(v, 0.0) / h[a]
+    add(plus, vp)
+    add(minus, -vm)
+    add(base, -(vp - vm))
 
-        # Conservative diffusion with face-averaged coefficients.
-        saa = diff_flat[:, a, a]
-        wp = 0.25 * (saa[base] + saa[plus]) / h[a] ** 2
-        wm = 0.25 * (saa[base] + saa[minus]) / h[a] ** 2
-        add(plus, wp)
-        add(minus, wm)
-        add(base, -(wp + wm))
+    # Conservative diffusion with face-averaged coefficients.
+    saa = diff_flat[:, a, a]
+    wp = 0.25 * (saa[base] + saa[plus]) / h[a] ** 2
+    wm = 0.25 * (saa[base] + saa[minus]) / h[a] ** 2
+    add(plus, wp)
+    add(minus, wm)
+    add(base, -(wp + wm))
 
-        # Cross-derivative stencil for off-diagonal diffusion.
-        for b in range(a + 1, n):
-            sab = diff_flat[:, a, b]
-            if not np.any(sab):
-                continue
-            for outer, inner in ((a, b), (b, a)):
-                op = tuple(1 if i == outer else 0 for i in range(n))
-                om = tuple(-1 if i == outer else 0 for i in range(n))
-                ip = tuple(1 if i == inner else 0 for i in range(n))
-                im = tuple(-1 if i == inner else 0 for i in range(n))
-                c_p = 0.5 * sab[shifted(op)] / (4.0 * h[outer] * h[inner])
-                c_m = 0.5 * sab[shifted(om)] / (4.0 * h[outer] * h[inner])
-                add(shifted(tuple(x + y for x, y in zip(op, ip))), c_p)
-                add(shifted(tuple(x + y for x, y in zip(op, im))), -c_p)
-                add(shifted(tuple(x + y for x, y in zip(om, ip))), -c_m)
-                add(shifted(tuple(x + y for x, y in zip(om, im))), c_m)
+    # Cross-derivative stencil for off-diagonal diffusion.
+    for b in range(a + 1, n):
+        sab = diff_flat[:, a, b]
+        if not np.any(sab):
+            continue
+        for outer, inner in ((a, b), (b, a)):
+            op = tuple(1 if i == outer else 0 for i in range(n))
+            om = tuple(-1 if i == outer else 0 for i in range(n))
+            ip = tuple(1 if i == inner else 0 for i in range(n))
+            im = tuple(-1 if i == inner else 0 for i in range(n))
+            c_p = 0.5 * sab[shifted(op)] / (4.0 * h[outer] * h[inner])
+            c_m = 0.5 * sab[shifted(om)] / (4.0 * h[outer] * h[inner])
+            add(shifted(tuple(x + y for x, y in zip(op, ip))), c_p)
+            add(shifted(tuple(x + y for x, y in zip(op, im))), -c_p)
+            add(shifted(tuple(x + y for x, y in zip(om, ip))), -c_m)
+            add(shifted(tuple(x + y for x, y in zip(om, im))), c_m)
 
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
@@ -355,27 +346,22 @@ def _assemble_operator(spec: IbvpSpec) -> sp.csr_matrix:
 
 
 class ThetaStepper:
-    """Owns the backward-Euler step matrix over the interior nodes and its solves.
+    """Owns one axis's backward-Euler factor over the interior nodes and its solves.
 
     Pinned nodes hold the Dirichlet value g for all time, so only the
-    interior values u_I are unknowns: each step solves
-    ``A u_I' = u_I + c`` with ``A = I - dt L_II`` and the constant load
-    ``c = dt L_IP g`` of the pinned columns.  The spec needs at least one
-    interior node.
-
-    On grids with fewer than ``_KRYLOV_MIN_NDIM`` axes the step matrix is
-    LU-factorized once and each step is one solve with that factorization.
-    On larger ones each step runs BiCGSTAB preconditioned by the inverse
-    diagonal of the step matrix, warm-started from the previous values.
-    ``solves`` counts applications of the factorization or of the Jacobi
-    preconditioner (two per BiCGSTAB iteration).
+    interior values u_I are unknowns: each call of ``step`` solves
+    ``A u_I' = u_I + c`` with ``A = I - dt L_a,II``, ``L_a`` the axis's
+    rows of the operator, and the constant load ``c = dt L_a,IP g`` of the
+    pinned columns.  ``A`` is LU-factorized once; ``solves`` counts the
+    solves with that factorization, one per step.  The spec needs at least
+    one interior node.
     """
 
-    def __init__(self, spec: IbvpSpec):
+    def __init__(self, spec: IbvpSpec, axis: int):
         mask = spec.interior_mask.ravel()
         interior = np.flatnonzero(mask)
         n_int = interior.size
-        L_I = _assemble_operator(spec)
+        L_I = _assemble_operator(spec, axis)
         # Interior columns of L_I map to step-matrix columns through ``pos``.
         pos = np.full(mask.size, -1)
         pos[interior] = np.arange(n_int)
@@ -392,54 +378,15 @@ class ThetaStepper:
         self._pinned_sq = (mask.size - n_int) * g * g
         self.A = (sp.identity(n_int, format="csr") - spec.dt * L_II).tocsr()
         self.solves = 0
-        self._lu = None
-        if spec.grid.ndim < _KRYLOV_MIN_NDIM:
-            try:
-                self._lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.1,
-                                     options={"SymmetricMode": True})
-            except RuntimeError as err:
-                raise SolverError(f"step matrix is singular: {err}") from err
-        else:
-            self._dinv = 1.0 / self.A.diagonal()
-
-    def _bicgstab(self, b: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
-        """Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) from the guess ``x``.
-
-        Stops once the residual norm is at most ``tol``.  Inner products are
-        ``np.sum(u * v)``, not BLAS ``dot``, so the iterates do not depend on
-        the BLAS thread count.
-        """
-        A, dinv = self.A, self._dinv
-        r = b - A @ x
-        r0 = r.copy()
-        rho = alpha = omega = 1.0
-        p = v = np.zeros_like(b)
-        for it in range(LINEAR_MAXITER):
-            if np.sqrt(np.sum(r * r)) <= tol:
-                return x
-            rho, rho_prev = np.sum(r0 * r), rho
-            p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
-            p_hat = dinv * p
-            v = A @ p_hat
-            alpha = rho / np.sum(r0 * v)
-            s = r - alpha * v
-            self.solves += 1
-            if np.sqrt(np.sum(s * s)) <= tol:
-                return x + alpha * p_hat
-            s_hat = dinv * s
-            t = A @ s_hat
-            omega = np.sum(t * s) / np.sum(t * t)
-            self.solves += 1
-            x = x + alpha * p_hat + omega * s_hat
-            r = s - omega * t
-            if not np.isfinite(omega) or omega == 0.0:
-                break
-        raise SolverError(f"BiCGSTAB did not reach residual {0.1 * LINEAR_RTOL:.1e} "
-                          f"in {it + 1} iterations")
+        try:
+            self._lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.1, panel_size=1,
+                                 options={"SymmetricMode": True})
+        except RuntimeError as err:
+            raise SolverError(f"step matrix is singular: {err}") from err
 
     def step(self, u: np.ndarray) -> tuple[np.ndarray, float]:
-        """Advance the interior values one step; returns (values, relative residual).
+        """Apply the factor to the interior values; returns (values, relative residual).
 
         The residual is relative to the full-node right-hand side, pinned
         rows included, and is summed without BLAS so it is thread-count
@@ -447,11 +394,8 @@ class ThetaStepper:
         """
         b = u + self._load
         b_norm = np.sqrt(np.sum(u * u) + self._pinned_sq)
-        if self._lu is not None:
-            x = self._lu.solve(b)
-            self.solves += 1
-        else:
-            x = self._bicgstab(b, u, 0.1 * LINEAR_RTOL * b_norm)
+        x = self._lu.solve(b)
+        self.solves += 1
         r = self.A @ x - b
         residual = float(np.sqrt(np.sum(r * r)) / max(b_norm, 1e-300))
         if residual > LINEAR_RTOL:
@@ -500,11 +444,14 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
     diag.field_max = float(field.max())
 
     if n_steps > 0 and interior.size:
-        stepper = ThetaStepper(spec)
+        steppers = [ThetaStepper(spec, a) for a in range(spec.grid.ndim)]
         u = field[interior]
         col = 1
         for k in range(1, n_steps + 1):
-            u, residual = stepper.step(u)
+            residual = 0.0
+            for stepper in steppers:
+                u, r = stepper.step(u)
+                residual = max(residual, r)
             diag.max_residual = max(diag.max_residual, residual)
             diag.last_residual = residual
             diag.field_min = min(diag.field_min, float(u.min()))
@@ -513,8 +460,9 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
                 field[interior] = u
                 values[:, col] = sampler(field)
                 col += 1
-        diag.total_iterations = stepper.solves
-        diag.row_sum_defect = stepper.row_sum_defect
+        diag.total_iterations = sum(s.solves for s in steppers)
+        # A step moves F + G - 1 by at most dt times each factor's defect.
+        diag.row_sum_defect = sum(s.row_sum_defect for s in steppers)
     else:
         # No interior node: nothing marches and every recorded time holds
         # the Dirichlet field.

@@ -403,19 +403,18 @@ class TestSolveCommand:
         return results
 
     def test_result_bytes_independent_of_blas_threads(self, tmp_path):
-        # The shipped 2D config cut to horizon 0.2 (direct LU path).
+        # The shipped 2D config cut to horizon 0.2: two axis factors a step.
         results = self._solve_per_blas_thread_count(
             tmp_path, str(CONFIG_DIR / "double_integrator_exit.json"),
             ["query.horizon=0.2", "query.times.stop=0.2"])
         assert results[0] == results[1]
         diag = json.loads(results[0])["diagnostics"]
-        assert diag["total_iterations"] == diag["n_steps"] == 200
+        assert diag["total_iterations"] == 2 * diag["n_steps"] == 400
 
-    def test_krylov_result_bytes_independent_of_blas_threads(self, tmp_path):
-        # The shipped 3D config cut to horizon 0.1 (Jacobi-BiCGSTAB path), on
-        # 23k nodes: long enough vectors that a threaded BLAS dot in the
-        # iteration would change the bytes, which on the example's own 9k
-        # nodes it does not.
+    def test_3d_result_bytes_independent_of_blas_threads(self, tmp_path):
+        # The shipped 3D config cut to horizon 0.1, three axis factors a
+        # step, on 23k nodes: long enough vectors that a threaded BLAS
+        # reduction in the residual norms would change the bytes.
         ex = make_example("unicycle_disk")
         numerics = {"box_lo": list(ex.box_lo), "box_hi": list(ex.box_hi),
                     "cells": [32, 32, 16], "dt": ex.dt}
@@ -424,7 +423,7 @@ class TestSolveCommand:
             ["query.horizon=0.1", "query.times.stop=0.1", "numerics=" + json.dumps(numerics)])
         assert results[0] == results[1]
         diag = json.loads(results[0])["diagnostics"]
-        assert diag["total_iterations"] >= diag["n_steps"] == 50
+        assert diag["total_iterations"] == 3 * diag["n_steps"] == 150
 
 
 class TestMcCommand:
@@ -546,6 +545,21 @@ class TestValidateCommand:
         path = write_config(tmp_path, doc)
         assert main(["validate", "--config", path]) == 0
 
+    def test_underpowered_mc_check_reports_its_band(self, tmp_path, capsys):
+        # 2000 paths give a DKW half-width of 3.04e-2, above the 0.02 KS
+        # tolerance: the check is recorded as underpowered and still fails.
+        out = tmp_path / "out"
+        argv = ["validate", "--config", str(CONFIG_DIR / "drifted_bm_recovery.json"),
+                "--seed", "5", "--override", "mc.n_paths=2000", "--out", str(out)]
+        assert main(argv) == 1
+        assert re.search(r"FAIL mc_ks: \S+ \(tolerance 2\.000e-02, band 3\.037e-02, "
+                         r"underpowered\)", capsys.readouterr().out)
+        [path] = out.glob("validation_*.json")
+        mc_ks, *others = json.loads(path.read_text())["checks"]
+        assert mc_ks["band"] == pytest.approx(3.04e-2, abs=5e-5)
+        assert mc_ks["underpowered"] is True and mc_ks["passed"] is False
+        assert not any("band" in c for c in others)
+
     def test_validate_runs_one_distribution_solve(self, tmp_path, monkeypatch):
         # The query solves with its probe (1 + 2 solves); complementarity is
         # read off the operator, not from a solve of the complement kind.
@@ -567,10 +581,11 @@ class TestValidateCommand:
     @staticmethod
     def _validate_with_operator(tmp_path, monkeypatch, capsys, mutate):
         """Run validate on the small 1D exit query with ``mutate(spec, L_I)``
-        in place of the assembled interior rows; returns (exit code, stdout)."""
+        in place of the assembled interior rows of its one axis; returns
+        (exit code, stdout)."""
         original = pde_engine._assemble_operator
         monkeypatch.setattr(pde_engine, "_assemble_operator",
-                            lambda spec: mutate(spec, original(spec)))
+                            lambda spec, axis: mutate(spec, original(spec, axis)))
         doc = small_bm_doc(str(tmp_path / "out"))
         doc["mc"]["n_paths"] = 500
         rc = main(["validate", "--config", write_config(tmp_path, doc)])
@@ -658,6 +673,9 @@ class TestValidateCommand:
             (out / f"validation_{ExperimentConfig.from_file(path2).hash}.json").read_text())
         assert solved["name"] == report["checks"][0]["name"] == "mc_ks"
         assert report["checks"][0]["value"] == pytest.approx(solved["value"], abs=1e-12)
+        # The band comes from the live ensemble in one mode and from the MC
+        # artifact's dkw_band in the other.
+        assert report["checks"][0]["band"] == solved["band"]
         assert report["checks"][0]["value"] < 0.05
 
     @pytest.mark.parametrize("pde, mc, key", [

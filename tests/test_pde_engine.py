@@ -60,23 +60,37 @@ def interior_values(spec):
     return initial_field(spec)[spec.interior_mask]
 
 
-def full_node_steps(spec, n_steps):
+def full_node_steps(spec, n_steps, split=False):
     """Reference march over every node: Dirichlet rows are identity rows of
-    ``I - dt L`` and each step is one ``spsolve``; yields the interior values."""
+    ``I - dt L`` and each step is one ``spsolve``, or with ``split`` one
+    ``spsolve`` per axis on ``I - dt L_a``; yields the interior values."""
     mask = spec.interior_mask.ravel()
     pinned = ~mask
     interior = np.flatnonzero(mask)
     # Place the interior rows of L at their nodes; pinned rows stay empty.
     embed = sp.csr_matrix((np.ones(interior.size), (interior, np.arange(interior.size))),
                           shape=(mask.size, interior.size))
-    L = embed @ _assemble_operator(spec)
-    A = (sp.identity(spec.grid.n_nodes) - spec.dt * L).tocsc()
+    parts = [embed @ _assemble_operator(spec, a) for a in range(spec.grid.ndim)]
+    if not split:
+        parts = [sum(parts[1:], parts[0])]
+    factors = [(sp.identity(spec.grid.n_nodes) - spec.dt * L).tocsc() for L in parts]
     field = initial_field(spec).ravel()
     for _ in range(n_steps):
-        b = field.copy()
-        b[pinned] = spec.dirichlet_value
-        field = spla.spsolve(A, b)
+        for A in factors:
+            b = field.copy()
+            b[pinned] = spec.dirichlet_value
+            field = spla.spsolve(A, b)
         yield field[~pinned]
+
+
+def split_steps(spec, values, n_steps):
+    """The solver's own march: one ThetaStepper per axis; yields the interior values."""
+    steppers = [ThetaStepper(spec, a) for a in range(spec.grid.ndim)]
+    for _ in range(n_steps):
+        for stepper in steppers:
+            values, residual = stepper.step(values)
+            assert residual <= LINEAR_RTOL
+        yield values
 
 
 def ball_exit_spec(cells=12, horizon=0.1, dt=1e-2):
@@ -219,12 +233,12 @@ class TestStep:
     def test_zero_operator_leaves_field_unchanged(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 0.0, lambda x: x >= 0.0, 0.0)
         start = interior_values(spec)
-        out, _ = ThetaStepper(spec).step(start)
+        out, _ = ThetaStepper(spec, 0).step(start)
         np.testing.assert_array_equal(out, start)
 
     def test_constants_are_solutions(self):
         spec = line_spec(-2.0, 2.0, 16, 0.7, 1.3, lambda x: x >= 0.0, 1.0)
-        stepper = ThetaStepper(spec)
+        stepper = ThetaStepper(spec, 0)
         values = np.ones(int(spec.interior_mask.sum()))
         for _ in range(5):
             values, _ = stepper.step(values)
@@ -317,7 +331,7 @@ class TestCrossDerivativeStencil:
         diff[..., 0, 1] = r
         diff[..., 1, 0] = r
         spec = IbvpSpec(grid, mask, conv, diff, 0.0, 1.0, 0.1)
-        L = _assemble_operator(spec)
+        L = _assemble_operator(spec, 0) + _assemble_operator(spec, 1)
         xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
         F = (xs * ys).ravel()
         out = (L @ F).reshape(grid.shape)
@@ -391,37 +405,10 @@ class TestExports:
 class TestStepperInternals:
     def test_warm_start_converges_immediately_on_steady_state(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 0.0, lambda x: x >= 0.0, 0.0)
-        stepper = ThetaStepper(spec)
+        stepper = ThetaStepper(spec, 0)
         out, residual = stepper.step(interior_values(spec))
         assert residual <= 1e-10
         np.testing.assert_array_equal(out, interior_values(spec))
-
-    def test_iterative_branch_matches_direct(self, monkeypatch):
-        # A 3D grid marches with Jacobi-BiCGSTAB; raising the axis threshold
-        # puts the same spec on the direct LU path.
-        spec = ball_exit_spec()
-        nodes = spec.grid.nodes()
-        iterative = solve_ibvp(spec, snapshot_times=[0.05, 0.1], points=nodes)
-        monkeypatch.setattr(pde_engine, "_KRYLOV_MIN_NDIM", 4)
-        direct = solve_ibvp(spec, snapshot_times=[0.05, 0.1], points=nodes)
-        assert direct.diagnostics.total_iterations == direct.diagnostics.n_steps
-        assert iterative.values.shape == (spec.grid.n_nodes, 3)
-        np.testing.assert_allclose(iterative.values, direct.values, rtol=0.0, atol=1e-8)
-        for series in (iterative, direct):
-            np.testing.assert_array_equal(series.values[:, -1], series.final_field.ravel())
-        diag = iterative.diagnostics
-        assert diag.max_residual <= 1e-10
-        assert diag.total_iterations >= diag.n_steps == 10
-
-    def test_krylov_nonconvergence_raises_solver_error(self, monkeypatch):
-        def no_direct_solve(*args, **kwargs):
-            raise AssertionError("the Krylov path must not fall back to a direct solve")
-
-        for name in ("splu", "spsolve"):
-            monkeypatch.setattr(pde_engine.spla, name, no_direct_solve)
-        monkeypatch.setattr(pde_engine, "LINEAR_MAXITER", 1)
-        with pytest.raises(SolverError, match="in 1 iterations"):
-            solve_ibvp(ball_exit_spec())
 
     def test_singular_matrix_raises_solver_error(self, monkeypatch):
         def singular(*_args, **_kwargs):
@@ -430,24 +417,40 @@ class TestStepperInternals:
         monkeypatch.setattr(pde_engine.spla, "splu", singular)
         spec = line_spec(-2.0, 2.0, 16, 0.0, 1.0, lambda x: x >= 0.0, 0.0)
         with pytest.raises(SolverError, match="singular"):
-            ThetaStepper(spec)
+            ThetaStepper(spec, 0)
 
-    def test_symmetric_order_cuts_factor_fill_on_shipped_2d_grid(self):
-        # The minimum-degree order on A^T + A with diagonal pivots fills the
-        # factor of the shipped double_integrator interior step matrix at
-        # 0.59 times the default COLAMD order with partial pivoting.
+    def test_factor_solve_missing_the_residual_raises_solver_error(self, monkeypatch):
+        # A factor whose solve is off by 1e-6 fails the residual check of its step.
+        class Perturbed:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return self.lu.solve(b) + 1e-6
+
+        splu = spla.splu
+        monkeypatch.setattr(pde_engine.spla, "splu",
+                            lambda *args, **kwargs: Perturbed(splu(*args, **kwargs)))
+        with pytest.raises(SolverError, match="failed to reach residual"):
+            solve_ibvp(ball_exit_spec())
+
+    def test_axis_factors_have_no_fill_on_shipped_2d_grid(self):
+        # Without cross terms each axis factor is a set of independent
+        # tridiagonal line systems: the minimum-degree order on A^T + A with
+        # diagonal pivots factors it with no fill, so L + U (L with its unit
+        # diagonal) holds nnz(A) + n entries.
         ex = make_example("double_integrator")
         num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=ex.cells, dt=ex.dt)
         spec = _assemble(ex.system, ex.barrier, ex.policy, _padded_grid(num), 0.0,
                          "super", 1.0, ex.horizon, ex.dt)
-        stepper = ThetaStepper(spec)
-        default = spla.splu(stepper.A.tocsc())
-        fill = stepper._lu.L.nnz + stepper._lu.U.nnz
-        assert fill <= 0.75 * (default.L.nnz + default.U.nnz)
+        for axis in range(2):
+            stepper = ThetaStepper(spec, axis)
+            assert stepper._lu.L.nnz + stepper._lu.U.nnz == stepper.A.nnz + stepper.A.shape[0]
 
     def test_direct_steps_match_spsolve_with_cross_diffusion(self):
-        # Off-diagonal diffusion puts positive off-diagonal entries in A, so
-        # it is no M-matrix; the relaxed pivot threshold must still solve it.
+        # Off-diagonal diffusion puts positive off-diagonal entries in the
+        # axis-0 factor, which holds the cross terms, so it is no M-matrix;
+        # the relaxed pivot threshold must still solve it.
         grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (20, 24))
         nodes = grid.nodes()
         mask = (np.sum(nodes ** 2, axis=1) < 0.8).reshape(grid.shape)
@@ -457,22 +460,48 @@ class TestStepperInternals:
         diff[..., 1, 1] = 0.5
         diff[..., 0, 1] = diff[..., 1, 0] = 0.6
         spec = IbvpSpec(grid, mask, conv, diff, 1.0, 0.1, 1e-2)
-        stepper = ThetaStepper(spec)
-        values = interior_values(spec)
-        for expected in full_node_steps(spec, 5):
-            values, residual = stepper.step(values)
-            assert residual <= LINEAR_RTOL
+        assert _assemble_operator(spec, 1).nnz < _assemble_operator(spec, 0).nnz
+        marched = split_steps(spec, interior_values(spec), 5)
+        for values, expected in zip(marched, full_node_steps(spec, 5, split=True)):
             np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
 
-    def test_krylov_steps_match_full_node_spsolve(self):
+    def test_3d_split_steps_match_full_node_spsolve(self):
         spec = ball_exit_spec()
-        stepper = ThetaStepper(spec)
-        assert stepper._lu is None
-        values = interior_values(spec)
-        for expected in full_node_steps(spec, 5):
-            values, residual = stepper.step(values)
-            assert residual <= LINEAR_RTOL
-            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-8)
-        # The stop rule is relative to the full-node right-hand side, pinned
-        # rows included: the full-node march took the same 54 applications.
-        assert stepper.solves == 54
+        marched = split_steps(spec, interior_values(spec), 5)
+        for values, expected in zip(marched, full_node_steps(spec, 5, split=True)):
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+        diag = solve_ibvp(spec).diagnostics
+        assert diag.total_iterations == 3 * diag.n_steps == 30
+
+    def test_split_shift_from_the_unsplit_step_is_first_order(self):
+        # Splitting moves the values against the unsplit backward-Euler step
+        # by O(dt): 0.0165 after 5 steps of 1e-2 on this grid, and half that
+        # after 10 steps of 5e-3.
+        def shift(dt, n_steps):
+            spec = ball_exit_spec(dt=dt)
+            pairs = zip(full_node_steps(spec, n_steps, split=True),
+                        full_node_steps(spec, n_steps))
+            return max(np.max(np.abs(a - b)) for a, b in pairs)
+
+        coarse = shift(1e-2, 5)
+        assert 0.0 < coarse <= 0.02
+        assert 0.45 <= shift(5e-3, 10) / coarse <= 0.55
+
+    @pytest.mark.parametrize("eps", [{1: 1e-3}, {0: 2e-3, 1: 1e-3}])
+    def test_row_sum_defect_sums_the_axis_factors(self, monkeypatch, eps):
+        # A row perturbed in any factor moves F + G - 1 by dt times its defect,
+        # so the reported defect is the sum over the factors.
+        original = pde_engine._assemble_operator
+
+        def perturbed(spec, axis):
+            L = original(spec, axis).tolil()
+            L[0, np.flatnonzero(spec.interior_mask)[0]] -= eps.get(axis, 0.0)
+            return L.tocsr()
+
+        monkeypatch.setattr(pde_engine, "_assemble_operator", perturbed)
+        grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (16, 16))
+        conv, diff = const_fields(grid, 0.5, 1.0)
+        mask = grid.nodes()[:, 0].reshape(grid.shape) >= 0.0
+        spec = IbvpSpec(grid, mask, conv, diff, 1.0, 0.1, 1e-2)
+        diag = solve_ibvp(spec).diagnostics
+        assert diag.row_sum_defect == pytest.approx(sum(eps.values()), rel=1e-9)
