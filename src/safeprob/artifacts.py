@@ -183,11 +183,11 @@ def artifact_layout(path: str):
         raise DataError(f"artifact {path} has a malformed layout: {err}") from None
 
 
-def load_table(path: str, state_index: int = 0) -> tuple[str, CdfTable, float | None]:
+def load_table(path: str) -> tuple[str, CdfTable, float | None]:
     """Load either artifact layout as (kind, table, DKW band).
 
     An empirical artifact gives its whole curve and its band, a solve
-    result the curve of query state ``state_index`` and no band.
+    result the curve of query state 0 and no band.
     """
     doc = read_artifact(path)
     if not isinstance(doc, dict) or ("grid" not in doc and "times" not in doc):
@@ -196,7 +196,7 @@ def load_table(path: str, state_index: int = 0) -> tuple[str, CdfTable, float | 
         if "grid" in doc:
             points, values, band = doc["grid"], doc["values"], float(doc["dkw_band"])
         else:
-            points, values, band = doc["times"], doc["values"][state_index], None
+            points, values, band = doc["times"], doc["values"][0], None
         return str(doc["kind"]), CdfTable(np.asarray(points, dtype=float),
                                           np.asarray(values, dtype=float)), band
 

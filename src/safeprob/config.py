@@ -4,18 +4,22 @@ A configuration is a JSON document naming the paper's objects: the
 controlled SDE (``system``), the ``barrier``, the safe-control ``policy``,
 the distribution ``query``, the PDE ``numerics`` and the Monte Carlo check
 (``mc``).  ``SCHEMA`` is the one table of keys, each with its default (or
-``REQUIRED``) and type; ``validate_config`` rejects unknown, missing and
-out-of-range values by key.  ``ExperimentConfig.get("a.b.c")`` returns a
-value or its default, never writing defaults into the hashed document.  A
-built-in ``example`` supplies the system, barrier, policy and numerics;
-explicit sections replace its system, barrier and policy, and a
-``numerics`` section overrides only the keys it names.
+``REQUIRED``), its type and, where a key's values are narrower than its
+type, a rule ``(test, message)`` that a present value must pass.
+``validate_config`` rejects unknown, missing, non-finite and out-of-range
+values by key, and adds only the rules that join two or more keys.
+``ExperimentConfig.get("a.b.c")`` returns a value or its default, never
+writing defaults into the hashed document.  A built-in ``example`` supplies
+the system, barrier, policy and numerics; explicit sections replace its
+system, barrier and policy, and a ``numerics`` section overrides only the
+keys it names.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +34,17 @@ _NUMBER = (int, float)
 # The default of a key that must be present whenever its section is.
 REQUIRED = object()
 
-# The one table of config keys: each key maps to (default, schema), where
-# the default is REQUIRED or the value ``ExperimentConfig.get`` returns when
-# the key is absent (None: absent means unset).  Schema node forms:
+# The one table of config keys: each key maps to (default, schema) or
+# (default, schema, (test, message)), where the default is REQUIRED or the
+# value ``ExperimentConfig.get`` returns when the key is absent (None: absent
+# means unset).  A present value that passes the schema but fails ``test``
+# raises ``message.format(value)`` at its key.  Schema node forms:
 #   dict  -> nested object of such keys
-#   type / tuple of types -> scalar leaf
+#   type / tuple of types -> scalar leaf (every number finite)
 #   [schema] -> homogeneous list
 SCHEMA: dict = {
-    "example": (None, str),
+    "example": (None, str, (lambda v: v in example_names(),
+                            "unknown example {!r}; available: " + ", ".join(example_names()))),
     "system": (None, {
         "dim_state": (REQUIRED, int),
         "dim_input": (REQUIRED, int),
@@ -51,35 +58,37 @@ SCHEMA: dict = {
         "level": (0, _NUMBER),
     }),
     "policy": (None, {
-        "kind": (REQUIRED, str),
+        "kind": (REQUIRED, str, (lambda v: v in POLICY_KINDS, "unknown policy kind {!r}")),
         "nominal": (None, [str]),
-        "alpha_gain": (1, _NUMBER),
+        "alpha_gain": (1, _NUMBER, (lambda v: v > 0, "alpha_gain must be positive")),
         "c": (None, str),
     }),
     "query": (None, {
-        "kind": (REQUIRED, str),
+        "kind": (REQUIRED, str, (lambda v: v in KINDS, "unknown distribution kind {!r}")),
         "states": (REQUIRED, [[_NUMBER]]),
         "level": (None, _NUMBER),
-        "horizon": (REQUIRED, _NUMBER),
+        "horizon": (REQUIRED, _NUMBER, (lambda v: v >= 0, "horizon must be >= 0")),
         "times": (None, {
             "start": (REQUIRED, _NUMBER),
             "stop": (REQUIRED, _NUMBER),
-            "num": (REQUIRED, int),
+            "num": (REQUIRED, int, (lambda v: v >= 1, "num must be >= 1")),
         }),
     }),
     "numerics": (None, {
         "box_lo": (REQUIRED, [_NUMBER]),
         "box_hi": (REQUIRED, [_NUMBER]),
         "cells": (REQUIRED, [int]),
-        "dt": (REQUIRED, _NUMBER),
+        "dt": (REQUIRED, _NUMBER, (lambda v: v > 0, "dt must be positive")),
         "boundary_probe": (True, bool),
     }),
     "mc": (None, {
-        "n_paths": (REQUIRED, int),
-        "dt": (REQUIRED, _NUMBER),
-        "seed": (REQUIRED, int),
-        "confidence": (0.95, _NUMBER),
-        "max_divergence_fraction": (0.01, _NUMBER),
+        "n_paths": (REQUIRED, int, (lambda v: v >= 1, "n_paths must be >= 1")),
+        "dt": (REQUIRED, _NUMBER, (lambda v: v > 0, "dt must be positive")),
+        "seed": (REQUIRED, int, (lambda v: 0 <= v < 2**64,
+                                 "seed must fit an unsigned 64-bit integer")),
+        "confidence": (0.95, _NUMBER, (lambda v: 0 < v < 1, "confidence must lie in (0, 1)")),
+        "max_divergence_fraction": (0.01, _NUMBER, (lambda v: 0 <= v <= 1,
+                                                    "max_divergence_fraction must lie in [0, 1]")),
         "event_log": (False, bool),
     }),
     "output": (None, {
@@ -115,13 +124,16 @@ def _validate_node(value, schema, path: str, supplied=frozenset()) -> None:
         for key in value:
             if key not in schema:
                 raise ConfigError("unknown key", f"{path}.{key}" if path else key)
-        for key, (default, sub) in schema.items():
+        for key, (default, sub, *rule) in schema.items():
             here = f"{path}.{key}" if path else key
             if key not in value:
                 if default is REQUIRED and here not in supplied:
                     raise ConfigError("missing required key", here)
                 continue
             _validate_node(value[key], sub, here, supplied)
+            for test, message in rule:
+                if not test(value[key]):
+                    raise ConfigError(message.format(value[key]), here)
     elif isinstance(schema, list):
         if not isinstance(value, list):
             raise ConfigError("expected a list", path)
@@ -136,6 +148,10 @@ def _validate_node(value, schema, path: str, supplied=frozenset()) -> None:
         if not isinstance(value, schema):
             want = getattr(schema, "__name__", "number")
             raise ConfigError(f"expected {want}", path)
+        # json reads NaN and Infinity, and NaN fails every range comparison;
+        # an integer past the float range would overflow float() later.
+        if schema == _NUMBER and not abs(value) <= sys.float_info.max:
+            raise ConfigError("expected a finite number", path)
 
 
 def _lookup(doc: dict, dotted: str):
@@ -145,12 +161,12 @@ def _lookup(doc: dict, dotted: str):
     keys = dotted.split(".")
     node, schema = doc, SCHEMA
     for i, key in enumerate(keys):
-        default, schema = schema[key]
+        default, schema = schema[key][:2]
         if key not in node:
             if dotted in _EXAMPLE_NUMERICS and "example" in doc:
                 return getattr(make_example(doc["example"]), keys[-1])
             for inner in keys[i + 1:]:
-                default, schema = schema[inner]
+                default, schema = schema[inner][:2]
             if default is REQUIRED:
                 raise ConfigError("missing required key", ".".join(keys[:i + 1]))
             return default
@@ -162,35 +178,23 @@ def validate_config(doc: dict) -> dict:
     """Validate a raw configuration document; returns it unchanged."""
     named = isinstance(doc, dict) and "example" in doc
     _validate_node(doc, SCHEMA, "", _EXAMPLE_NUMERICS if named else frozenset())
-    if "example" in doc and doc["example"] not in example_names():
-        raise ConfigError(f"unknown example {doc['example']!r}; "
-                          f"available: {', '.join(example_names())}", "example")
-    if "example" not in doc:
+    if not named:
         for key in ("system", "barrier"):
             if key not in doc:
                 raise ConfigError("missing required key (no example named)", key)
     if "query" in doc:
-        if doc["query"]["kind"] not in KINDS:
-            raise ConfigError(f"unknown distribution kind {doc['query']['kind']!r}", "query.kind")
         horizon = doc["query"]["horizon"]
-        if horizon < 0:
-            raise ConfigError("horizon must be >= 0", "query.horizon")
         times = _lookup(doc, "query.times")
         if times is not None:
-            if times["num"] < 1:
-                raise ConfigError("num must be >= 1", "query.times.num")
             for key in ("start", "stop"):
                 if not 0 <= times[key] <= horizon:
                     raise ConfigError(f"{key} must lie in [0, horizon {horizon}]",
                                       f"query.times.{key}")
             if times["start"] > times["stop"]:
                 raise ConfigError("start must not exceed stop", "query.times.start")
-    if "policy" in doc:
-        if doc["policy"]["kind"] not in POLICY_KINDS:
-            raise ConfigError(f"unknown policy kind {doc['policy']['kind']!r}", "policy.kind")
-        if doc["policy"]["kind"] == "gradient" and "c" not in doc["policy"]:
-            raise ConfigError("gradient policy requires key", "policy.c")
-    if "numerics" in doc or "example" in doc:
+    if "policy" in doc and doc["policy"]["kind"] == "gradient" and "c" not in doc["policy"]:
+        raise ConfigError("gradient policy requires key", "policy.c")
+    if "numerics" in doc or named:
         n = (doc["system"]["dim_state"] if "system" in doc
              else make_example(doc["example"]).system.n)
         num = {key: _lookup(doc, f"numerics.{key}") for key in ("box_lo", "box_hi", "cells")}
@@ -198,26 +202,10 @@ def validate_config(doc: dict) -> dict:
             if len(axes) != n:
                 raise ConfigError("box_lo, box_hi and cells must have equal lengths, "
                                   f"one per state axis ({n})", f"numerics.{key}")
-        if _lookup(doc, "numerics.dt") <= 0:
-            raise ConfigError("dt must be positive", "numerics.dt")
         for a, (lo, hi) in enumerate(zip(num["box_lo"], num["box_hi"])):
             if not lo < hi:
                 raise ConfigError(f"axis {a}: box_hi {hi} must exceed box_lo {lo}",
                                   "numerics.box_hi")
-    if "mc" in doc:
-        if doc["mc"]["n_paths"] < 1:
-            raise ConfigError("n_paths must be >= 1", "mc.n_paths")
-        if doc["mc"]["dt"] <= 0:
-            raise ConfigError("dt must be positive", "mc.dt")
-        if not 0 <= doc["mc"]["seed"] < 2**64:
-            raise ConfigError("seed must fit an unsigned 64-bit integer", "mc.seed")
-    if not 0 < _lookup(doc, "mc.confidence") < 1:
-        raise ConfigError("confidence must lie in (0, 1)", "mc.confidence")
-    if not 0 <= _lookup(doc, "mc.max_divergence_fraction") <= 1:
-        raise ConfigError("max_divergence_fraction must lie in [0, 1]",
-                          "mc.max_divergence_fraction")
-    if not _lookup(doc, "policy.alpha_gain") > 0:
-        raise ConfigError("alpha_gain must be positive", "policy.alpha_gain")
     return doc
 
 

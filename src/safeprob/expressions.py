@@ -62,7 +62,8 @@ def _check(node: ast.AST, names: set, expr: str) -> None:
         if node.id not in names and node.id not in _CONSTS:
             raise ConfigError(f"unknown variable {node.id!r} in expression {expr!r}")
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        # bool is an int subclass: ``True`` would read as 1.
+        if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
             raise ConfigError(f"only numeric literals allowed in expression {expr!r}")
     else:
         raise ConfigError(f"syntax not allowed in expression {expr!r}")

@@ -194,6 +194,28 @@ class TestConfigValidation:
         ("solve", "numerics.cells=[10,10]", "numerics.cells"),
         ("mc", "mc.dt=5", "mc.dt"),
         ("validate", "mc.dt=5", "mc.dt"),
+        ("solve", 'query.kind="bogus"', "query.kind"),
+        ("solve", "query.horizon=-1", "query.horizon"),
+        ("solve", 'policy={"kind": "bogus"}', "policy.kind"),
+        ("solve", 'policy={"kind": "gradient"}', "policy.c"),
+        ("mc", "mc.seed=-1", "mc.seed"),
+        ("mc", "mc.seed=18446744073709551616", "mc.seed"),
+        ("mc", "mc.dt=0", "mc.dt"),
+        ("mc", "mc.n_paths=0", "mc.n_paths"),
+        # json reads NaN and Infinity; each must stop at its key.
+        ("solve", "numerics.dt=NaN", "numerics.dt"),
+        ("mc", "mc.dt=NaN", "mc.dt"),
+        ("solve", "query.horizon=Infinity", "query.horizon"),
+        ("mc", "query.horizon=Infinity", "query.horizon"),
+        ("solve", "query.level=NaN", "query.level"),
+        ("mc", "query.level=NaN", "query.level"),
+        ("solve", "numerics.box_hi=[Infinity]", "numerics.box_hi[0]"),
+        ("mc", "numerics.box_hi=[Infinity]", "numerics.box_hi[0]"),
+        ("solve", "query.states=[[NaN]]", "query.states[0][0]"),
+        ("mc", "numerics.box_lo=[-Infinity]", "numerics.box_lo[0]"),
+        # An integer past the float range has no finite float value.
+        pytest.param("solve", f"query.horizon={10**400}", "query.horizon",
+                     id="solve-query.horizon=10**400-query.horizon"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, monkeypatch, command,
                                         override, key):
@@ -230,7 +252,7 @@ class TestConfigValidation:
 
     def test_readme_table_gives_every_schema_default(self):
         def optional_leaves(schema, prefix=""):
-            for key, (default, sub) in schema.items():
+            for key, (default, sub, *_rule) in schema.items():
                 if isinstance(sub, dict):
                     yield from optional_leaves(sub, f"{prefix}{key}.")
                 elif default is not REQUIRED:

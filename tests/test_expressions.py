@@ -65,6 +65,12 @@ class TestRejection:
         with pytest.raises(ConfigError):
             compile_scalar("'abc'", 1)
 
+    @pytest.mark.parametrize("expr", ["x1 + True", "False"])
+    def test_boolean_literal_blocked(self, expr):
+        # bool is an int subclass, so True would otherwise read as 1.
+        with pytest.raises(ConfigError, match="only numeric literals allowed"):
+            compile_scalar(expr, 1)
+
     def test_syntax_error_reported(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             compile_scalar("2 +", 1)
