@@ -33,6 +33,13 @@ from .system_model import POLICY_KINDS, BarrierProblem, ControlSystem, Policy, l
 _NUMBER = (int, float)
 # The default of a key that must be present whenever its section is.
 REQUIRED = object()
+# Caps on a query's step count, horizon / dt, for the PDE march and for the
+# Monte Carlo paths, and on its number of tabulation times: in round numbers
+# a thousand times the shipped configs' 1,000 steps and 101 times.  At the
+# step cap the smallest Monte Carlo block, 64 paths, holds 512 MB of noise
+# per noise axis; at the times cap a curve is about 2 MB of JSON.
+MAX_STEPS = 1_000_000
+MAX_TIMES = 100_000
 
 # The one table of config keys: each key maps to (default, schema) or
 # (default, schema, (test, message)), where the default is REQUIRED or the
@@ -71,7 +78,8 @@ SCHEMA: dict = {
         "times": (None, {
             "start": (REQUIRED, _NUMBER),
             "stop": (REQUIRED, _NUMBER),
-            "num": (REQUIRED, int, (lambda v: v >= 1, "num must be >= 1")),
+            "num": (REQUIRED, int, (lambda v: 1 <= v <= MAX_TIMES,
+                                    f"num must lie in [1, {MAX_TIMES}]")),
         }),
     }),
     "numerics": (None, {
@@ -192,6 +200,11 @@ def validate_config(doc: dict) -> dict:
                                       f"query.times.{key}")
             if times["start"] > times["stop"]:
                 raise ConfigError("start must not exceed stop", "query.times.start")
+        for key, present in (("mc.dt", "mc" in doc), ("numerics.dt", "numerics" in doc or named)):
+            dt = _lookup(doc, key) if present else None
+            if dt is not None and horizon / dt > MAX_STEPS:
+                raise ConfigError(f"dt {dt} makes {horizon / dt:.3g} steps over the horizon "
+                                  f"{horizon}, above cap {MAX_STEPS}", key)
     if "policy" in doc and doc["policy"]["kind"] == "gradient" and "c" not in doc["policy"]:
         raise ConfigError("gradient policy requires key", "policy.c")
     if "numerics" in doc or named:

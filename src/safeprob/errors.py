@@ -26,6 +26,11 @@ class InfeasibilityError(SafeProbError):
             message = f"safety filter infeasible at state {self.state.tolist()}"
         super().__init__(message)
 
+    def __reduce__(self):
+        # Rebuilt from both arguments, so the error survives the trip back
+        # from a Monte Carlo worker process.
+        return type(self), (self.state, str(self))
+
 
 class SolverError(SafeProbError):
     """Linear or time-stepping solve failed; carries a residual report."""

@@ -11,10 +11,21 @@ paths are blocked or scheduled.  Each block of paths builds one Philox
 generator and re-keys it per path, which draws exactly the per-path
 streams.  Crossing times are refined by linear interpolation of the
 barrier value inside the crossing step.
+
+On Linux the blocks run in up to one forked worker process per available
+CPU, and in the calling process otherwise (one block or one CPU, no
+``fork``, or a daemonic caller); the bytes do not depend on the worker
+count.  Each process holds one block's noise at a time.  Workers need
+``fork``: Python 3.12 and later warn when a process with running threads
+forks.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,49 +143,39 @@ def _record_down_crossing(before: np.ndarray, after: np.ndarray, level: float,
         pending[hit] = False
 
 
-def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-                   x0, cfg: PathConfig, level: float | None = None) -> PathEnsemble:
-    """Euler-Maruyama ensemble recording barrier extrema and crossing times.
+class _BlockSimulator:
+    """Simulates one block of paths, ``(start, count)``, at a time.
 
-    The closed loop K(X) is evaluated every step.  Crossing times are
-    recorded against ``level`` (the barrier's own level by default).
-    Paths that produce non-finite states are flagged and excluded; paths
-    reaching states where the zero-CBF filter is infeasible are likewise
-    flagged and counted separately.  An excluded path freezes at its last
-    state and records nothing more.
+    A call returns the block's (min_phi, max_phi, exit_time, entry_time,
+    diverged, infeasible).  The noise buffer, of the largest block's size,
+    is allocated at the first call and filled again for every later block,
+    so a process holds one block's noise at a time.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    if not np.all(np.isfinite(x0)):
-        raise DataError("initial state must be finite")
-    level = bar.level if level is None else float(level)
-    phi0 = float(bar.phi_at(x0[None])[0])
 
-    n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
-    dt = cfg.horizon / n_steps
-    sqdt = np.sqrt(dt)
+    def __init__(self, sys: ControlSystem, bar: BarrierProblem, policy: Policy,
+                 x0: np.ndarray, phi0: float, level: float, seed: int, n_steps: int,
+                 dt: float, size: int):
+        self.models = sys, bar, policy
+        self.x0, self.phi0, self.level, self.seed = x0, phi0, level, seed
+        self.n_steps, self.dt, self.size = n_steps, dt, size
+        self.buffer = None
 
-    per_path_bytes = 8 * n_steps * sys.k
-    block = max(64, min(BLOCK_SIZE, int(_BLOCK_BYTES // max(per_path_bytes, 1))))
-
-    n = cfg.n_paths
-    min_phi = np.full(n, phi0)
-    max_phi = np.full(n, phi0)
-    exit_time = np.full(n, 0.0 if phi0 <= level else np.nan)
-    entry_time = np.full(n, 0.0 if phi0 >= level else np.nan)
-    diverged = np.zeros(n, dtype=bool)
-    infeasible_flag = np.zeros(n, dtype=bool)
-
-    # One noise buffer serves every block; the last one fills a leading slice.
-    buffer = np.empty((min(block, n), n_steps, sys.k))
-    for start in range(0, n, block):
-        count = min(block, n - start)
-        rows = slice(start, start + count)
-        noise = _path_noise(cfg.seed, start, count, n_steps, sys.k, out=buffer[:count])
-        x = np.tile(x0, (count, 1))
+    def __call__(self, block: tuple[int, int]) -> tuple[np.ndarray, ...]:
+        start, count = block
+        sys, bar, policy = self.models
+        phi0, level, n_steps, dt = self.phi0, self.level, self.n_steps, self.dt
+        sqdt = np.sqrt(dt)
+        if self.buffer is None:
+            self.buffer = np.empty((self.size, n_steps, sys.k))
+        noise = _path_noise(self.seed, start, count, n_steps, sys.k, out=self.buffer[:count])
+        x = np.tile(self.x0, (count, 1))
         phi = np.full(count, phi0)
         alive = np.ones(count, dtype=bool)
-        b_min, b_max = min_phi[rows], max_phi[rows]
-        b_exit, b_entry = exit_time[rows], entry_time[rows]
+        b_min, b_max = np.full(count, phi0), np.full(count, phi0)
+        b_exit = np.full(count, 0.0 if phi0 <= level else np.nan)
+        b_entry = np.full(count, 0.0 if phi0 >= level else np.nan)
+        diverged = np.zeros(count, dtype=bool)
+        infeasible_flag = np.zeros(count, dtype=bool)
         # Alive paths whose exit/entry is still to be recorded.
         exit_pending, entry_pending = np.isnan(b_exit), np.isnan(b_entry)
 
@@ -183,7 +184,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(n_steps):
                 u, infeasible = closed_loop_control_batch(policy, sys, bar, x)
-                _exclude(infeasible & alive, infeasible_flag[rows], alive,
+                _exclude(infeasible & alive, infeasible_flag, alive,
                          exit_pending, entry_pending)
                 drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
                 xn = x + drift * dt + np.einsum("bik,bk->bi", sys.sigma_at(x),
@@ -191,7 +192,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                 phin = bar.phi_at(xn)
                 if not (np.isfinite(xn).all() and np.isfinite(phin).all()):
                     bad = ~(np.all(np.isfinite(xn), axis=1) & np.isfinite(phin))
-                    _exclude(bad & alive, diverged[rows], alive, exit_pending, entry_pending)
+                    _exclude(bad & alive, diverged, alive, exit_pending, entry_pending)
                 # Excluded paths freeze: their phi lies in [min, max] already and
                 # nothing pends on them, so the one update below keeps their statistics.
                 if not alive.all():
@@ -206,13 +207,81 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                 np.minimum(b_min, phin, out=b_min)
                 np.maximum(b_max, phin, out=b_max)
                 x, phi = xn, phin
+        return b_min, b_max, b_exit, b_entry, diverged, infeasible_flag
+
+
+# The block simulator of a worker process, inherited from the parent through
+# fork by the pool's initializer; None in every other process.
+_worker_simulator = None
+
+
+def _init_worker(simulator: _BlockSimulator) -> None:
+    global _worker_simulator
+    _worker_simulator = simulator
+
+
+def _simulate_in_worker(block: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    return _worker_simulator(block)
+
+
+def _worker_count(n_blocks: int) -> int:
+    """Worker processes for ``n_blocks`` blocks: one per available CPU, at most
+    one per block, and 1 (run in-process) where workers cannot be forked."""
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return min(n_blocks, len(os.sched_getaffinity(0)))
+
+
+def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
+                   x0, cfg: PathConfig, level: float | None = None) -> PathEnsemble:
+    """Euler-Maruyama ensemble recording barrier extrema and crossing times.
+
+    The closed loop K(X) is evaluated every step.  Crossing times are
+    recorded against ``level`` (the barrier's own level by default).
+    Paths that produce non-finite states are flagged and excluded; paths
+    reaching states where the zero-CBF filter is infeasible are likewise
+    flagged and counted separately.  An excluded path freezes at its last
+    state and records nothing more.
+
+    The blocks run in forked worker processes, one per available CPU, or
+    in the calling process when there is one worker; the result does not
+    depend on which.  The models reach the workers through fork, so they
+    need not pickle; only block bounds go out and per-path arrays come back.
+    """
+    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
+    if not np.all(np.isfinite(x0)):
+        raise DataError("initial state must be finite")
+    level = bar.level if level is None else float(level)
+    phi0 = float(bar.phi_at(x0[None])[0])
+
+    n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
+    per_path_bytes = 8 * n_steps * sys.k
+    block = max(64, min(BLOCK_SIZE, int(_BLOCK_BYTES // max(per_path_bytes, 1))))
+
+    # Even out the blocks so that every worker runs as many of them.
+    n = cfg.n_paths
+    workers = _worker_count(math.ceil(n / block))
+    size = math.ceil(n / (workers * math.ceil(n / (block * workers))))
+    blocks = [(start, min(size, n - start)) for start in range(0, n, size)]
+    simulator = _BlockSimulator(sys, bar, policy, x0, phi0, level, cfg.seed, n_steps,
+                                cfg.horizon / n_steps, size)
+    if workers == 1:
+        parts = list(map(simulator, blocks))
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker, initargs=(simulator,)) as pool:
+            parts = list(pool.map(_simulate_in_worker, blocks))
+    min_phi, max_phi, exit_time, entry_time, diverged, infeasible = (
+        np.concatenate(column) for column in zip(*parts))
 
     return PathEnsemble(config=cfg, level=level, x0=x0, phi0=phi0,
                         min_phi=min_phi, max_phi=max_phi,
                         exit_time=exit_time, entry_time=entry_time,
-                        excluded=diverged | infeasible_flag,
+                        excluded=diverged | infeasible,
                         n_diverged=int(diverged.sum()),
-                        n_infeasible=int(infeasible_flag.sum()))
+                        n_infeasible=int(infeasible.sum()))
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,11 @@ class TestConfigValidation:
         # An integer past the float range has no finite float value.
         pytest.param("solve", f"query.horizon={10**400}", "query.horizon",
                      id="solve-query.horizon=10**400-query.horizon"),
+        # Finite but absurd step and time counts stop before any allocation.
+        ("mc", "query.horizon=1e300", "mc.dt"),
+        ("mc", "mc.dt=1e-300", "mc.dt"),
+        ("mc", 'query.times={"start": 0, "stop": 1, "num": 100000000}', "query.times.num"),
+        ("solve", "numerics.dt=1e-300", "numerics.dt"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, monkeypatch, command,
                                         override, key):

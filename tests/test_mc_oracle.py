@@ -1,4 +1,9 @@
+import dataclasses
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from safeprob import (
     simulate_paths,
 )
 from safeprob import mc_oracle
-from safeprob.errors import DataError
+from safeprob.errors import DataError, InfeasibilityError, ShapeError
 from safeprob.system_model import closed_loop_control_batch
 from safeprob.mc_oracle import CdfTable, EmpiricalDistribution
 
@@ -35,6 +40,11 @@ from conftest import (
 )
 
 NONE_POLICY = Policy(nominal=zero_nominal(1), kind="none")
+
+
+def pin_cpus(monkeypatch, n):
+    """Make ``n`` CPUs available to simulate_paths, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 class TestAnalyticFirstPassage:
@@ -146,7 +156,9 @@ class TestPathNoise:
 
     def test_blocks_share_one_noise_buffer(self, monkeypatch):
         # Four blocks of at most 64 paths x 500 steps: only one block's
-        # noise (256 kB) may be held at a time.
+        # noise (256 kB) may be held at a time.  One CPU keeps the blocks
+        # in this process, where tracemalloc sees their noise.
+        pin_cpus(monkeypatch, 1)
         monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 64)
         ex = make_example("drifted_bm_1d")
         cfg = PathConfig(dt=2e-3, horizon=1.0, n_paths=3 * 64 + 10, seed=3)
@@ -256,6 +268,118 @@ class TestExcludedPaths:
         np.testing.assert_array_equal(ens.entry_time, entry_t)
         np.testing.assert_array_equal(ens.excluded, diverged | infeasible)
         assert (ens.n_diverged, ens.n_infeasible) == (diverged.sum(), infeasible.sum())
+
+
+def _fields(ens):
+    """Every PathEnsemble field, arrays as (dtype, shape, bytes)."""
+    fields = {}
+    for field in dataclasses.fields(ens):
+        v = getattr(ens, field.name)
+        fields[field.name] = (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return fields
+
+
+class TestWorkerProcesses:
+    """Blocks run in one forked worker per available CPU; the ensemble's
+    bytes do not depend on how many."""
+
+    @staticmethod
+    def _reproducibility():
+        return (const_system_1d(1.0, 0.0, 1.0), identity_barrier(), NONE_POLICY, [1.0],
+                PathConfig(dt=1e-2, horizon=1.0, n_paths=400, seed=11))
+
+    @staticmethod
+    def _zero_cbf_2d():
+        ex = make_example("double_integrator")
+        return (ex.system, ex.barrier, ex.policy, ex.x0,
+                PathConfig(dt=1e-3, horizon=0.1, n_paths=500, seed=77))
+
+    @staticmethod
+    def _excluded(case):
+        sys, policy, x0, cfg = getattr(TestExcludedPaths, case)()
+        return sys, identity_barrier(), policy, x0, cfg
+
+    @pytest.mark.parametrize("case", ["_reproducibility", "_diverging", "_infeasible",
+                                      "_zero_cbf_2d"])
+    def test_bytes_do_not_depend_on_cpu_count(self, case, monkeypatch):
+        args = (self._excluded(case) if case in ("_diverging", "_infeasible")
+                else getattr(self, case)())
+        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                pools.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(mc_oracle, "ProcessPoolExecutor", RecordingPool)
+        runs = {}
+        for cpus in (1, 2, 3):
+            pin_cpus(monkeypatch, cpus)
+            runs[cpus] = _fields(simulate_paths(*args))
+        assert pools == [2, 3]
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+        if case in ("_diverging", "_infeasible"):
+            ens = runs[1]
+            assert 0 < ens["n_diverged"] + ens["n_infeasible"] < args[-1].n_paths
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _simulate_failing_in_workers(monkeypatch, fail):
+        """Four blocks on two CPUs, with a drift that calls ``fail`` in any
+        process but this one."""
+        caller = os.getpid()
+
+        def f(X):
+            if os.getpid() != caller:
+                fail()
+            return np.zeros_like(X)
+
+        sys = ControlSystem(n=1, m=1, k=1, f=f, g=lambda X: np.zeros(X.shape + (1,)),
+                            sigma=lambda X: np.ones(X.shape + (1,)))
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 64)
+        simulate_paths(sys, identity_barrier(), NONE_POLICY, [1.0],
+                       PathConfig(dt=0.1, horizon=1.0, n_paths=200, seed=1))
+
+    @pytest.mark.parametrize("error", [ShapeError("f failed in a worker"),
+                                       InfeasibilityError([1.0], "f failed in a worker")],
+                             ids=["ShapeError", "InfeasibilityError"])
+    def test_worker_error_reaches_the_caller(self, error, monkeypatch):
+        def fail():
+            raise error
+
+        with pytest.raises(type(error), match="f failed in a worker"):
+            self._simulate_failing_in_workers(monkeypatch, fail)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        with pytest.raises(BrokenProcessPool):
+            self._simulate_failing_in_workers(monkeypatch, lambda: os._exit(3))
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_caller_runs_in_process(self, monkeypatch):
+        # A daemonic process may not start children: a pool there would
+        # raise, and the child below would send nothing.
+        args = self._reproducibility()
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        want = _fields(simulate_paths(*args))
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+
+        def run():
+            sender.send(_fields(simulate_paths(*args)))
+
+        proc = ctx.Process(target=run, daemon=True)
+        proc.start()
+        try:
+            assert receiver.poll(60), "the daemonic caller sent no ensemble"
+            assert receiver.recv() == want
+        finally:
+            proc.join(timeout=60)
+        assert not proc.is_alive() and proc.exitcode == 0
 
 
 class TestPathwiseDuality:
