@@ -9,13 +9,23 @@ Per-path noise is drawn from a Philox stream keyed by (seed, path index),
 so ensembles are bit-reproducible for a fixed seed regardless of how the
 paths are blocked or scheduled.  Each block of paths builds one Philox
 generator and re-keys it per path, which draws exactly the per-path
-streams.  Crossing times are refined by linear interpolation of the
-barrier value inside the crossing step.
+streams.
+
+Between two steps the barrier is not watched at step ends alone: each
+step samples the extremum of the Brownian bridge of phi between its end
+values (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004,
+section 6.4; Gobet, Stoch. Proc. Appl. 87, 2000), with one uniform per
+path and step from the path's key at counter word 2 = 1.  The running
+minimum and maximum take these extrema, and a crossing is recorded when
+the extremum reaches the level.  A crossing whose step ends past the
+level keeps its linearly interpolated time; one seen by the bridge alone
+is timed at the step end.  For a 1D constant-coefficient system the
+extrema are exact, so the curves are exact at multiples of the step.
 
 On Linux the blocks run in up to one forked worker process per available
 CPU, and in the calling process otherwise (one block or one CPU, no
 ``fork``, or a daemonic caller); the bytes do not depend on the worker
-count.  Each process holds one block's noise at a time.  Workers need
+count.  Each process holds one block's draws at a time.  Workers need
 ``fork``: Python 3.12 and later warn when a process with running threads
 forks.
 """
@@ -36,9 +46,12 @@ from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_con
 
 # Paths are simulated in blocks of at most BLOCK_SIZE paths, and per-block
 # noise buffers are capped near _BLOCK_BYTES bytes; the block partition
-# never affects results, only memory.
+# never affects results, only memory.  A block's bridge draws are made
+# BRIDGE_STEPS steps at a time (a multiple of 4), so they add at most 2 kB a
+# path whatever the horizon.
 BLOCK_SIZE = 4096
 _BLOCK_BYTES = 512_000_000
+BRIDGE_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -94,29 +107,58 @@ class PathEnsemble:
         return int(np.count_nonzero(self.ok))
 
 
+def _keyed_draws(seed: int, first: int, count: int, counter, fill) -> None:
+    """Call ``fill(gen, i)`` for ``i < count`` with ``gen`` drawing from the
+    Philox stream with key ``[seed, first + i]`` at ``counter``.
+
+    One generator serves the whole block: it is re-keyed through its
+    ``state`` setter for each path, which resets the counter and the output
+    buffer, so each path's draws are exactly those of a fresh generator.
+    """
+    key = [int(seed), first]
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    # Empty buffer, no cached 32-bit half.  Plain ints set about twice as
+    # fast as the getter's uint64 arrays.
+    state = {**bitgen.state, "state": {"counter": list(counter), "key": key},
+             "buffer": [0, 0, 0, 0]}
+    for i in range(count):
+        key[1] = first + i  # ``state`` holds ``key``, so this re-keys it
+        bitgen.state = state
+        fill(gen, i)
+
+
 def _path_noise(seed: int, first: int, count: int, n_steps: int, k: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Stacked per-path noise, shape (count, n_steps, k).
 
     Path ``first + i`` draws ``standard_normal((n_steps, k))`` from a
-    Philox stream with key ``[seed, first + i]`` and counter 0.  One
-    generator serves the whole block: it is re-keyed through its ``state``
-    setter for each path, which resets the counter and the output buffer,
-    so each path's draws are exactly those of a fresh generator.  The
-    draws fill ``out`` (C-contiguous, of that shape) when it is given, a
-    new array otherwise.
+    Philox stream with key ``[seed, first + i]`` and counter 0.  The draws
+    fill ``out`` (C-contiguous, of that shape) when it is given, a new
+    array otherwise.
     """
     if out is None:
         out = np.empty((count, n_steps, k))
-    key = np.array([seed, first], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter 0, empty buffer, no cached 32-bit half
-    state["state"]["key"] = key
-    for i in range(count):
-        key[1] = first + i  # ``state`` holds ``key``, so this re-keys it
-        bitgen.state = state
-        gen.standard_normal(out=out[i])
+    _keyed_draws(seed, first, count, (0, 0, 0, 0),
+                 lambda gen, i: gen.standard_normal(out=out[i]))
+    return out
+
+
+def _path_exponentials(seed: int, first: int, count: int, first_step: int,
+                       out: np.ndarray) -> np.ndarray:
+    """Bridge draws ``-ln(1 - U)`` of steps ``first_step`` on, a row of ``out``
+    per path.
+
+    Path ``first + i``'s uniforms U are ``random`` draws from the Philox
+    stream with key ``[seed, first + i]`` and counter word 2 set to 1,
+    which its normals never reach.  ``standard_exponential(method="inv")``
+    takes each U from that stream and applies the C library's ``log1p``;
+    numpy's ``np.log1p`` may differ in the last bit with the host's SIMD
+    width.  A draw takes one 64-bit output and the counter advances once
+    per four, so a row can start at any step that is a multiple of 4.
+    """
+    _keyed_draws(seed, first, count, (first_step // 4, 0, 1, 0),
+                 lambda gen, i: gen.standard_exponential(out=out[i], method="inv"))
     return out
 
 
@@ -130,16 +172,37 @@ def _exclude(newly: np.ndarray, flag: np.ndarray, alive: np.ndarray,
             mask &= alive
 
 
-def _record_down_crossing(before: np.ndarray, after: np.ndarray, level: float,
-                          pending: np.ndarray, times: np.ndarray, t0: float, dt: float) -> None:
-    """Record the first down-crossings of ``level`` in a step, interpolated
-    linearly, and clear their pending flags.  An up-crossing is the
+def _bridge_extrema(before: np.ndarray, after: np.ndarray,
+                    spread: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled Brownian-bridge minimum and maximum of phi over a step.
+
+    With end values a, b, variance rate s^2 and a uniform U, the bridge
+    minimum is ``(a + b - sqrt((b - a)^2 - 2 s^2 dt ln(1 - U))) / 2`` and the
+    mirrored maximum ``a + b`` less that.  ``spread`` is
+    ``-s^2 dt ln(1 - U) / 2``, and the minimum is taken as ``min(a, b)`` less
+    ``spread / (sqrt((b - a)^2 / 4 + spread) + |b - a| / 2)``, a form free of
+    cancellation that is exactly ``min(a, b)`` when ``spread`` is 0.
+    """
+    half_gap = 0.5 * np.abs(after - before)
+    root = np.sqrt(half_gap * half_gap + spread) + half_gap
+    beyond = spread / np.maximum(root, np.finfo(float).tiny)
+    return np.minimum(before, after) - beyond, np.maximum(before, after) + beyond
+
+
+def _record_down_crossing(before: np.ndarray, after: np.ndarray, low: np.ndarray,
+                          level: float, pending: np.ndarray, times: np.ndarray,
+                          t0: float, dt: float, t_end: float) -> None:
+    """Record the first down-crossings of ``level`` in a step, whose lowest
+    value is ``low``, and clear their pending flags.  A step that ends at
+    or below the level is timed by linear interpolation, one whose bridge
+    alone reaches the level at ``t_end``.  An up-crossing is the
     down-crossing of the negated values: negation is exact."""
-    hit = (after <= level) & pending
+    hit = (low <= level) & pending
     if np.any(hit):
-        denom = before[hit] - after[hit]
-        frac = np.where(denom > 0, (before[hit] - level) / np.where(denom > 0, denom, 1.0), 1.0)
-        times[hit] = t0 + dt * np.clip(frac, 0.0, 1.0)
+        b, a = before[hit], after[hit]
+        denom = b - a
+        frac = np.where(denom > 0, (b - level) / np.where(denom > 0, denom, 1.0), 1.0)
+        times[hit] = np.where(a <= level, t0 + dt * np.clip(frac, 0.0, 1.0), t_end)
         pending[hit] = False
 
 
@@ -147,27 +210,30 @@ class _BlockSimulator:
     """Simulates one block of paths, ``(start, count)``, at a time.
 
     A call returns the block's (min_phi, max_phi, exit_time, entry_time,
-    diverged, infeasible).  The noise buffer, of the largest block's size,
-    is allocated at the first call and filled again for every later block,
-    so a process holds one block's noise at a time.
+    diverged, infeasible).  The noise and bridge buffers, of the largest
+    block's size, are allocated at the first call and filled again for
+    every later block, so a process holds one block's noise, and
+    ``BRIDGE_STEPS`` steps of its bridge draws, at a time.
     """
 
     def __init__(self, sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                  x0: np.ndarray, phi0: float, level: float, seed: int, n_steps: int,
-                 dt: float, size: int):
+                 horizon: float, size: int):
         self.models = sys, bar, policy
         self.x0, self.phi0, self.level, self.seed = x0, phi0, level, seed
-        self.n_steps, self.dt, self.size = n_steps, dt, size
-        self.buffer = None
+        self.n_steps, self.horizon, self.size = n_steps, horizon, size
+        self.buffers = None
 
     def __call__(self, block: tuple[int, int]) -> tuple[np.ndarray, ...]:
         start, count = block
         sys, bar, policy = self.models
-        phi0, level, n_steps, dt = self.phi0, self.level, self.n_steps, self.dt
+        phi0, level, n_steps, horizon = self.phi0, self.level, self.n_steps, self.horizon
+        dt = horizon / n_steps
         sqdt = np.sqrt(dt)
-        if self.buffer is None:
-            self.buffer = np.empty((self.size, n_steps, sys.k))
-        noise = _path_noise(self.seed, start, count, n_steps, sys.k, out=self.buffer[:count])
+        chunk = min(n_steps, BRIDGE_STEPS)
+        if self.buffers is None:
+            self.buffers = (np.empty((self.size, n_steps, sys.k)), np.empty(self.size * chunk))
+        noise = _path_noise(self.seed, start, count, n_steps, sys.k, out=self.buffers[0][:count])
         x = np.tile(self.x0, (count, 1))
         phi = np.full(count, phi0)
         alive = np.ones(count, dtype=bool)
@@ -183,15 +249,28 @@ class _BlockSimulator:
         # flagged below; keep the arithmetic quiet.
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(n_steps):
+                if s % chunk == 0:
+                    # The chunk's draws -ln(1 - U), in a C-contiguous view of
+                    # the buffer, scaled by dt / 2: times s^2 they are the
+                    # bridge's ``spread``.
+                    width = min(chunk, n_steps - s)
+                    spreads = _path_exponentials(
+                        self.seed, start, count, s,
+                        self.buffers[1][:count * width].reshape(count, width))
+                    spreads *= 0.5 * dt
                 u, infeasible = closed_loop_control_batch(policy, sys, bar, x)
                 _exclude(infeasible & alive, infeasible_flag, alive,
                          exit_pending, entry_pending)
                 drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
-                xn = x + drift * dt + np.einsum("bik,bk->bi", sys.sigma_at(x),
-                                                noise[:, s, :]) * sqdt
+                sig = sys.sigma_at(x)
+                xn = x + drift * dt + np.einsum("bik,bk->bi", sig, noise[:, s, :]) * sqdt
                 phin = bar.phi_at(xn)
-                if not (np.isfinite(xn).all() and np.isfinite(phin).all()):
-                    bad = ~(np.all(np.isfinite(xn), axis=1) & np.isfinite(phin))
+                # s^2 = |grad phi^T sigma|^2, the variance rate of phi at the step start.
+                gs = np.einsum("bi,bik->bk", bar.grad_at(x), sig)
+                spread = np.einsum("bk,bk->b", gs, gs) * spreads[:, s % chunk]
+                # phin + spread is finite iff both are.
+                if not (np.isfinite(xn).all() and np.isfinite(phin + spread).all()):
+                    bad = ~(np.all(np.isfinite(xn), axis=1) & np.isfinite(phin + spread))
                     _exclude(bad & alive, diverged, alive, exit_pending, entry_pending)
                 # Excluded paths freeze: their phi lies in [min, max] already and
                 # nothing pends on them, so the one update below keeps their statistics.
@@ -199,13 +278,18 @@ class _BlockSimulator:
                     frozen = ~alive
                     xn[frozen] = x[frozen]
                     phin[frozen] = phi[frozen]
+                    spread[frozen] = 0.0
+                low, high = _bridge_extrema(phi, phin, spread)
                 # phi0 is on one side of the level, so at most one event pends.
+                t_end = min((s + 1) * dt, horizon)
                 if exit_pending.any():
-                    _record_down_crossing(phi, phin, level, exit_pending, b_exit, s * dt, dt)
+                    _record_down_crossing(phi, phin, low, level, exit_pending, b_exit,
+                                          s * dt, dt, t_end)
                 if entry_pending.any():
-                    _record_down_crossing(-phi, -phin, -level, entry_pending, b_entry, s * dt, dt)
-                np.minimum(b_min, phin, out=b_min)
-                np.maximum(b_max, phin, out=b_max)
+                    _record_down_crossing(-phi, -phin, -high, -level, entry_pending, b_entry,
+                                          s * dt, dt, t_end)
+                np.minimum(b_min, low, out=b_min)
+                np.maximum(b_max, high, out=b_max)
                 x, phi = xn, phin
         return b_min, b_max, b_exit, b_entry, diverged, infeasible_flag
 
@@ -236,7 +320,8 @@ def _worker_count(n_blocks: int) -> int:
 
 def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                    x0, cfg: PathConfig, level: float | None = None) -> PathEnsemble:
-    """Euler-Maruyama ensemble recording barrier extrema and crossing times.
+    """Euler-Maruyama ensemble recording barrier extrema and crossing times,
+    both read off each step's sampled Brownian bridge of phi.
 
     The closed loop K(X) is evaluated every step.  Crossing times are
     recorded against ``level`` (the barrier's own level by default).
@@ -257,7 +342,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     phi0 = float(bar.phi_at(x0[None])[0])
 
     n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
-    per_path_bytes = 8 * n_steps * sys.k
+    per_path_bytes = 8 * (n_steps * sys.k + min(n_steps, BRIDGE_STEPS))
     block = max(64, min(BLOCK_SIZE, int(_BLOCK_BYTES // max(per_path_bytes, 1))))
 
     # Even out the blocks so that every worker runs as many of them.
@@ -266,7 +351,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     size = math.ceil(n / (workers * math.ceil(n / (block * workers))))
     blocks = [(start, min(size, n - start)) for start in range(0, n, size)]
     simulator = _BlockSimulator(sys, bar, policy, x0, phi0, level, cfg.seed, n_steps,
-                                cfg.horizon / n_steps, size)
+                                cfg.horizon, size)
     if workers == 1:
         parts = list(map(simulator, blocks))
     else:

@@ -249,8 +249,8 @@ class TestConfigValidation:
 
     def test_shipped_config_hashes(self):
         # The hash names every artifact; schema defaults never enter it.
-        expected = {"drifted_bm_exit": "4f57a6361805", "drifted_bm_recovery": "f3065e5bd867",
-                    "double_integrator_exit": "6b5d90a84265",
+        expected = {"drifted_bm_exit": "aa3f3ba2ccc2", "drifted_bm_recovery": "785611bb88ce",
+                    "double_integrator_exit": "d07ae100157f",
                     "unicycle_disk_exit": "1c1bb92352e4"}
         for name, digest in expected.items():
             assert ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json").hash == digest
@@ -573,13 +573,16 @@ class TestValidateCommand:
         assert main(["validate", "--config", path]) == 0
 
     def test_underpowered_mc_check_reports_its_band(self, tmp_path, capsys):
-        # 2000 paths give a DKW half-width of 3.04e-2, above the 0.02 KS
-        # tolerance: the check is recorded as underpowered and still fails.
+        # 2000 paths give a DKW half-width of 3.04e-2, above the KS
+        # tolerance: the check is recorded as underpowered.  A tolerance of 0
+        # fails whatever the noise: the Monte Carlo curve moves in steps of
+        # 1/2000 and cannot meet the PDE curve at every tabulation time.
         out = tmp_path / "out"
         argv = ["validate", "--config", str(CONFIG_DIR / "drifted_bm_recovery.json"),
-                "--seed", "5", "--override", "mc.n_paths=2000", "--out", str(out)]
+                "--seed", "5", "--override", "mc.n_paths=2000",
+                "--override", "validation.tolerances.mc_ks=0", "--out", str(out)]
         assert main(argv) == 1
-        assert re.search(r"FAIL mc_ks: \S+ \(tolerance 2\.000e-02, band 3\.037e-02, "
+        assert re.search(r"FAIL mc_ks: \S+ \(tolerance 0\.000e\+00, band 3\.037e-02, "
                          r"underpowered\)", capsys.readouterr().out)
         [path] = out.glob("validation_*.json")
         mc_ks, *others = json.loads(path.read_text())["checks"]

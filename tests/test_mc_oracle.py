@@ -153,6 +153,33 @@ class TestPathNoise:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a[3:], tail)
 
+    def test_bridge_draws_match_one_philox_stream_per_path(self):
+        # -ln(1 - U) of the uniforms of counter word 2 = 1; a row may start
+        # at any multiple of 4 steps.
+        seed, first, count, n_steps = 2024, 37, 6, 11
+
+        def stream(i):
+            return np.random.Generator(np.random.Philox(
+                key=np.array([seed, first + i], dtype=np.uint64), counter=[0, 0, 1, 0]))
+
+        want = np.stack([stream(i).standard_exponential(n_steps, method="inv")
+                         for i in range(count)])
+        uniforms = np.stack([stream(i).random(n_steps) for i in range(count)])
+        np.testing.assert_allclose(want, -np.log1p(-uniforms), rtol=1e-15, atol=0)
+        out = np.empty((count, n_steps))
+        np.testing.assert_array_equal(
+            mc_oracle._path_exponentials(seed, first, count, 0, out), want)
+        tail = mc_oracle._path_exponentials(seed, first, count, 8,
+                                            np.empty((count, n_steps - 8)))
+        np.testing.assert_array_equal(tail, want[:, 8:])
+
+    def test_bridge_chunks_do_not_change_results(self, monkeypatch):
+        sys = const_system_1d(1.0, 0.0, 1.0)
+        cfg = PathConfig(dt=1e-2, horizon=1.0, n_paths=300, seed=21)
+        a = _fields(simulate_paths(sys, identity_barrier(), NONE_POLICY, [1.0], cfg))
+        monkeypatch.setattr(mc_oracle, "BRIDGE_STEPS", 8)
+        b = _fields(simulate_paths(sys, identity_barrier(), NONE_POLICY, [1.0], cfg))
+        assert a == b
 
     def test_blocks_share_one_noise_buffer(self, monkeypatch):
         # Four blocks of at most 64 paths x 500 steps: only one block's
@@ -174,11 +201,14 @@ class TestPathNoise:
 
 
 def _reference_paths(sys, bar, policy, x0, cfg):
-    """One path at a time, one fresh Philox generator per path, with the
-    arithmetic of ``simulate_paths``: the per-path statement of its result.
+    """One path at a time, one fresh Philox generator per path and stream,
+    with the arithmetic of ``simulate_paths``: the per-path statement of its
+    result.
 
-    A path is dropped, and stops recording, at the step where the filter
-    is infeasible or the step leaves the finite numbers.
+    Each step samples the Brownian-bridge extremum of phi between its end
+    values from the path's uniform (counter word 2 = 1).  A path is dropped,
+    and stops recording, at the step where the filter is infeasible or the
+    step leaves the finite numbers.
     """
     n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
     dt = cfg.horizon / n_steps
@@ -188,9 +218,11 @@ def _reference_paths(sys, bar, policy, x0, cfg):
     phi0 = float(bar.phi_at(x_start)[0])
     rows = []
     for p in range(cfg.n_paths):
-        gen = np.random.Generator(np.random.Philox(
-            key=np.array([cfg.seed, p], dtype=np.uint64)))
-        noise = gen.standard_normal((n_steps, sys.k))
+        key = np.array([cfg.seed, p], dtype=np.uint64)
+        noise = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, sys.k))
+        # -ln(1 - U) for the uniforms U of counter word 2 = 1.
+        bridge_gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 1, 0]))
+        draws = bridge_gen.standard_exponential(n_steps, method="inv")
         x, phi, lo, hi = x_start, phi0, phi0, phi0
         exit_t = 0.0 if phi0 <= level else np.nan
         entry_t = 0.0 if phi0 >= level else np.nan
@@ -202,19 +234,30 @@ def _reference_paths(sys, bar, policy, x0, cfg):
                     infeasible = True
                     break
                 drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
-                xn = x + drift * dt + np.einsum("bik,bk->bi", sys.sigma_at(x),
-                                                noise[None, s, :]) * sqdt
+                sig = sys.sigma_at(x)
+                xn = x + drift * dt + np.einsum("bik,bk->bi", sig, noise[None, s, :]) * sqdt
                 phin = float(bar.phi_at(xn)[0])
-            if not (np.all(np.isfinite(xn)) and np.isfinite(phin)):
+                # The bridge minimum (a + b - sqrt((b - a)^2 - 2 s^2 dt ln(1 - U))) / 2
+                # is min(a, b) - beyond, the maximum max(a, b) + beyond.
+                gs = np.einsum("bi,bik->bk", bar.grad_at(x), sig)
+                spread = np.einsum("bk,bk->b", gs, gs)[0] * (draws[s] * (0.5 * dt))
+                half_gap = 0.5 * abs(phin - phi)
+                root = np.sqrt(half_gap * half_gap + spread) + half_gap
+                beyond = spread / root if spread > 0 else 0.0
+            if not (np.all(np.isfinite(xn)) and np.isfinite(phin) and np.isfinite(spread)):
                 diverged = True
                 break
-            if phin <= level and np.isnan(exit_t):
+            low, high = min(phi, phin) - beyond, max(phi, phin) + beyond
+            step_end = min((s + 1) * dt, cfg.horizon)
+            if low <= level and np.isnan(exit_t):
                 frac = (phi - level) / (phi - phin) if phi - phin > 0 else 1.0
-                exit_t = s * dt + dt * min(max(frac, 0.0), 1.0)
-            if phin >= level and np.isnan(entry_t):
+                exit_t = (s * dt + dt * min(max(frac, 0.0), 1.0) if phin <= level
+                          else step_end)
+            if high >= level and np.isnan(entry_t):
                 frac = (level - phi) / (phin - phi) if phin - phi > 0 else 1.0
-                entry_t = s * dt + dt * min(max(frac, 0.0), 1.0)
-            lo, hi = min(lo, phin), max(hi, phin)
+                entry_t = (s * dt + dt * min(max(frac, 0.0), 1.0) if phin >= level
+                           else step_end)
+            lo, hi = min(lo, low), max(hi, high)
             x, phi = xn, phin
         rows.append((lo, hi, exit_t, entry_t, diverged, infeasible))
     return [np.array(col) for col in zip(*rows)]
@@ -399,10 +442,14 @@ class TestPathwiseDuality:
 
     def test_entry_is_exit_of_the_negated_barrier(self):
         # With policy "none" the barrier does not steer, so both runs draw
-        # the same paths and only the sign of phi and of the level differs.
+        # the same paths and only the sign of phi, of its derivatives (the
+        # bridge reads the gradient) and of the level differs.
         sys = const_system_1d(0.2, 0.0, 1.0)
         cfg = PathConfig(dt=1e-2, horizon=1.0, n_paths=2000, seed=9)
-        negated = BarrierProblem(phi=lambda X: -X[..., 0], level=0.0)
+        negated = BarrierProblem(phi=lambda X: -X[..., 0],
+                                 grad_phi=lambda X: -np.ones_like(X),
+                                 hess_phi=lambda X: np.zeros(X.shape[:-1] + (1, 1)),
+                                 level=0.0)
         ens = simulate_paths(sys, identity_barrier(), NONE_POLICY, [-0.5], cfg, level=0.25)
         neg = simulate_paths(sys, negated, NONE_POLICY, [-0.5], cfg, level=-0.25)
         entered = ~np.isnan(ens.entry_time)
@@ -470,11 +517,11 @@ class TestEmpiricalDistributions:
             empirical_cdf_exit(ens, [1.0])
 
     def test_drifted_bm_exit_within_band(self):
-        # Fast variant: 2e4 paths with the matching DKW band plus an
-        # allowance for the O(sqrt(dt)) discrete-crossing deficit.
+        # Fast variant: 2e4 paths with the matching DKW band; the bridge
+        # leaves no discrete-crossing deficit to allow for.
         ens = self._drifted_ensemble(n_paths=20000, dt=2.5e-4, seed=404)
         emp = empirical_cdf_exit(ens, [1.0])
-        assert abs(emp.values[0] - EXIT_DRIFTED) <= emp.band + 2.5e-3
+        assert abs(emp.values[0] - EXIT_DRIFTED) <= emp.band
 
     def test_drifted_bm_exit_within_dkw_band_at_1e5(self):
         ens = self._drifted_ensemble(n_paths=100_000, dt=2.5e-4, seed=1618)
@@ -492,6 +539,53 @@ class TestEmpiricalDistributions:
             self._drifted_ensemble(n_paths=100_000, dt=5e-4, seed=77), times)
         gap = float(np.max(np.abs(coarse.values - fine.values)))
         assert gap <= coarse.band + fine.band
+
+
+class TestBridgeExactIn1D:
+    """For a constant-coefficient 1D system the Euler step is exact and so
+    is the sampled bridge extremum: all four curves match the closed forms
+    at any step, event times at its multiples."""
+
+    @staticmethod
+    def _ensemble(x0, dt, seed):
+        cfg = PathConfig(dt=dt, horizon=1.0, n_paths=100_000, seed=seed)
+        return simulate_paths(const_system_1d(1.0, 0.0, 1.0), identity_barrier(), NONE_POLICY,
+                              [x0], cfg)
+
+    def test_extrema_match_the_bridge_formula(self):
+        a = np.array([0.3, -1e-170, 5.0, 0.0, 2.0, -1.0])
+        b = np.array([0.1, 2e-170, 5.0, 0.0, -3.0, 4.0])
+        low, high = mc_oracle._bridge_extrema(a, b, np.zeros(a.size))
+        np.testing.assert_array_equal(low, np.minimum(a, b))
+        np.testing.assert_array_equal(high, np.maximum(a, b))
+        spread = np.array([0.01, 0.5, 2.0, 1e-3, 0.7, 1e-12])
+        low, high = mc_oracle._bridge_extrema(a, b, spread)
+        root = np.sqrt((b - a) ** 2 + 4.0 * spread)
+        np.testing.assert_allclose(low, (a + b - root) / 2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(high, (a + b + root) / 2, rtol=0, atol=1e-15)
+        assert np.all(low <= np.minimum(a, b)) and np.all(high >= np.maximum(a, b))
+
+    @pytest.mark.parametrize("dt, seed", [(1.0, 31), (0.1, 32), (0.01, 33)])
+    def test_four_curves_within_dkw_band(self, dt, seed):
+        times = dt * np.arange(1, int(round(1.0 / dt)) + 1)
+        exit_ens = self._ensemble(1.0, dt, seed)
+        entry_ens = self._ensemble(-1.0, dt, seed + 100)
+        min_levels = np.array([-0.5, 0.0, 0.5, 0.9])
+        max_levels = np.array([-0.5, 0.0, 0.5, 1.5])
+        curves = [
+            (empirical_cdf_exit(exit_ens, times),
+             analytic_first_passage(1.0, 1.0, 1.0, 0.0, times)),
+            (empirical_cdf_entry(entry_ens, times),
+             analytic_first_passage(-1.0, 1.0, 1.0, 0.0, times)),
+            (empirical_ccdf_min(exit_ens, min_levels),
+             [1.0 - analytic_first_passage(1.0, 1.0, 1.0, y, 1.0) for y in min_levels]),
+            (empirical_cdf_max(entry_ens, max_levels),
+             [1.0 - analytic_first_passage(-1.0, 1.0, 1.0, y, 1.0) for y in max_levels]),
+        ]
+        for emp, exact in curves:
+            assert emp.band == pytest.approx(DKW_1E5, abs=1e-12)
+            gap = np.max(np.abs(emp.values - np.asarray(exact)))
+            assert gap <= emp.band, f"{emp.kind} at dt {dt}: gap {gap:.2e}"
 
 
 class TestKsDistance:
