@@ -47,7 +47,8 @@ def main() -> None:
           f"{res.diagnostics['interior_nodes']} interior nodes]")
 
     t0 = time.perf_counter()
-    cfg = PathConfig(dt=5e-4, horizon=args.horizon, n_paths=args.paths, seed=20240521)
+    # The shipped config's mc.dt.
+    cfg = PathConfig(dt=2e-3, horizon=args.horizon, n_paths=args.paths, seed=20240521)
     ens = simulate_paths(ex.system, ex.barrier, ex.policy, ex.x0, cfg)
     t_mc = time.perf_counter() - t0
     emp = empirical_cdf_exit(ens, times)

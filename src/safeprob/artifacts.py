@@ -217,7 +217,8 @@ def write_empirical(estimates: dict, ens: PathEnsemble, out_dir: str, tag: str,
         "phi0": ens.phi0,
         "n_paths": ens.config.n_paths,
         "seed": ens.config.seed,
-        "dt": ens.config.dt,
+        # The step the paths took, not the configured one.
+        "dt": ens.config.horizon / ens.config.n_steps,
         "horizon": ens.config.horizon,
         "n_diverged": ens.n_diverged,
         "n_infeasible": ens.n_infeasible,

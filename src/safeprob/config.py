@@ -53,9 +53,9 @@ SCHEMA: dict = {
     "example": (None, str, (lambda v: v in example_names(),
                             "unknown example {!r}; available: " + ", ".join(example_names()))),
     "system": (None, {
-        "dim_state": (REQUIRED, int),
-        "dim_input": (REQUIRED, int),
-        "dim_noise": (REQUIRED, int),
+        "dim_state": (REQUIRED, int, (lambda v: v >= 1, "dim_state must be >= 1")),
+        "dim_input": (REQUIRED, int, (lambda v: v >= 1, "dim_input must be >= 1")),
+        "dim_noise": (REQUIRED, int, (lambda v: v >= 1, "dim_noise must be >= 1")),
         "f": (REQUIRED, [str]),
         "g": (REQUIRED, [[str]]),
         "sigma": (REQUIRED, [[str]]),
@@ -113,7 +113,7 @@ SCHEMA: dict = {
         "analytic": (None, {
             "x0": (REQUIRED, _NUMBER),
             "drift": (REQUIRED, _NUMBER),
-            "vol": (REQUIRED, _NUMBER),
+            "vol": (REQUIRED, _NUMBER, (lambda v: v > 0, "vol must be positive")),
         }),
         "pde_artifact": (None, str),
         "mc_artifact": (None, str),

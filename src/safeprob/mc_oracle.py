@@ -32,6 +32,7 @@ forks.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -44,11 +45,11 @@ from scipy.special import ndtr
 from .errors import DataError
 from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_control_batch
 
-# Paths are simulated in blocks of at most BLOCK_SIZE paths, and per-block
-# noise buffers are capped near _BLOCK_BYTES bytes; the block partition
-# never affects results, only memory.  A block's bridge draws are made
-# BRIDGE_STEPS steps at a time (a multiple of 4), so they add at most 2 kB a
-# path whatever the horizon.
+# Paths are simulated in blocks of at most BLOCK_SIZE paths, and a block's
+# noise is capped near _BLOCK_BYTES bytes; the block partition never affects
+# results, only memory.  A block's bridge draws are made BRIDGE_STEPS steps
+# at a time (a multiple of 4), so they add at most 2 kB a path whatever the
+# horizon.
 BLOCK_SIZE = 4096
 _BLOCK_BYTES = 512_000_000
 BRIDGE_STEPS = 256
@@ -75,6 +76,11 @@ class PathConfig:
             raise DataError("n_paths must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise DataError("seed must fit an unsigned 64-bit integer")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps a path takes, each ``horizon / n_steps`` long."""
+        return max(1, int(round(self.horizon / self.dt)))
 
 
 @dataclass
@@ -128,17 +134,13 @@ def _keyed_draws(seed: int, first: int, count: int, counter, fill) -> None:
         fill(gen, i)
 
 
-def _path_noise(seed: int, first: int, count: int, n_steps: int, k: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+def _path_noise(seed: int, first: int, count: int, n_steps: int, k: int) -> np.ndarray:
     """Stacked per-path noise, shape (count, n_steps, k).
 
     Path ``first + i`` draws ``standard_normal((n_steps, k))`` from a
-    Philox stream with key ``[seed, first + i]`` and counter 0.  The draws
-    fill ``out`` (C-contiguous, of that shape) when it is given, a new
-    array otherwise.
+    Philox stream with key ``[seed, first + i]`` and counter 0.
     """
-    if out is None:
-        out = np.empty((count, n_steps, k))
+    out = np.empty((count, n_steps, k))
     _keyed_draws(seed, first, count, (0, 0, 0, 0),
                  lambda gen, i: gen.standard_normal(out=out[i]))
     return out
@@ -163,13 +165,12 @@ def _path_exponentials(seed: int, first: int, count: int, first_step: int,
 
 
 def _exclude(newly: np.ndarray, flag: np.ndarray, alive: np.ndarray,
-             *pending: np.ndarray) -> None:
+             pending: np.ndarray) -> None:
     """Flag the ``newly`` excluded paths and stop them recording."""
     if np.any(newly):
         flag[newly] = True
         alive &= ~newly
-        for mask in pending:
-            mask &= alive
+        pending &= alive
 
 
 def _bridge_extrema(before: np.ndarray, after: np.ndarray,
@@ -206,100 +207,82 @@ def _record_down_crossing(before: np.ndarray, after: np.ndarray, low: np.ndarray
         pending[hit] = False
 
 
-class _BlockSimulator:
-    """Simulates one block of paths, ``(start, count)``, at a time.
+def _simulate_block(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
+                    x0: np.ndarray, phi0: float, level: float, seed: int, n_steps: int,
+                    horizon: float, block: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """The (min_phi, max_phi, passage, diverged, infeasible) of the block
+    ``(start, count)`` of paths, whose draws are freed when it returns.
 
-    A call returns the block's (min_phi, max_phi, exit_time, entry_time,
-    diverged, infeasible).  The noise and bridge buffers, of the largest
-    block's size, are allocated at the first call and filled again for
-    every later block, so a process holds one block's noise, and
-    ``BRIDGE_STEPS`` steps of its bridge draws, at a time.
+    A path makes one passage: its exit from phi0 above the level, its entry
+    from below, recorded as the exit of -phi, and none from the level, where
+    ``passage`` is 0.
     """
+    start, count = block
+    dt = horizon / n_steps
+    sqdt = np.sqrt(dt)
+    chunk = min(n_steps, BRIDGE_STEPS)
+    noise = _path_noise(seed, start, count, n_steps, sys.k)
+    bridge = np.empty(count * chunk)
+    x = np.tile(x0, (count, 1))
+    phi = np.full(count, phi0)
+    alive = np.ones(count, dtype=bool)
+    b_min, b_max = np.full(count, phi0), np.full(count, phi0)
+    passage = np.full(count, 0.0 if phi0 == level else np.nan)
+    diverged = np.zeros(count, dtype=bool)
+    infeasible_flag = np.zeros(count, dtype=bool)
+    # Alive paths whose passage is still to be recorded.
+    pending = np.isnan(passage)
+    entering = phi0 < level
 
-    def __init__(self, sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-                 x0: np.ndarray, phi0: float, level: float, seed: int, n_steps: int,
-                 horizon: float, size: int):
-        self.models = sys, bar, policy
-        self.x0, self.phi0, self.level, self.seed = x0, phi0, level, seed
-        self.n_steps, self.horizon, self.size = n_steps, horizon, size
-        self.buffers = None
-
-    def __call__(self, block: tuple[int, int]) -> tuple[np.ndarray, ...]:
-        start, count = block
-        sys, bar, policy = self.models
-        phi0, level, n_steps, horizon = self.phi0, self.level, self.n_steps, self.horizon
-        dt = horizon / n_steps
-        sqdt = np.sqrt(dt)
-        chunk = min(n_steps, BRIDGE_STEPS)
-        if self.buffers is None:
-            self.buffers = (np.empty((self.size, n_steps, sys.k)), np.empty(self.size * chunk))
-        noise = _path_noise(self.seed, start, count, n_steps, sys.k, out=self.buffers[0][:count])
-        x = np.tile(self.x0, (count, 1))
-        phi = np.full(count, phi0)
-        alive = np.ones(count, dtype=bool)
-        b_min, b_max = np.full(count, phi0), np.full(count, phi0)
-        b_exit = np.full(count, 0.0 if phi0 <= level else np.nan)
-        b_entry = np.full(count, 0.0 if phi0 >= level else np.nan)
-        diverged = np.zeros(count, dtype=bool)
-        infeasible_flag = np.zeros(count, dtype=bool)
-        # Alive paths whose exit/entry is still to be recorded.
-        exit_pending, entry_pending = np.isnan(b_exit), np.isnan(b_entry)
-
-        # Diverging paths legitimately overflow before they are caught and
-        # flagged below; keep the arithmetic quiet.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(n_steps):
-                if s % chunk == 0:
-                    # The chunk's draws -ln(1 - U), in a C-contiguous view of
-                    # the buffer, scaled by dt / 2: times s^2 they are the
-                    # bridge's ``spread``.
-                    width = min(chunk, n_steps - s)
-                    spreads = _path_exponentials(
-                        self.seed, start, count, s,
-                        self.buffers[1][:count * width].reshape(count, width))
-                    spreads *= 0.5 * dt
-                u, infeasible = closed_loop_control_batch(policy, sys, bar, x)
-                _exclude(infeasible & alive, infeasible_flag, alive,
-                         exit_pending, entry_pending)
-                drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
-                sig = sys.sigma_at(x)
-                xn = x + drift * dt + np.einsum("bik,bk->bi", sig, noise[:, s, :]) * sqdt
-                phin = bar.phi_at(xn)
-                # s^2 = |grad phi^T sigma|^2, the variance rate of phi at the step start.
-                gs = np.einsum("bi,bik->bk", bar.grad_at(x), sig)
-                spread = np.einsum("bk,bk->b", gs, gs) * spreads[:, s % chunk]
-                # phin + spread is finite iff both are.
-                if not (np.isfinite(xn).all() and np.isfinite(phin + spread).all()):
-                    bad = ~(np.all(np.isfinite(xn), axis=1) & np.isfinite(phin + spread))
-                    _exclude(bad & alive, diverged, alive, exit_pending, entry_pending)
-                # Excluded paths freeze: their phi lies in [min, max] already and
-                # nothing pends on them, so the one update below keeps their statistics.
-                if not alive.all():
-                    frozen = ~alive
-                    xn[frozen] = x[frozen]
-                    phin[frozen] = phi[frozen]
-                    spread[frozen] = 0.0
-                low, high = _bridge_extrema(phi, phin, spread)
-                # phi0 is on one side of the level, so at most one event pends.
-                t_end = min((s + 1) * dt, horizon)
-                if exit_pending.any():
-                    _record_down_crossing(phi, phin, low, level, exit_pending, b_exit,
-                                          s * dt, dt, t_end)
-                if entry_pending.any():
-                    _record_down_crossing(-phi, -phin, -high, -level, entry_pending, b_entry,
-                                          s * dt, dt, t_end)
-                np.minimum(b_min, low, out=b_min)
-                np.maximum(b_max, high, out=b_max)
-                x, phi = xn, phin
-        return b_min, b_max, b_exit, b_entry, diverged, infeasible_flag
+    # Diverging paths legitimately overflow before they are caught and
+    # flagged below; keep the arithmetic quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_steps):
+            if s % chunk == 0:
+                # The chunk's draws -ln(1 - U), in a C-contiguous view of
+                # ``bridge``, scaled by dt / 2: times s^2 they are the
+                # bridge's ``spread``.
+                width = min(chunk, n_steps - s)
+                spreads = _path_exponentials(seed, start, count, s,
+                                             bridge[:count * width].reshape(count, width))
+                spreads *= 0.5 * dt
+            u, infeasible = closed_loop_control_batch(policy, sys, bar, x)
+            _exclude(infeasible & alive, infeasible_flag, alive, pending)
+            drift = sys.f_at(x) + np.einsum("bim,bm->bi", sys.g_at(x), u)
+            sig = sys.sigma_at(x)
+            xn = x + drift * dt + np.einsum("bik,bk->bi", sig, noise[:, s, :]) * sqdt
+            phin = bar.phi_at(xn)
+            # s^2 = |grad phi^T sigma|^2, the variance rate of phi at the step start.
+            gs = np.einsum("bi,bik->bk", bar.grad_at(x), sig)
+            spread = np.einsum("bk,bk->b", gs, gs) * spreads[:, s % chunk]
+            # phin + spread is finite iff both are.
+            if not (np.isfinite(xn).all() and np.isfinite(phin + spread).all()):
+                bad = ~(np.all(np.isfinite(xn), axis=1) & np.isfinite(phin + spread))
+                _exclude(bad & alive, diverged, alive, pending)
+            # Excluded paths freeze: their phi lies in [min, max] already and
+            # nothing pends on them, so the one update below keeps their statistics.
+            if not alive.all():
+                frozen = ~alive
+                xn[frozen] = x[frozen]
+                phin[frozen] = phi[frozen]
+                spread[frozen] = 0.0
+            low, high = _bridge_extrema(phi, phin, spread)
+            if pending.any():
+                down = (-phi, -phin, -high, -level) if entering else (phi, phin, low, level)
+                _record_down_crossing(*down, pending, passage, s * dt, dt,
+                                      min((s + 1) * dt, horizon))
+            np.minimum(b_min, low, out=b_min)
+            np.maximum(b_max, high, out=b_max)
+            x, phi = xn, phin
+    return b_min, b_max, passage, diverged, infeasible_flag
 
 
-# The block simulator of a worker process, inherited from the parent through
-# fork by the pool's initializer; None in every other process.
+# ``_simulate_block`` bound to a worker process's ensemble, inherited from the
+# parent through fork by the pool's initializer; None in every other process.
 _worker_simulator = None
 
 
-def _init_worker(simulator: _BlockSimulator) -> None:
+def _init_worker(simulator: functools.partial) -> None:
     global _worker_simulator
     _worker_simulator = simulator
 
@@ -341,7 +324,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     level = bar.level if level is None else float(level)
     phi0 = float(bar.phi_at(x0[None])[0])
 
-    n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
+    n_steps = cfg.n_steps
     per_path_bytes = 8 * (n_steps * sys.k + min(n_steps, BRIDGE_STEPS))
     block = max(64, min(BLOCK_SIZE, int(_BLOCK_BYTES // max(per_path_bytes, 1))))
 
@@ -350,16 +333,19 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     workers = _worker_count(math.ceil(n / block))
     size = math.ceil(n / (workers * math.ceil(n / (block * workers))))
     blocks = [(start, min(size, n - start)) for start in range(0, n, size)]
-    simulator = _BlockSimulator(sys, bar, policy, x0, phi0, level, cfg.seed, n_steps,
-                                cfg.horizon, size)
+    simulator = functools.partial(_simulate_block, sys, bar, policy, x0, phi0, level,
+                                  cfg.seed, n_steps, cfg.horizon)
     if workers == 1:
         parts = list(map(simulator, blocks))
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_worker, initargs=(simulator,)) as pool:
             parts = list(pool.map(_simulate_in_worker, blocks))
-    min_phi, max_phi, exit_time, entry_time, diverged, infeasible = (
+    min_phi, max_phi, passage, diverged, infeasible = (
         np.concatenate(column) for column in zip(*parts))
+    # The passage a path cannot make is at 0: it starts past that level.
+    exit_time, entry_time = ((passage, np.zeros(n)) if phi0 >= level
+                             else (np.zeros(n), passage))
 
     return PathEnsemble(config=cfg, level=level, x0=x0, phi0=phi0,
                         min_phi=min_phi, max_phi=max_phi,

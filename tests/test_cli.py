@@ -221,6 +221,15 @@ class TestConfigValidation:
         ("mc", "mc.dt=1e-300", "mc.dt"),
         ("mc", 'query.times={"start": 0, "stop": 1, "num": 100000000}', "query.times.num"),
         ("solve", "numerics.dt=1e-300", "numerics.dt"),
+        # Empty dimensions and a zero volatility stop at their key too.
+        ("solve", 'system={"dim_state": 0, "dim_input": 1, "dim_noise": 1, "f": [], '
+                  '"g": [], "sigma": []}', "system.dim_state"),
+        ("solve", 'system={"dim_state": 1, "dim_input": 0, "dim_noise": 1, "f": ["1"], '
+                  '"g": [[]], "sigma": [["1"]]}', "system.dim_input"),
+        ("mc", 'system={"dim_state": 1, "dim_input": 1, "dim_noise": 0, "f": ["1"], '
+               '"g": [["0"]], "sigma": [[]]}', "system.dim_noise"),
+        ("validate", 'validation.analytic={"x0": 1, "drift": 1, "vol": 0}',
+         "validation.analytic.vol"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, monkeypatch, command,
                                         override, key):
@@ -488,6 +497,16 @@ class TestMcCommand:
         curve = json.loads((tmp_path / "out" / f"mc_exit_cdf_{cfg.hash}.json").read_text())
         assert curve["grid"][-1] == 0.5
         assert f"P(exit<=0.5) = {curve['values'][-1]:.4f}" in capsys.readouterr().out
+
+    def test_summary_records_the_step_the_paths_took(self, tmp_path):
+        # A horizon of 1 at mc.dt 0.3 rounds to 3 steps of 1/3.
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["mc"].update(dt=0.3, n_paths=100)
+        path = write_config(tmp_path, doc)
+        assert main(["mc", "--config", path]) == 0
+        cfg = ExperimentConfig.from_file(path)
+        summary = json.loads((tmp_path / "out" / f"mc_summary_{cfg.hash}.json").read_text())
+        assert summary["dt"] == 1.0 / 3
 
     def test_zero_paths_exits_2(self, tmp_path, capsys):
         doc = small_bm_doc(str(tmp_path / "out"))
