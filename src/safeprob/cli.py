@@ -28,6 +28,7 @@ from .distributions import (
     KIND_TABLE,
     TABULATION_TIMES,
     QuerySpec,
+    SafeProbWarning,
     event_time_cdf,
     monotonicity_violation,
     solve_distribution,
@@ -112,10 +113,13 @@ def _mc_estimates(ens, times, conf):
     return estimates
 
 
-def _simulate(models, x0, level, pc: PathConfig, max_fraction: float):
-    """Simulate the ensemble; raise DivergenceError when more than
-    ``max_fraction`` of its paths were excluded."""
-    ens = simulate_paths(*models, x0, pc, level=level)
+def _simulate(models, states, level, pc: PathConfig, max_fraction: float):
+    """Simulate the ensemble from the first query state; raise DivergenceError
+    when more than ``max_fraction`` of its paths were excluded."""
+    if len(states) > 1:
+        warnings.warn(f"Monte Carlo simulates the first of {len(states)} query states "
+                      f"only; {len(states) - 1} not simulated", SafeProbWarning)
+    ens = simulate_paths(*models, states[0], pc, level=level)
     frac = (ens.n_diverged + ens.n_infeasible) / pc.n_paths
     if frac > max_fraction:
         raise DivergenceError(
@@ -130,7 +134,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     pc, conf, max_fraction = _mc_settings(cfg, query["horizon"])
     event_log = cfg.get("mc.event_log")
     out = cfg.get("output.dir")
-    ens = _simulate(models, query["states"][0], query["level"], pc, max_fraction)
+    ens = _simulate(models, query["states"], query["level"], pc, max_fraction)
     times = query["times"]
     if times is None:
         times = np.linspace(0.0, pc.horizon, TABULATION_TIMES)
@@ -187,7 +191,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         q = QuerySpec(numerics=cfg.numerics(), **_query(cfg, models[0].n))
         pc, conf, max_fraction = _mc_settings(cfg, q.horizon)
         result = solve_distribution(kind, *models, q, config_hash=cfg.hash)
-        ens = _simulate(models, q.states[0], result.level, pc, max_fraction)
+        ens = _simulate(models, q.states, result.level, pc, max_fraction)
         empirical = (empirical_cdf_exit if KIND_TABLE[kind].event == "exit"
                      else empirical_cdf_entry)
         pde_event = CdfTable(result.times, event_time_cdf(result)[0])

@@ -39,10 +39,9 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .errors import DataError, InfeasibilityError, SafeProbError
+from .errors import DataError, InfeasibilityError
 from .pde_engine import (
     MIN_CELLS,
-    RANGE_TOL,
     FieldSeries,
     GridSpec,
     IbvpSpec,
@@ -169,11 +168,6 @@ class DistributionResult:
     provenance: dict
     series: FieldSeries
 
-    def __post_init__(self):
-        if self.values.min() < -RANGE_TOL or self.values.max() > 1.0 + RANGE_TOL:
-            raise SafeProbError(
-                f"probabilities out of range: [{self.values.min()}, {self.values.max()}]")
-
 
 def monotonicity_violation(result: DistributionResult) -> float:
     """Largest wrong-direction increment along the time axis (0 if clean)."""
@@ -201,8 +195,6 @@ def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     mask = build_mask(grid, bar, side, level=level)
     nodes = grid.nodes()
     n = grid.ndim
-    sig = sys.sigma_at(nodes)
-    diffusion = np.einsum("bik,bjk->bij", sig, sig).reshape(grid.shape + (n, n))
     convection = np.zeros((grid.n_nodes, n))
     interior_idx = np.flatnonzero(mask.ravel())
     if interior_idx.size:
@@ -217,7 +209,8 @@ def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
         convection[interior_idx] = sys.f_at(pts) + np.einsum("bim,bm->bi", sys.g_at(pts), U)
     return IbvpSpec(grid=grid, interior_mask=mask,
                     convection=convection.reshape(grid.shape + (n,)),
-                    diffusion=diffusion, dirichlet_value=dirichlet, horizon=horizon, dt=dt)
+                    sigma=sys.sigma_at(nodes).reshape(grid.shape + (n, sys.k)),
+                    dirichlet_value=dirichlet, horizon=horizon, dt=dt)
 
 
 def _probe_grids(grid: GridSpec, mask: np.ndarray) -> tuple[GridSpec, GridSpec] | None:

@@ -8,8 +8,8 @@ on the nodes of a rectangular box, with a node-based Dirichlet region
 defined by a boolean interior mask and a zero-gradient closure on box
 faces that truncate the interior.  Expanding the divergence, the operator
 is the generator form 1/2 tr(Sigma Hess F) + mu . grad F, so a solve with
-``mu`` the closed-loop drift and ``Sigma = sigma sigma^T`` marches the
-probability fields produced by the distribution layer.
+``mu`` the closed-loop drift and ``Sigma = sigma sigma^T``, PSD by
+construction, marches the probability fields of the distribution layer.
 
 Discretization: backward Euler in time, split into one factor per axis,
 first-order upwind convection oriented for the backward generator
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -140,17 +141,17 @@ def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
 class IbvpSpec:
     """A discretized masked-Dirichlet convection-diffusion problem.
 
-    ``convection`` holds the drift mu per node (shape + (n,)) and
-    ``diffusion`` the tensor Sigma per node (shape + (n, n), symmetric
-    PSD).  Nodes outside ``interior_mask`` are pinned to
-    ``dirichlet_value`` g, 0 or 1, for all time, and the march starts from
-    1 - g on the interior.
+    ``convection`` holds the drift mu per node (shape + (n,)) and ``sigma``
+    the noise matrix per node (shape + (n, k)); the diffusion tensor
+    ``Sigma = sigma sigma^T`` is formed once, on first use.  Nodes outside
+    ``interior_mask`` are pinned to ``dirichlet_value`` g, 0 or 1, for all
+    time, and the march starts from 1 - g on the interior.
     """
 
     grid: GridSpec
     interior_mask: np.ndarray
     convection: np.ndarray
-    diffusion: np.ndarray
+    sigma: np.ndarray
     dirichlet_value: float
     horizon: float
     dt: float
@@ -160,32 +161,32 @@ class IbvpSpec:
         n = self.grid.ndim
         mask = np.asarray(self.interior_mask, dtype=bool)
         conv = np.asarray(self.convection, dtype=float)
-        diff = np.asarray(self.diffusion, dtype=float)
+        sig = np.asarray(self.sigma, dtype=float)
         if mask.shape != shape:
             raise DataError(f"interior_mask shape {mask.shape} != grid shape {shape}")
         if conv.shape != shape + (n,):
             raise DataError(f"convection shape {conv.shape} != {shape + (n,)}")
-        if diff.shape != shape + (n, n):
-            raise DataError(f"diffusion shape {diff.shape} != {shape + (n, n)}")
-        if not np.all(np.isfinite(conv)) or not np.all(np.isfinite(diff)):
-            raise DataError("convection/diffusion fields contain non-finite values")
-        scale = max(1.0, float(np.max(np.abs(diff))))
-        if np.max(np.abs(diff - np.swapaxes(diff, -1, -2))) > 1e-12 * scale:
-            raise DataError("diffusion tensor is not symmetric per node")
-        eigs = np.linalg.eigvalsh(diff.reshape(-1, n, n))
-        if eigs.min() < -1e-10 * scale:
-            raise DataError(f"diffusion tensor not PSD (min eigenvalue {eigs.min():.3e})")
+        if sig.shape[:-1] != shape + (n,):
+            raise DataError(f"sigma shape {sig.shape} is not {shape + (n,)} + (k,)")
+        if not np.all(np.isfinite(conv)) or not np.all(np.isfinite(sig)):
+            raise DataError("convection/sigma fields contain non-finite values")
         if self.dirichlet_value not in (0.0, 1.0):
             raise DataError(f"dirichlet_value must be 0 or 1, got {self.dirichlet_value}")
         if self.horizon < 0:
             raise DataError("horizon must be >= 0")
         if self.dt <= 0:
             raise DataError("dt must be > 0")
-        object.__setattr__(self, "interior_mask", mask)
-        object.__setattr__(self, "convection", conv)
-        object.__setattr__(self, "diffusion", diff)
-        for arr in (mask, conv, diff):
+        for name, arr in (("interior_mask", mask), ("convection", conv), ("sigma", sig)):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def Sigma(self) -> np.ndarray:
+        """The diffusion tensor sigma sigma^T per node, shape (nodes, n, n)."""
+        sig = self.sigma.reshape(self.grid.n_nodes, self.grid.ndim, self.sigma.shape[-1])
+        Sigma = np.einsum("bik,bjk->bij", sig, sig)
+        Sigma.setflags(write=False)
+        return Sigma
 
 
 @dataclass
@@ -283,26 +284,25 @@ def _assemble_operator(spec: IbvpSpec, axis: int) -> sp.csr_matrix:
     a = axis
     base = np.flatnonzero(spec.interior_mask.ravel())
     # The axis component of mu - 1/2 div Sigma, with (div Sigma)_a = sum_b d_b Sigma_ba.
-    div = sum(np.gradient(spec.diffusion[..., b, a], h[b], axis=b) for b in range(n))
+    Sigma = spec.Sigma
+    div = sum(np.gradient(Sigma[:, b, a].reshape(shape), h[b], axis=b) for b in range(n))
     v = (spec.convection[..., a] - 0.5 * div).ravel()[base]
-    diff_flat = spec.diffusion.reshape(N, n, n)
 
     index = np.unravel_index(base, shape)
+    unit = np.eye(n, dtype=int)
 
     def shifted(delta) -> np.ndarray:
         coords = [np.clip(index[c] + delta[c], 0, shape[c] - 1) for c in range(n)]
         return np.ravel_multi_index(coords, shape)
 
-    rows, cols, vals = [], [], []
-    row = np.arange(base.size)
+    cols, vals = [], []
 
     def add(col_idx, coeff):
-        rows.append(row)
         cols.append(col_idx)
         vals.append(coeff)
 
-    plus = shifted(tuple(1 if i == a else 0 for i in range(n)))
-    minus = shifted(tuple(-1 if i == a else 0 for i in range(n)))
+    plus = shifted(unit[a])
+    minus = shifted(-unit[a])
 
     # Upwind convection for the backward generator: positive velocity
     # pulls the field value from the positive neighbor.
@@ -313,7 +313,7 @@ def _assemble_operator(spec: IbvpSpec, axis: int) -> sp.csr_matrix:
     add(base, -(vp - vm))
 
     # Conservative diffusion with face-averaged coefficients.
-    saa = diff_flat[:, a, a]
+    saa = Sigma[:, a, a]
     wp = 0.25 * (saa[base] + saa[plus]) / h[a] ** 2
     wm = 0.25 * (saa[base] + saa[minus]) / h[a] ** 2
     add(plus, wp)
@@ -322,27 +322,25 @@ def _assemble_operator(spec: IbvpSpec, axis: int) -> sp.csr_matrix:
 
     # Cross-derivative stencil for off-diagonal diffusion.
     for b in range(a + 1, n):
-        sab = diff_flat[:, a, b]
+        sab = Sigma[:, a, b]
         if not np.any(sab):
             continue
         for outer, inner in ((a, b), (b, a)):
-            op = tuple(1 if i == outer else 0 for i in range(n))
-            om = tuple(-1 if i == outer else 0 for i in range(n))
-            ip = tuple(1 if i == inner else 0 for i in range(n))
-            im = tuple(-1 if i == inner else 0 for i in range(n))
-            c_p = 0.5 * sab[shifted(op)] / (4.0 * h[outer] * h[inner])
-            c_m = 0.5 * sab[shifted(om)] / (4.0 * h[outer] * h[inner])
-            add(shifted(tuple(x + y for x, y in zip(op, ip))), c_p)
-            add(shifted(tuple(x + y for x, y in zip(op, im))), -c_p)
-            add(shifted(tuple(x + y for x, y in zip(om, ip))), -c_m)
-            add(shifted(tuple(x + y for x, y in zip(om, im))), c_m)
+            eo, ei = unit[outer], unit[inner]
+            c_p = 0.5 * sab[shifted(eo)] / (4.0 * h[outer] * h[inner])
+            c_m = 0.5 * sab[shifted(-eo)] / (4.0 * h[outer] * h[inner])
+            add(shifted(eo + ei), c_p)
+            add(shifted(eo - ei), -c_p)
+            add(shifted(-eo + ei), -c_m)
+            add(shifted(-eo - ei), c_m)
 
-    rows = np.concatenate(rows)
+    # Each term fills every interior row once.  The rows start as int32, the
+    # COO index type below 2^31 nodes, so no int64 copy of them is made.
+    rows = np.tile(np.arange(base.size, dtype=np.int32), len(cols))
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     keep = vals != 0.0
-    L = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(base.size, N))
-    return L.tocsr()
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(base.size, N)).tocsr()
 
 
 class ThetaStepper:
@@ -413,18 +411,12 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
     by default) are sampled at every recorded time; the full field is kept
     at the horizon only.
     """
-    diag = SolveDiagnostics()
     T = float(spec.horizon)
-    if T == 0.0:
-        n_steps = 0
-        dt_eff = spec.dt
-    else:
-        n_steps = max(1, int(round(T / spec.dt)))
-        dt_eff = T / n_steps
-        if abs(dt_eff - spec.dt) > 1e-9 * max(spec.dt, 1.0):
-            diag.notes.append(f"dt adjusted from {spec.dt} to {dt_eff} to divide the horizon")
-    diag.n_steps = n_steps
-    diag.dt_effective = dt_eff
+    n_steps = max(1, int(round(T / spec.dt))) if T > 0.0 else 0
+    dt_eff = T / n_steps if n_steps else spec.dt
+    diag = SolveDiagnostics(n_steps=n_steps, dt_effective=dt_eff)
+    if abs(dt_eff - spec.dt) > 1e-9 * max(spec.dt, 1.0):
+        diag.notes.append(f"dt adjusted from {spec.dt} to {dt_eff} to divide the horizon")
 
     wanted = {0, n_steps}
     if snapshot_times is not None:

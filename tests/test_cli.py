@@ -476,6 +476,21 @@ class TestMcCommand:
             b = (tmp_path / "m2" / name).read_bytes()
             assert a == b
 
+    @pytest.mark.filterwarnings("always::safeprob.distributions.SafeProbWarning")
+    def test_states_past_the_first_are_warned_and_not_simulated(self, tmp_path, capsys):
+        config = str(CONFIG_DIR / "drifted_bm_exit.json")
+        assert main(["mc", "--config", config, "--out", str(tmp_path / "one")]) == 0
+        capsys.readouterr()
+        assert main(["mc", "--config", config, "--out", str(tmp_path / "two"),
+                     "--override", "query.states=[[1.0],[3.0]]"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == [
+            "warning: Monte Carlo simulates the first of 2 query states only; "
+            "1 not simulated"]
+        [one] = (tmp_path / "one").glob("mc_exit_cdf_*.json")
+        [two] = (tmp_path / "two").glob("mc_exit_cdf_*.json")
+        assert json.loads(two.read_text()) == json.loads(one.read_text())
+
     def test_seed_flag_changes_artifacts(self, tmp_path):
         doc = small_bm_doc(str(tmp_path / "m1"))
         path = write_config(tmp_path, doc)
@@ -662,7 +677,7 @@ class TestValidateCommand:
             face = base == spec.interior_mask.size - 1
             h = spec.grid.spacing[0]
             weight = (np.maximum(spec.convection.ravel(), 0.0) / h
-                      + 0.5 * spec.diffusion.ravel() / h ** 2)[base[face]]
+                      + 0.5 * spec.Sigma.ravel() / h ** 2)[base[face]]
             rows = np.flatnonzero(face)
             return (L - sp.csr_matrix((weight, (rows, base[face])), shape=L.shape)).tocsr()
 

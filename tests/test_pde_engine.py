@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeprob import (
     BarrierProblem,
@@ -33,21 +35,28 @@ from conftest import HEAT_HALFLINE, identity_barrier
 
 
 def const_fields(grid, mu, sig2, axis=0):
+    """Drift ``mu`` along ``axis`` and sigma ``sqrt(sig2)`` times the identity
+    at every node, so Sigma is ``sig2`` times the identity."""
     shape = grid.shape
     n = grid.ndim
     conv = np.zeros(shape + (n,))
     conv[..., axis] = mu
-    diff = np.zeros(shape + (n, n))
+    sigma = np.zeros(shape + (n, n))
     for a in range(n):
-        diff[..., a, a] = sig2
-    return conv, diff
+        sigma[..., a, a] = np.sqrt(sig2)
+    return conv, sigma
+
+
+def const_sigma(grid, Sigma):
+    """The Cholesky factor of the constant tensor ``Sigma`` at every node."""
+    return np.broadcast_to(np.linalg.cholesky(Sigma), grid.shape + np.shape(Sigma))
 
 
 def line_spec(lo, hi, cells, mu, sig2, mask_fn, dirichlet, horizon=1.0, dt=1e-3):
     grid = GridSpec((lo,), (hi,), (cells,))
     mask = mask_fn(grid.axes()[0])
-    conv, diff = const_fields(grid, mu, sig2)
-    return IbvpSpec(grid, mask, conv, diff, dirichlet, horizon, dt)
+    conv, sigma = const_fields(grid, mu, sig2)
+    return IbvpSpec(grid, mask, conv, sigma, dirichlet, horizon, dt)
 
 
 def initial_field(spec):
@@ -97,8 +106,8 @@ def ball_exit_spec(cells=12, horizon=0.1, dt=1e-2):
     """Exit from the unit ball under a constant drift on a small 3D grid."""
     grid = GridSpec((-1.5,) * 3, (1.5,) * 3, (cells,) * 3)
     mask = np.sum(grid.nodes() ** 2, axis=1).reshape(grid.shape) < 1.0
-    conv, diff = const_fields(grid, 0.4, 0.5)
-    return IbvpSpec(grid, mask, conv, diff, 1.0, horizon, dt)
+    conv, sigma = const_fields(grid, 0.4, 0.5)
+    return IbvpSpec(grid, mask, conv, sigma, 1.0, horizon, dt)
 
 
 class TestGridSampler:
@@ -202,31 +211,55 @@ class TestBuildMask:
 
 
 class TestIbvpSpecValidation:
-    def test_asymmetric_diffusion_rejected(self):
+    @pytest.mark.parametrize("shape", [(9, 9, 1), (9, 9, 3, 1), (8, 9, 2, 1)])
+    def test_sigma_with_wrong_leading_shape_rejected(self, shape):
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (8, 8))
-        mask = np.ones(grid.shape, dtype=bool)
         conv = np.zeros(grid.shape + (2,))
-        diff = np.zeros(grid.shape + (2, 2))
-        diff[..., 0, 1] = 1.0
-        with pytest.raises(DataError, match="symmetric"):
-            IbvpSpec(grid, mask, conv, diff, 0.0, 1.0, 0.1)
+        with pytest.raises(DataError, match="sigma shape"):
+            IbvpSpec(grid, np.ones(grid.shape, dtype=bool), conv, np.ones(shape), 0.0,
+                     1.0, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        grid = GridSpec((-2.0,), (2.0,), (8,))
+        conv, sigma = const_fields(grid, 0.0, 1.0)
+        sigma[3, 0, 0] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, sigma, 0.0, 1.0, 0.1)
 
     @pytest.mark.parametrize("dirichlet", [0.5, -1.0, np.nan])
     def test_dirichlet_value_must_be_0_or_1(self, dirichlet):
         grid = GridSpec((-2.0,), (2.0,), (8,))
-        conv, diff = const_fields(grid, 0.0, 1.0)
+        conv, sigma = const_fields(grid, 0.0, 1.0)
         with pytest.raises(DataError, match="0 or 1"):
-            IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, diff, dirichlet, 1.0, 0.1)
+            IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, sigma, dirichlet, 1.0, 0.1)
 
-    def test_non_psd_diffusion_rejected(self):
-        grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (8, 8))
-        mask = np.ones(grid.shape, dtype=bool)
-        conv = np.zeros(grid.shape + (2,))
-        diff = np.zeros(grid.shape + (2, 2))
-        diff[..., 0, 1] = 1.0
-        diff[..., 1, 0] = 1.0
-        with pytest.raises(DataError, match="PSD"):
-            IbvpSpec(grid, mask, conv, diff, 0.0, 1.0, 0.1)
+
+class TestOperatorDependsOnSigmaSigmaT:
+    """Two sigmas with the same sigma sigma^T build the same operator rows."""
+
+    @staticmethod
+    def _rows(grid, mask, conv, sigma):
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
+        return [_assemble_operator(spec, a) for a in range(grid.ndim)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(ndim=st.integers(1, 3), k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_zero_noise_column_and_rotation_leave_the_rows(self, ndim, k, seed):
+        rng = np.random.default_rng(seed)
+        grid = GridSpec((-1.0,) * ndim, (1.0,) * ndim, (8,) * ndim)
+        mask = rng.random(grid.shape) < 0.7
+        conv = rng.standard_normal(grid.shape + (ndim,))
+        sigma = rng.standard_normal(grid.shape + (ndim, k))
+        rows = self._rows(grid, mask, conv, sigma)
+        # A zero column adds exact zeros to every sum of sigma sigma^T.
+        padded = np.concatenate([sigma, np.zeros(grid.shape + (ndim, 1))], axis=-1)
+        for L, L_pad in zip(rows, self._rows(grid, mask, conv, padded)):
+            assert (L != L_pad).nnz == 0
+        # An orthogonal Q leaves sigma Q Q^T sigma^T equal up to rounding.
+        Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        for L, L_rot in zip(rows, self._rows(grid, mask, conv, sigma @ Q)):
+            assert abs(L - L_rot).max() <= 1e-14 * abs(L).max()
 
 
 class TestStep:
@@ -325,12 +358,8 @@ class TestCrossDerivativeStencil:
         grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (10, 10))
         mask = np.ones(grid.shape, dtype=bool)
         conv = np.zeros(grid.shape + (2,))
-        diff = np.zeros(grid.shape + (2, 2))
-        diff[..., 0, 0] = 1.0
-        diff[..., 1, 1] = 1.0
-        diff[..., 0, 1] = r
-        diff[..., 1, 0] = r
-        spec = IbvpSpec(grid, mask, conv, diff, 0.0, 1.0, 0.1)
+        sigma = const_sigma(grid, [[1.0, r], [r, 1.0]])
+        spec = IbvpSpec(grid, mask, conv, sigma, 0.0, 1.0, 0.1)
         L = _assemble_operator(spec, 0) + _assemble_operator(spec, 1)
         xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
         F = (xs * ys).ravel()
@@ -455,11 +484,8 @@ class TestStepperInternals:
         nodes = grid.nodes()
         mask = (np.sum(nodes ** 2, axis=1) < 0.8).reshape(grid.shape)
         conv = np.stack([nodes[:, 1], -0.5 * nodes[:, 0]], axis=1).reshape(grid.shape + (2,))
-        diff = np.zeros(grid.shape + (2, 2))
-        diff[..., 0, 0] = 1.0
-        diff[..., 1, 1] = 0.5
-        diff[..., 0, 1] = diff[..., 1, 0] = 0.6
-        spec = IbvpSpec(grid, mask, conv, diff, 1.0, 0.1, 1e-2)
+        sigma = const_sigma(grid, [[1.0, 0.6], [0.6, 0.5]])
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
         assert _assemble_operator(spec, 1).nnz < _assemble_operator(spec, 0).nnz
         marched = split_steps(spec, interior_values(spec), 5)
         for values, expected in zip(marched, full_node_steps(spec, 5, split=True)):
@@ -500,8 +526,8 @@ class TestStepperInternals:
 
         monkeypatch.setattr(pde_engine, "_assemble_operator", perturbed)
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (16, 16))
-        conv, diff = const_fields(grid, 0.5, 1.0)
+        conv, sigma = const_fields(grid, 0.5, 1.0)
         mask = grid.nodes()[:, 0].reshape(grid.shape) >= 0.0
-        spec = IbvpSpec(grid, mask, conv, diff, 1.0, 0.1, 1e-2)
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
         diag = solve_ibvp(spec).diagnostics
         assert diag.row_sum_defect == pytest.approx(sum(eps.values()), rel=1e-9)
