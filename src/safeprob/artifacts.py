@@ -41,10 +41,10 @@ def _result_paths(out_dir: str, kind: str, tag: str) -> tuple[str, str, str]:
     return f"{stem}.csv", f"{stem}.json", f"{stem}_fields.json"
 
 
-def _curve_csv(states, times, values, level=None) -> str:
-    """Long-format table: state coordinates, time, level (when given), value."""
-    columns = ",t,value" if level is None else ",t,level,value"
-    level_cell = "" if level is None else f"{_fmt(level)},"
+def _curve_csv(states, times, values, level_cell: str = "") -> str:
+    """Long-format table: state coordinates, time, level (when its cell
+    ``"<level>,"`` is given), value."""
+    columns = ",t,level,value" if level_cell else ",t,value"
     lines = [",".join(f"x{i + 1}" for i in range(len(states[0]))) + columns]
     for si, state in enumerate(states):
         coords = ",".join(_fmt(c) for c in state)
@@ -55,7 +55,7 @@ def _curve_csv(states, times, values, level=None) -> str:
 
 def result_csv(result: DistributionResult) -> str:
     """Long-format table: state coordinates, time, level, value."""
-    return _curve_csv(result.states, result.times, result.values, result.level)
+    return _curve_csv(result.states, result.times, result.values, f"{_fmt(result.level)},")
 
 
 def result_json(result: DistributionResult) -> dict:

@@ -26,12 +26,12 @@ from .artifacts import (
 from .config import ExperimentConfig
 from .distributions import (
     KIND_TABLE,
-    TABULATION_TIMES,
     QuerySpec,
     SafeProbWarning,
     event_time_cdf,
     monotonicity_violation,
     solve_distribution,
+    tabulation_times,
 )
 from .errors import (
     ConfigError,
@@ -64,10 +64,9 @@ def _query(cfg: ExperimentConfig, n: int) -> dict:
     states = cfg.get("query.states")
     if not states or any(len(x) != n for x in states):
         raise ConfigError(f"states must be a non-empty list of {n}-vectors", "query.states")
-    level = cfg.get("query.level")
     return {"states": np.asarray(states, dtype=float),
             "horizon": float(cfg.get("query.horizon")),
-            "level": None if level is None else float(level),
+            "level": float(cfg.get("query.level")),
             "times": cfg.query_times()}
 
 
@@ -135,15 +134,14 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     event_log = cfg.get("mc.event_log")
     out = cfg.get("output.dir")
     ens = _simulate(models, query["states"], query["level"], pc, max_fraction)
-    times = query["times"]
-    if times is None:
-        times = np.linspace(0.0, pc.horizon, TABULATION_TIMES)
+    times = tabulation_times(pc.horizon, query["times"])
     estimates = _mc_estimates(ens, times, conf)
     files = write_empirical(estimates, ens, out, cfg.hash, event_log=event_log)
     files.append(write_manifest(out, cfg.hash, "mc", files, cfg.doc))
-    emp = estimates["exit_cdf"]
+    event = KIND_TABLE[cfg.get("query.kind")].event
+    emp = estimates[f"{event}_cdf"]
     print(f"simulated {pc.n_paths} paths (excluded {ens.n_diverged}+{ens.n_infeasible}); "
-          f"P(exit<={times[-1]}) = {emp.values[-1]:.4f} +- {emp.band:.4f}")
+          f"P({event}<={times[-1]}) = {emp.values[-1]:.4f} +- {emp.band:.4f}")
     print(f"wrote {len(files)} files to {out}")
     return EXIT_OK
 

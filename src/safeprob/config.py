@@ -62,7 +62,6 @@ SCHEMA: dict = {
     }),
     "barrier": (None, {
         "phi": (REQUIRED, str),
-        "level": (0, _NUMBER),
     }),
     "policy": (None, {
         "kind": (REQUIRED, str, (lambda v: v in POLICY_KINDS, "unknown policy kind {!r}")),
@@ -73,7 +72,7 @@ SCHEMA: dict = {
     "query": (None, {
         "kind": (REQUIRED, str, (lambda v: v in KINDS, "unknown distribution kind {!r}")),
         "states": (REQUIRED, [[_NUMBER]]),
-        "level": (None, _NUMBER),
+        "level": (0, _NUMBER),
         "horizon": (REQUIRED, _NUMBER, (lambda v: v >= 0, "horizon must be >= 0")),
         "times": (None, {
             "start": (REQUIRED, _NUMBER),
@@ -315,8 +314,7 @@ class ExperimentConfig:
         system = (_system_from_doc(self.doc["system"]) if "system" in self.doc
                   else bundle.system)
         if "barrier" in self.doc:
-            barrier = BarrierProblem(phi=compile_scalar(self.get("barrier.phi"), system.n),
-                                     level=float(self.get("barrier.level")))
+            barrier = BarrierProblem(phi=compile_scalar(self.get("barrier.phi"), system.n))
         else:
             barrier = bundle.barrier
         if "policy" in self.doc:

@@ -94,6 +94,12 @@ PROBE_TOLERANCE = 1e-3
 TABULATION_TIMES = 101
 
 
+def tabulation_times(horizon: float, times: np.ndarray | None) -> np.ndarray:
+    """The times a query tabulates at: its own, or ``TABULATION_TIMES`` evenly
+    spaced over [0, horizon] when it names none."""
+    return np.linspace(0.0, horizon, TABULATION_TIMES) if times is None else times
+
+
 @dataclass(frozen=True)
 class NumericsConfig:
     """Discretization controls for a distribution query.
@@ -127,13 +133,13 @@ class NumericsConfig:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """One batch query: initial states, level (the barrier's by default), horizon,
-    and tabulation times (``TABULATION_TIMES`` evenly spaced by default)."""
+    """One batch query: initial states, level (0, the safe set's boundary, by
+    default), horizon, and tabulation times (``tabulation_times`` by default)."""
 
     states: np.ndarray
     horizon: float
     numerics: NumericsConfig
-    level: float | None = None
+    level: float = 0.0
     times: np.ndarray | None = None
 
     def __post_init__(self):
@@ -270,7 +276,7 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
     if kind not in KINDS:
         raise DataError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
     side, dirichlet = KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet
-    level = bar.level if q.level is None else float(q.level)
+    level = float(q.level)
     states = q.states
     phi0 = bar.phi_at(states)
     on_side = phi0 >= level if side == "super" else phi0 < level
@@ -300,8 +306,8 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
         if grids is not None:
             probe = [assemble(g, q.numerics.dt * PROBE_COARSEN) for g in grids]
 
-    times = np.linspace(0.0, q.horizon, TABULATION_TIMES) if q.times is None else q.times
-    series = solve_ibvp(spec, snapshot_times=times, points=states)
+    series = solve_ibvp(spec, snapshot_times=tabulation_times(q.horizon, q.times),
+                        points=states)
     if probe is not None:
         diag = series.diagnostics
         diag.boundary_sensitivity = _probe_sensitivity(

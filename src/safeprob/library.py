@@ -16,7 +16,6 @@ from .system_model import BarrierProblem, ControlSystem, Policy, linear_rate
 
 @dataclass(frozen=True)
 class ExampleBundle:
-    name: str
     system: ControlSystem
     barrier: BarrierProblem
     policy: Policy
@@ -41,12 +40,11 @@ def _drifted_bm_1d() -> ExampleBundle:
         phi=lambda X: X[..., 0],
         grad_phi=lambda X: np.ones_like(X),
         hess_phi=lambda X: np.zeros(X.shape[:-1] + (1, 1)),
-        level=0.0,
     )
     policy = Policy(nominal=lambda X: np.zeros(X.shape[:-1] + (1,)),
                     kind="none")
     return ExampleBundle(
-        name="drifted_bm_1d", system=sys, barrier=bar, policy=policy,
+        system=sys, barrier=bar, policy=policy,
         box_lo=(0.0,), box_hi=(8.0,), cells=(800,), dt=1e-3,
         x0=(1.0,), horizon=1.0,
     )
@@ -88,13 +86,13 @@ def _double_integrator() -> ExampleBundle:
         return out
 
     sys = ControlSystem(n=2, m=1, k=1, f=f, g=g, sigma=sigma)
-    bar = BarrierProblem(phi=phi, grad_phi=grad, hess_phi=hess, level=0.0)
+    bar = BarrierProblem(phi=phi, grad_phi=grad, hess_phi=hess)
     policy = Policy(nominal=lambda X: np.zeros(X.shape[:-1] + (1,)),
                     kind="zero_cbf", alpha=linear_rate(_DI_GAMMA))
     # Odd velocity cell count keeps v=0 off the node lattice, where the
     # filter's actuated direction vanishes.
     return ExampleBundle(
-        name="double_integrator", system=sys, barrier=bar, policy=policy,
+        system=sys, barrier=bar, policy=policy,
         box_lo=(-1.05, -1.05), box_hi=(1.05, 1.05), cells=(168, 169), dt=1e-3,
         x0=(0.0, 0.0), horizon=1.0,
     )
@@ -141,11 +139,11 @@ def _unicycle_disk() -> ExampleBundle:
         return out
 
     sys = ControlSystem(n=3, m=2, k=3, f=f, g=g, sigma=sigma)
-    bar = BarrierProblem(phi=phi, grad_phi=grad, hess_phi=hess, level=0.0)
+    bar = BarrierProblem(phi=phi, grad_phi=grad, hess_phi=hess)
     policy = Policy(nominal=nominal, kind="gradient",
                     c=lambda X: np.full(X.shape[:-1], 1.0))
     return ExampleBundle(
-        name="unicycle_disk", system=sys, barrier=bar, policy=policy,
+        system=sys, barrier=bar, policy=policy,
         box_lo=(-1.1, -1.1, -np.pi), box_hi=(1.1, 1.1, np.pi),
         cells=(22, 22, 12), dt=2e-3,
         x0=(0.0, 0.0, 0.0), horizon=0.5,

@@ -302,16 +302,15 @@ def _worker_count(n_blocks: int) -> int:
 
 
 def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-                   x0, cfg: PathConfig, level: float | None = None) -> PathEnsemble:
+                   x0, cfg: PathConfig, level: float = 0.0) -> PathEnsemble:
     """Euler-Maruyama ensemble recording barrier extrema and crossing times,
     both read off each step's sampled Brownian bridge of phi.
 
     The closed loop K(X) is evaluated every step.  Crossing times are
-    recorded against ``level`` (the barrier's own level by default).
-    Paths that produce non-finite states are flagged and excluded; paths
-    reaching states where the zero-CBF filter is infeasible are likewise
-    flagged and counted separately.  An excluded path freezes at its last
-    state and records nothing more.
+    recorded against ``level``.  Paths that produce non-finite states are
+    flagged and excluded; paths reaching states where the zero-CBF filter
+    is infeasible are likewise flagged and counted separately.  An excluded
+    path freezes at its last state and records nothing more.
 
     The blocks run in forked worker processes, one per available CPU, or
     in the calling process when there is one worker; the result does not
@@ -321,7 +320,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if not np.all(np.isfinite(x0)):
         raise DataError("initial state must be finite")
-    level = bar.level if level is None else float(level)
+    level = float(level)
     phi0 = float(bar.phi_at(x0[None])[0])
 
     n_steps = cfg.n_steps

@@ -122,8 +122,8 @@ class GridSpec:
 
 
 def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
-               level: float | None = None) -> np.ndarray:
-    """Interior mask from the barrier's level set.
+               level: float = 0.0) -> np.ndarray:
+    """Interior mask from the barrier's ``level`` set.
 
     ``side='super'`` marks nodes with phi >= level interior, ``'sub'``
     marks phi < level.  Comparisons are weak on the super side by
@@ -131,8 +131,6 @@ def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
     """
     if side not in ("super", "sub"):
         raise ValueError(f"side must be 'super' or 'sub', got {side!r}")
-    if level is None:
-        level = bar.level
     phi = bar.phi_at(grid.nodes()).reshape(grid.shape)
     return phi >= level if side == "super" else phi < level
 

@@ -4,10 +4,11 @@ The model is a controlled diffusion
 
     dX = (f(X) + g(X) U) dt + sigma(X) dW,    U = K(X),
 
-together with a scalar barrier ``phi`` whose super-level set defines the
-safe region.  This module builds the closed-loop control law K for the
-supported policy kinds and the generator drift of ``phi`` used by the
-distribution solvers.
+together with a scalar barrier ``phi`` whose zero super-level set
+``{phi >= 0}`` is the safe region; a distribution query picks the level
+``l`` of the set ``{phi >= l}`` it asks about.  This module builds the
+closed-loop control law K for the supported policy kinds and the
+generator drift of ``phi`` used by the distribution solvers.
 
 Evaluators are callables on stacked states of shape ``(B, n)`` that
 return outputs with a leading batch axis.  The ``*_at`` helpers and the
@@ -115,17 +116,16 @@ class ControlSystem:
 
 @dataclass(frozen=True)
 class BarrierProblem:
-    """Barrier function with derivative evaluators and the level threshold.
+    """Barrier function with derivative evaluators.
 
     ``grad_phi``/``hess_phi`` may be omitted; central finite differences
-    with step ``FD_STEP`` are substituted.  The super-level set
-    ``{x : phi(x) >= level}`` is the safe region.
+    with step ``FD_STEP`` are substituted.  The zero super-level set
+    ``{x : phi(x) >= 0}`` is the safe region; the query picks the level.
     """
 
     phi: Callable
     grad_phi: Callable | None = None
     hess_phi: Callable | None = None
-    level: float = 0.0
 
     def phi_at(self, X) -> np.ndarray:
         return _eval_batch(self.phi, _as_batch(X), (), "phi")
@@ -280,8 +280,8 @@ def validate_barrier(bar: BarrierProblem, probes, rel_tol: float = 1e-5,
 
     Verifies Hessian symmetry, agreement of the supplied gradient with
     central finite differences of phi, and a non-vanishing gradient at
-    probes lying within ``level_band`` of the level set.  Raises
-    ValueError on the first violation.
+    probes lying within ``level_band`` of the safe set's boundary
+    ``phi = 0``.  Raises ValueError on the first violation.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     phi = bar.phi_at(probes)
@@ -296,5 +296,5 @@ def validate_barrier(bar: BarrierProblem, probes, rel_tol: float = 1e-5,
         denom = max(float(np.linalg.norm(g_fd)), 1e-12)
         if np.linalg.norm(g - g_fd) / denom > rel_tol:
             raise ValueError(f"gradient inconsistent with phi at {x.tolist()}")
-        if abs(float(p) - bar.level) <= level_band and np.linalg.norm(g) < 1e-8:
+        if abs(float(p)) <= level_band and np.linalg.norm(g) < 1e-8:
             raise ValueError(f"gradient vanishes on the level set near {x.tolist()}")

@@ -39,21 +39,19 @@ def const_system_1d(drift: float, gain: float, vol: float) -> ControlSystem:
     )
 
 
-def identity_barrier(level: float = 0.0) -> BarrierProblem:
+def identity_barrier() -> BarrierProblem:
     return BarrierProblem(
         phi=lambda X: X[..., 0],
         grad_phi=lambda X: np.ones_like(X),
         hess_phi=lambda X: np.zeros(X.shape[:-1] + (1, 1)),
-        level=level,
     )
 
 
-def quadratic_barrier(level: float = 0.0) -> BarrierProblem:
+def quadratic_barrier() -> BarrierProblem:
     return BarrierProblem(
         phi=lambda X: X[..., 0] ** 2,
         grad_phi=lambda X: 2.0 * X,
         hess_phi=lambda X: np.full(X.shape[:-1] + (1, 1), 2.0),
-        level=level,
     )
 
 

@@ -14,7 +14,7 @@ from safeprob import cli, distributions, pde_engine
 from safeprob.artifacts import export_snapshot_csv
 from safeprob.cli import main
 from safeprob.config import REQUIRED, SCHEMA, ExperimentConfig, config_hash, validate_config
-from safeprob.distributions import NumericsConfig
+from safeprob.distributions import NumericsConfig, QuerySpec, solve_distribution
 from safeprob.errors import ConfigError
 from safeprob.library import make_example
 from safeprob.pde_engine import GridSpec
@@ -230,6 +230,8 @@ class TestConfigValidation:
                '"g": [["0"]], "sigma": [[]]}', "system.dim_noise"),
         ("validate", 'validation.analytic={"x0": 1, "drift": 1, "vol": 0}',
          "validation.analytic.vol"),
+        # The query sets the level; a barrier has none.
+        ("solve", 'barrier={"phi": "x1", "level": 0.5}', "barrier.level"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, monkeypatch, command,
                                         override, key):
@@ -305,7 +307,7 @@ class TestConfigValidation:
         doc = {
             "system": {"dim_state": 1, "dim_input": 1, "dim_noise": 1,
                        "f": ["1"], "g": [["0"]], "sigma": [["1"]]},
-            "barrier": {"phi": "x1", "level": 0.0},
+            "barrier": {"phi": "x1"},
             "policy": {"kind": "none"},
         }
         cfg = ExperimentConfig.from_doc(doc)
@@ -331,6 +333,18 @@ class TestSolveCommand:
         assert manifest["config_hash"] == cfg.hash
         for name in manifest["files"]:
             assert (Path(out) / name).exists()
+
+    def test_query_level_matches_the_library_query(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, small_bm_doc(str(out)))
+        assert main(["solve", "--config", path, "--override", "query.level=0.5"]) == 0
+        cfg = ExperimentConfig.from_file(path, ["query.level=0.5"])
+        written = json.loads((out / f"exit_cdf_{cfg.hash}.json").read_text())
+        q = QuerySpec(states=[[1.0]], horizon=1.0, numerics=cfg.numerics(), level=0.5,
+                      times=cfg.query_times())
+        result = solve_distribution("exit_cdf", *cfg.models(), q)
+        assert written["level"] == result.level == 0.5
+        assert written["values"] == result.values.tolist()
 
     @pytest.mark.filterwarnings("always::safeprob.distributions.SafeProbWarning")
     def test_warnings_print_one_line_each(self, tmp_path, capsys):
@@ -385,7 +399,7 @@ class TestSolveCommand:
     def test_negative_gradient_gain_exits_2(self, tmp_path, capsys):
         doc = {"system": {"dim_state": 1, "dim_input": 1, "dim_noise": 1,
                           "f": ["0"], "g": [["1"]], "sigma": [["1"]]},
-               "barrier": {"phi": "x1", "level": 0.0},
+               "barrier": {"phi": "x1"},
                "policy": {"kind": "gradient", "c": "-1"},
                "query": {"kind": "exit_cdf", "states": [[1.0]], "horizon": 0.1},
                "numerics": {"box_lo": [0.0], "box_hi": [4.0], "cells": [40],
@@ -513,6 +527,15 @@ class TestMcCommand:
         assert curve["grid"][-1] == 0.5
         assert f"P(exit<=0.5) = {curve['values'][-1]:.4f}" in capsys.readouterr().out
 
+    def test_prints_the_passage_of_the_query_kind(self, tmp_path, capsys):
+        # Paths of an entry query start below the level, so each exits at 0:
+        # the line reports the entry curve.
+        config = CONFIG_DIR / "drifted_bm_recovery.json"
+        assert main(["mc", "--config", str(config), "--out", str(tmp_path)]) == 0
+        cfg = ExperimentConfig.from_file(config)
+        curve = json.loads((tmp_path / f"mc_entry_cdf_{cfg.hash}.json").read_text())
+        assert f"P(entry<=1.0) = {curve['values'][-1]:.4f} +- " in capsys.readouterr().out
+
     def test_summary_records_the_step_the_paths_took(self, tmp_path):
         # A horizon of 1 at mc.dt 0.3 rounds to 3 steps of 1/3.
         doc = small_bm_doc(str(tmp_path / "out"))
@@ -536,7 +559,7 @@ class TestMcCommand:
         return {
             "system": {"dim_state": 1, "dim_input": 1, "dim_noise": 1,
                        "f": ["x1^3 + 10"], "g": [["0"]], "sigma": [["1"]]},
-            "barrier": {"phi": "x1", "level": 0.0},
+            "barrier": {"phi": "x1"},
             "query": {"kind": "exit_cdf", "states": [[1.0]], "horizon": 5.0},
             "numerics": {"box_lo": [0.0], "box_hi": [4.0], "cells": [100],
                          "dt": 0.01},

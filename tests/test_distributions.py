@@ -239,7 +239,7 @@ class TestQueryHandling:
         # Every node at every tabulation time holds the Dirichlet value.
         q = self._trivial_query(lo, hi, x)
         grid = _padded_grid(q.numerics)
-        spec = _assemble(bm.system, bm.barrier, bm.policy, grid, bm.barrier.level,
+        spec = _assemble(bm.system, bm.barrier, bm.policy, grid, 0.0,
                          KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet, q.horizon,
                          q.numerics.dt)
         series = solve_ibvp(spec, snapshot_times=q.times, points=grid.nodes())

@@ -208,7 +208,7 @@ class TestPathNoise:
         assert peak <= 1.5 * block_bytes
 
 
-def _reference_paths(sys, bar, policy, x0, cfg):
+def _reference_paths(sys, bar, policy, x0, cfg, level=0.0):
     """One path at a time, one fresh Philox generator per path and stream,
     with the arithmetic of ``simulate_paths``: the per-path statement of its
     result.
@@ -221,7 +221,6 @@ def _reference_paths(sys, bar, policy, x0, cfg):
     n_steps = max(1, int(round(cfg.horizon / cfg.dt)))
     dt = cfg.horizon / n_steps
     sqdt = np.sqrt(dt)
-    level = bar.level
     x_start = np.asarray(x0, dtype=float).reshape(1, sys.n)
     phi0 = float(bar.phi_at(x_start)[0])
     rows = []
@@ -456,8 +455,7 @@ class TestPathwiseDuality:
         cfg = PathConfig(dt=1e-2, horizon=1.0, n_paths=2000, seed=9)
         negated = BarrierProblem(phi=lambda X: -X[..., 0],
                                  grad_phi=lambda X: -np.ones_like(X),
-                                 hess_phi=lambda X: np.zeros(X.shape[:-1] + (1, 1)),
-                                 level=0.0)
+                                 hess_phi=lambda X: np.zeros(X.shape[:-1] + (1, 1)))
         ens = simulate_paths(sys, identity_barrier(), NONE_POLICY, [-0.5], cfg, level=0.25)
         neg = simulate_paths(sys, negated, NONE_POLICY, [-0.5], cfg, level=-0.25)
         entered = ~np.isnan(ens.entry_time)

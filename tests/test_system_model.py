@@ -240,9 +240,12 @@ class TestBarrierValidation:
     def test_validate_barrier_accepts_consistent(self):
         probes = np.linspace(-2, 2, 9)[:, None]
         validate_barrier(identity_barrier(), probes)
-        # The quadratic barrier's gradient only vanishes at the origin;
-        # with the level set moved to x = +-1 it validates cleanly.
-        validate_barrier(quadratic_barrier(level=1.0), probes)
+        # x^2 - 1 has its gradient vanish only at the origin, off its zero
+        # level set x = +-1, so it validates cleanly.
+        shifted = BarrierProblem(phi=lambda X: X[..., 0] ** 2 - 1.0,
+                                 grad_phi=lambda X: 2.0 * X,
+                                 hess_phi=lambda X: np.full(X.shape[:-1] + (1, 1), 2.0))
+        validate_barrier(shifted, probes)
 
     def test_validate_barrier_rejects_wrong_gradient(self):
         bad = BarrierProblem(phi=lambda X: X[..., 0] ** 2,
@@ -253,8 +256,7 @@ class TestBarrierValidation:
     def test_validate_barrier_rejects_vanishing_gradient_on_level_set(self):
         flat = BarrierProblem(phi=lambda X: X[..., 0] ** 2,
                               grad_phi=lambda X: 2.0 * X,
-                              hess_phi=lambda X: np.full(X.shape[:-1] + (1, 1), 2.0),
-                              level=0.0)
+                              hess_phi=lambda X: np.full(X.shape[:-1] + (1, 1), 2.0))
         with pytest.raises(ValueError, match="vanishes"):
             validate_barrier(flat, np.array([[0.0]]))
 
