@@ -96,11 +96,16 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _mc_estimates(ens, times, conf):
-    # The time-axis estimates come first: with every path excluded they
-    # raise DataError before the level span below reduces an empty array.
-    estimates = {"exit_cdf": empirical_cdf_exit(ens, times, conf),
-                 "entry_cdf": empirical_cdf_entry(ens, times, conf)}
+# The empirical CDF of each passage time.
+_EMPIRICAL_CDF = {"exit": empirical_cdf_exit, "entry": empirical_cdf_entry}
+
+
+def _mc_estimates(ens, event, times, conf):
+    """The curve of the one passage the paths can make, ``event``, over
+    ``times``, and the running-extremum curves over the levels they span."""
+    # The passage curve comes first: with every path excluded it raises
+    # DataError before the level span below reduces an empty array.
+    estimates = {f"{event}_cdf": _EMPIRICAL_CDF[event](ens, times, conf)}
     span_lo = float(np.min(ens.min_phi[ens.ok]))
     span_hi = float(np.max(ens.max_phi[ens.ok]))
     if span_lo == span_hi:
@@ -135,10 +140,10 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     out = cfg.get("output.dir")
     ens = _simulate(models, query["states"], query["level"], pc, max_fraction)
     times = tabulation_times(pc.horizon, query["times"])
-    estimates = _mc_estimates(ens, times, conf)
+    event = KIND_TABLE[cfg.get("query.kind")].event
+    estimates = _mc_estimates(ens, event, times, conf)
     files = write_empirical(estimates, ens, out, cfg.hash, event_log=event_log)
     files.append(write_manifest(out, cfg.hash, "mc", files, cfg.doc))
-    event = KIND_TABLE[cfg.get("query.kind")].event
     emp = estimates[f"{event}_cdf"]
     print(f"simulated {pc.n_paths} paths (excluded {ens.n_diverged}+{ens.n_infeasible}); "
           f"P({event}<={times[-1]}) = {emp.values[-1]:.4f} +- {emp.band:.4f}")
@@ -155,15 +160,19 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     out = cfg.get("output.dir")
     checks = []
 
-    def add(name, value, band=None):
+    def add(name, value, band=None, mc_values=None):
         check = {"name": name, "value": value, "tolerance": tol[name],
                  "passed": bool(value is None or value <= tol[name])}
         if band is not None:
             # An estimate whose DKW band reaches the tolerance cannot tell a
-            # passing curve from a failing one: recorded, not warned.
+            # passing curve from a failing one, and a Monte Carlo curve
+            # constant over the tabulation saw no passage in it, so it has
+            # no event to compare: both are recorded, not warned.
             check["band"] = band
             if band >= tol[name]:
                 check["underpowered"] = True
+            if np.ptp(mc_values) == 0:
+                check["vacuous"] = True
         checks.append(check)
 
     if pde_artifact is not None or mc_artifact is not None:
@@ -182,7 +191,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         # Both curves compare as the CDF of the passage time of the kind.
         if not spec.increasing:
             pde_table = CdfTable(pde_table.points, 1.0 - pde_table.values)
-        add("mc_ks", ks_distance(pde_table, mc_table), mc_band)
+        add("mc_ks", ks_distance(pde_table, mc_table), mc_band, mc_table.values)
     else:
         kind = cfg.get("query.kind")
         models = cfg.models()
@@ -190,11 +199,9 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         pc, conf, max_fraction = _mc_settings(cfg, q.horizon)
         result = solve_distribution(kind, *models, q, config_hash=cfg.hash)
         ens = _simulate(models, q.states, result.level, pc, max_fraction)
-        empirical = (empirical_cdf_exit if KIND_TABLE[kind].event == "exit"
-                     else empirical_cdf_entry)
         pde_event = CdfTable(result.times, event_time_cdf(result)[0])
-        emp = empirical(ens, result.times, conf)
-        add("mc_ks", ks_distance(pde_event, emp.table), emp.band)
+        emp = _EMPIRICAL_CDF[KIND_TABLE[kind].event](ens, result.times, conf)
+        add("mc_ks", ks_distance(pde_event, emp.table), emp.band, emp.values)
         if analytic is not None:
             ref = analytic_first_passage(analytic["x0"], analytic["drift"], analytic["vol"],
                                          result.level, result.times)
@@ -211,7 +218,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     for c in checks:
         shown = "skipped" if c["value"] is None else f"{c['value']:.3e}"
         band = "" if "band" not in c else f", band {c['band']:.3e}"
-        flag = ", underpowered" if c.get("underpowered") else ""
+        flag = "".join(f", {key}" for key in ("underpowered", "vacuous") if c.get(key))
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {shown} "
               f"(tolerance {c['tolerance']:.3e}{band}{flag})")
     print(f"report: {path}")

@@ -25,7 +25,13 @@ boundary probe: when a box face cuts through the interior, the problem is
 re-solved at ``PROBE_COARSEN`` times coarser cells and time step on its own
 box and on a box doubled across the cut faces.  Their largest disagreement
 at the query states is the ``boundary_sensitivity`` diagnostic, flagged
-above ``PROBE_TOLERANCE`` (a flag, never an error).
+above ``PROBE_TOLERANCE`` (a flag, never an error).  The probe solves in
+one forked worker process while the main march runs, under the rule the
+Monte Carlo blocks follow (``safeprob.workers``), and in the calling
+process after the march where no worker may be forked; the same code runs
+on the same arrays either way, so the bytes do not depend on which.  A
+probe error is raised once the march has succeeded, with its type and
+message; a march error stops the worker first.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -49,6 +56,7 @@ from .pde_engine import (
     solve_ibvp,
 )
 from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_control_batch
+from .workers import concurrently
 
 
 class SafeProbWarning(UserWarning):
@@ -299,23 +307,25 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
             SafeProbWarning, stacklevel=2)
 
     # The probe specs are assembled before the march, so an infeasible probe
-    # grid fails first, and solved after it.
+    # grid fails first; the probe then solves while the march runs.
     probe = None
     if q.numerics.boundary_probe and q.horizon > 0:
         grids = _probe_grids(grid, spec.interior_mask)
         if grids is not None:
             probe = [assemble(g, q.numerics.dt * PROBE_COARSEN) for g in grids]
 
-    series = solve_ibvp(spec, snapshot_times=tabulation_times(q.horizon, q.times),
-                        points=states)
-    if probe is not None:
-        diag = series.diagnostics
-        diag.boundary_sensitivity = _probe_sensitivity(
-            *probe, states[on_side] if np.any(on_side) else states)
-        diag.boundary_flagged = diag.boundary_sensitivity > PROBE_TOLERANCE
-        if diag.boundary_flagged:
-            diag.notes.append(f"boundary sensitivity {diag.boundary_sensitivity:.3e} "
-                              f"exceeds tolerance {PROBE_TOLERANCE:.1e}")
+    with (concurrently(_probe_sensitivity, *probe,
+                       states[on_side] if np.any(on_side) else states)
+          if probe is not None else nullcontext()) as probe_sensitivity:
+        series = solve_ibvp(spec, snapshot_times=tabulation_times(q.horizon, q.times),
+                            points=states)
+        if probe_sensitivity is not None:
+            diag = series.diagnostics
+            diag.boundary_sensitivity = probe_sensitivity()
+            diag.boundary_flagged = diag.boundary_sensitivity > PROBE_TOLERANCE
+            if diag.boundary_flagged:
+                diag.notes.append(f"boundary sensitivity {diag.boundary_sensitivity:.3e} "
+                                  f"exceeds tolerance {PROBE_TOLERANCE:.1e}")
 
     values = np.where(on_side[:, None], series.values, dirichlet)
     # The initial data is exact at t=0: the indicator of the query's own

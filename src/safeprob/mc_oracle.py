@@ -23,11 +23,12 @@ is timed at the step end.  For a 1D constant-coefficient system the
 extrema are exact, so the curves are exact at multiples of the step.
 
 On Linux the blocks run in up to one forked worker process per available
-CPU, and in the calling process otherwise (one block or one CPU, no
-``fork``, or a daemonic caller); the bytes do not depend on the worker
-count.  Each process holds one block's draws at a time.  Workers need
-``fork``: Python 3.12 and later warn when a process with running threads
-forks.
+CPU, and in the calling process otherwise (one block, or one CPU by
+``safeprob.workers.worker_cpus``: no ``fork``, one CPU in the affinity
+set, or a daemonic caller, the rule the PDE's boundary probe follows too);
+the bytes do not depend on the worker count.  Each process holds one
+block's draws at a time.  Workers need ``fork``: Python 3.12 and later
+warn when a process with running threads forks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -44,6 +44,7 @@ from scipy.special import ndtr
 
 from .errors import DataError
 from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_control_batch
+from .workers import worker_cpus
 
 # Paths are simulated in blocks of at most BLOCK_SIZE paths, and a block's
 # noise is capped near _BLOCK_BYTES bytes; the block partition never affects
@@ -291,16 +292,6 @@ def _simulate_in_worker(block: tuple[int, int]) -> tuple[np.ndarray, ...]:
     return _worker_simulator(block)
 
 
-def _worker_count(n_blocks: int) -> int:
-    """Worker processes for ``n_blocks`` blocks: one per available CPU, at most
-    one per block, and 1 (run in-process) where workers cannot be forked."""
-    if (not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 1
-    return min(n_blocks, len(os.sched_getaffinity(0)))
-
-
 def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                    x0, cfg: PathConfig, level: float = 0.0) -> PathEnsemble:
     """Euler-Maruyama ensemble recording barrier extrema and crossing times,
@@ -329,7 +320,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
 
     # Even out the blocks so that every worker runs as many of them.
     n = cfg.n_paths
-    workers = _worker_count(math.ceil(n / block))
+    workers = min(math.ceil(n / block), worker_cpus())
     size = math.ceil(n / (workers * math.ceil(n / (block * workers))))
     blocks = [(start, min(size, n - start)) for start in range(0, n, size)]
     simulator = functools.partial(_simulate_block, sys, bar, policy, x0, phi0, level,

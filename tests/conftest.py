@@ -5,6 +5,7 @@ first-passage formulas (reflection principle / drifted hitting law),
 evaluated independently of the solver under test.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,11 @@ EXIT_DRIFTLESS = 0.31731050786291415
 HEAT_HALFLINE = 0.6826894921370859
 # sqrt(ln(2/0.05) / (2e5))
 DKW_1E5 = 0.004294694083467375
+
+
+def pin_cpus(monkeypatch, n):
+    """Make ``n`` CPUs available to forked workers, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def const_system_1d(drift: float, gain: float, vol: float) -> ControlSystem:

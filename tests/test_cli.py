@@ -19,7 +19,7 @@ from safeprob.errors import ConfigError
 from safeprob.library import make_example
 from safeprob.pde_engine import GridSpec
 
-from conftest import CONFIG_DIR, EXIT_DRIFTED, REPO_ROOT
+from conftest import CONFIG_DIR, EXIT_DRIFTED, REPO_ROOT, pin_cpus
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -536,6 +536,19 @@ class TestMcCommand:
         curve = json.loads((tmp_path / f"mc_entry_cdf_{cfg.hash}.json").read_text())
         assert f"P(entry<=1.0) = {curve['values'][-1]:.4f} +- " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config, event", [("drifted_bm_exit", "exit"),
+                                               ("drifted_bm_recovery", "entry")])
+    def test_writes_the_curve_of_the_passage_its_paths_make(self, tmp_path, config, event):
+        # The other passage's curve would be 1 throughout: its paths start past it.
+        config = CONFIG_DIR / f"{config}.json"
+        assert main(["mc", "--config", str(config), "--out", str(tmp_path),
+                     "--override", "mc.n_paths=100"]) == 0
+        tag = ExperimentConfig.from_file(config, ["mc.n_paths=100"]).hash
+        curves = [f"mc_{name}_{tag}.{ext}" for name in (f"{event}_cdf", "max_cdf", "min_ccdf")
+                  for ext in ("csv", "json")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            curves + [f"mc_summary_{tag}.json", f"manifest_mc_{tag}.json"])
+
     def test_summary_records_the_step_the_paths_took(self, tmp_path):
         # A horizon of 1 at mc.dt 0.3 rounds to 3 steps of 1/3.
         doc = small_bm_doc(str(tmp_path / "out"))
@@ -645,11 +658,36 @@ class TestValidateCommand:
         mc_ks, *others = json.loads(path.read_text())["checks"]
         assert mc_ks["band"] == pytest.approx(3.04e-2, abs=5e-5)
         assert mc_ks["underpowered"] is True and mc_ks["passed"] is False
+        assert "vacuous" not in mc_ks
         assert not any("band" in c for c in others)
+
+    def test_mc_check_without_a_passage_is_vacuous(self, tmp_path, capsys):
+        # From x0 = 5, P(exit <= 1) is 2.4e-9: no path exits, and the Monte
+        # Carlo curve is 0 over the whole tabulation, in both modes.
+        out = tmp_path / "out"
+        doc = small_bm_doc(str(out), states=((5.0,),))
+        doc["mc"]["n_paths"] = 10000
+        path = write_config(tmp_path, doc)
+        tag = ExperimentConfig.from_file(path).hash
+        assert main(["solve", "--config", path]) == 0
+        assert main(["mc", "--config", path]) == 0
+        doc["validation"] = {"pde_artifact": str(out / f"exit_cdf_{tag}.json"),
+                             "mc_artifact": str(out / f"mc_exit_cdf_{tag}.json")}
+        for config in (path, write_config(tmp_path, doc, name="cmp.json")):
+            capsys.readouterr()
+            assert main(["validate", "--config", config]) in (0, 1)
+            assert re.search(r"PASS mc_ks: \S+ \(tolerance 2\.000e-02, band 1\.358e-02, "
+                             r"vacuous\)\n", capsys.readouterr().out)
+            report = out / f"validation_{ExperimentConfig.from_file(config).hash}.json"
+            mc_ks, *others = json.loads(report.read_text())["checks"]
+            assert mc_ks["vacuous"] is True and "underpowered" not in mc_ks
+            assert not any("vacuous" in c for c in others)
 
     def test_validate_runs_one_distribution_solve(self, tmp_path, monkeypatch):
         # The query solves with its probe (1 + 2 solves); complementarity is
         # read off the operator, not from a solve of the complement kind.
+        # One CPU keeps the probe's solves in this process, where they count.
+        pin_cpus(monkeypatch, 1)
         calls = []
         original = pde_engine.solve_ibvp
 
@@ -775,10 +813,16 @@ class TestValidateCommand:
         doc["mc"]["n_paths"] = 500
         path = write_config(tmp_path, doc)
         assert main(["solve", "--config", path]) == 0
-        assert main(["mc", "--config", path]) == 0
         tag = ExperimentConfig.from_file(path).hash
+        # mc writes the curve of its query kind's passage: an entry curve
+        # comes from an entry-kind run.
+        mc_doc = json.loads(json.dumps(doc))
+        mc_doc["query"]["kind"] = "entry_cdf" if mc == "mc_entry_cdf" else "exit_cdf"
+        mc_path = write_config(tmp_path, mc_doc, name="mc.json")
+        assert main(["mc", "--config", mc_path]) == 0
+        mc_tag = ExperimentConfig.from_file(mc_path).hash
         doc["validation"] = {"pde_artifact": str(out / f"{pde}_{tag}.json"),
-                             "mc_artifact": str(out / f"{mc}_{tag}.json")}
+                             "mc_artifact": str(out / f"{mc}_{mc_tag}.json")}
         capsys.readouterr()
         assert main(["validate", "--config", write_config(tmp_path, doc, name="cmp.json")]) == 2
         assert f"(at config key '{key}')" in capsys.readouterr().err

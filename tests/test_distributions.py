@@ -1,3 +1,6 @@
+import json
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,8 @@ from safeprob import (
     solve_ibvp,
     summary_stats,
 )
+from safeprob import distributions
+from safeprob.cli import main
 from safeprob.distributions import (
     KIND_TABLE,
     KINDS,
@@ -25,15 +30,17 @@ from safeprob.distributions import (
     monotonicity_violation,
     solve_distribution,
 )
-from safeprob.errors import DataError, InfeasibilityError
+from safeprob.errors import DataError, InfeasibilityError, SolverError
 from safeprob.mc_oracle import analytic_first_passage
 
 from conftest import (
+    CONFIG_DIR,
     CONVERGENCE_RECOVERY,
     ENTRY_RECOVERY,
     EXIT_DRIFTED,
     EXIT_DRIFTLESS,
     INVARIANCE_DRIFTED,
+    pin_cpus,
 )
 
 
@@ -383,3 +390,133 @@ class TestSolveMemory:
 
         peak(2)  # warm-up: one-time allocations stay out of the comparison
         assert peak(101) <= 1.2 * peak(2)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProbeWorker:
+    """Given a second CPU the boundary probe solves in a forked worker while
+    the march runs; without one it solves in this process after the march."""
+
+    @staticmethod
+    def _query(name):
+        # Both boxes cut the interior, so the probe runs: the 1D box at its
+        # high face, the 3D box at its heading faces.
+        if name == "1d":
+            return make_example("drifted_bm_1d"), QuerySpec(
+                states=[[1.0], [3.0]], horizon=1.0, numerics=bm_numerics(cells=400, dt=2e-3))
+        ex = make_example("unicycle_disk")
+        num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=(16, 16, 8), dt=1e-2)
+        return ex, QuerySpec(states=[[0.5, 0.5, 1.0]], horizon=0.1, numerics=num)
+
+    @staticmethod
+    def _fail_solves(monkeypatch, fail):
+        """Route the solves of ``distributions`` through ``fail(spec)`` first."""
+        original = distributions.solve_ibvp
+
+        def solve(spec, **kwargs):
+            fail(spec)
+            return original(spec, **kwargs)
+
+        monkeypatch.setattr(distributions, "solve_ibvp", solve)
+
+    @pytest.mark.parametrize("name", ["1d", "3d"])
+    def test_bytes_do_not_depend_on_cpu_count(self, name, monkeypatch):
+        ex, q = self._query(name)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        runs = {}
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            res = exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+            runs[cpus] = (res.values.tobytes(), res.series.final_field.tobytes(),
+                          json.dumps(res.diagnostics, sort_keys=True))
+        assert len(forks) == 1
+        assert runs[2] == runs[1]
+        assert json.loads(runs[1][2])["boundary_sensitivity"] is not None
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_probe_error_reaches_the_caller(self, cpus, monkeypatch):
+        ex, q = self._query("1d")
+        pin_cpus(monkeypatch, cpus)
+
+        def fail(spec):
+            if spec.dt != q.numerics.dt:  # a probe solve, at coarser steps
+                raise SolverError("probe solve failed", residual=0.5)
+
+        self._fail_solves(monkeypatch, fail)
+        with pytest.raises(SolverError, match="^probe solve failed$") as err:
+            exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+        assert err.value.residual == 0.5
+        assert_no_child_left()
+
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        ex, q = self._query("1d")
+        pin_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def fail(spec):
+            if os.getpid() != caller:
+                os._exit(3)
+
+        self._fail_solves(monkeypatch, fail)
+        with pytest.raises(SolverError, match="exited with code 3 and sent no result"):
+            exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+        assert_no_child_left()
+
+    def test_probe_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        pin_cpus(monkeypatch, 2)
+        dt = json.loads((CONFIG_DIR / "drifted_bm_exit.json").read_text())["numerics"]["dt"]
+
+        def fail(spec):
+            if spec.dt != dt:
+                raise SolverError("probe solve failed")
+
+        self._fail_solves(monkeypatch, fail)
+        assert main(["solve", "--config", str(CONFIG_DIR / "drifted_bm_exit.json"),
+                     "--out", str(tmp_path)]) == 3
+        assert "solver error: probe solve failed" in capsys.readouterr().err
+        assert_no_child_left()
+
+    def test_march_error_stops_the_worker(self, monkeypatch):
+        ex, q = self._query("1d")
+        pin_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def fail(spec):
+            if os.getpid() != caller:
+                time.sleep(120)  # a probe that would long outlast the march
+            raise SolverError("march failed")
+
+        self._fail_solves(monkeypatch, fail)
+        start = time.monotonic()
+        with pytest.raises(SolverError, match="^march failed$"):
+            exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+        assert time.monotonic() - start < 60
+        assert_no_child_left()
+
+    def test_probe_assembly_error_raises_before_the_march(self, monkeypatch):
+        ex, q = self._query("1d")
+        pin_cpus(monkeypatch, 2)
+        original = distributions._assemble
+
+        def assemble(*args):
+            if args[-1] != q.numerics.dt:  # a probe grid, at coarser steps
+                raise InfeasibilityError([0.0], "probe grid infeasible")
+            return original(*args)
+
+        monkeypatch.setattr(distributions, "_assemble", assemble)
+        self._fail_solves(monkeypatch, lambda spec: pytest.fail("marched"))
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        with pytest.raises(InfeasibilityError, match="probe grid infeasible"):
+            exit_time_cdf(ex.system, ex.barrier, ex.policy, q)

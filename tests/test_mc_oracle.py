@@ -36,15 +36,11 @@ from conftest import (
     EXIT_DRIFTLESS,
     const_system_1d,
     identity_barrier,
+    pin_cpus,
     zero_nominal,
 )
 
 NONE_POLICY = Policy(nominal=zero_nominal(1), kind="none")
-
-
-def pin_cpus(monkeypatch, n):
-    """Make ``n`` CPUs available to simulate_paths, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 class TestAnalyticFirstPassage:
