@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .errors import DataError, InfeasibilityError
+from .errors import DataError, InfeasibilityError, require_finite
 from .pde_engine import (
     MIN_CELLS,
     FieldSeries,
@@ -128,6 +128,7 @@ class NumericsConfig:
         object.__setattr__(self, "box_lo", tuple(float(v) for v in self.box_lo))
         object.__setattr__(self, "box_hi", tuple(float(v) for v in self.box_hi))
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
+        require_finite(box_lo=self.box_lo, box_hi=self.box_hi, dt=self.dt)
         if not len(self.box_lo) == len(self.box_hi) == len(self.cells):
             raise DataError("box_lo, box_hi and cells must have equal lengths")
         # The padded grid adds 2 * HALO_CELLS an axis and needs MIN_CELLS.
@@ -152,6 +153,7 @@ class QuerySpec:
 
     def __post_init__(self):
         states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        require_finite(states=states, horizon=self.horizon, level=self.level, times=self.times)
         if self.horizon < 0:
             raise DataError("horizon must be >= 0")
         lo = np.asarray(self.numerics.box_lo)
@@ -314,14 +316,14 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
         if grids is not None:
             probe = [assemble(g, q.numerics.dt * PROBE_COARSEN) for g in grids]
 
-    with (concurrently(_probe_sensitivity, *probe,
-                       states[on_side] if np.any(on_side) else states)
-          if probe is not None else nullcontext()) as probe_sensitivity:
+    with (concurrently(partial(_probe_sensitivity, *probe,
+                               states[on_side] if np.any(on_side) else states))
+          if probe is not None else nullcontext()) as probe_results:
         series = solve_ibvp(spec, snapshot_times=tabulation_times(q.horizon, q.times),
                             points=states)
-        if probe_sensitivity is not None:
+        if probe_results is not None:
             diag = series.diagnostics
-            diag.boundary_sensitivity = probe_sensitivity()
+            [diag.boundary_sensitivity] = probe_results()
             diag.boundary_flagged = diag.boundary_sensitivity > PROBE_TOLERANCE
             if diag.boundary_flagged:
                 diag.notes.append(f"boundary sensitivity {diag.boundary_sensitivity:.3e} "

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its finiteness check."""
 
 from __future__ import annotations
 
@@ -43,6 +43,13 @@ class SolverError(SafeProbError):
 class DataError(SafeProbError, ValueError):
     """Tabulated data violates a structural precondition (grid mismatch,
     non-monotone table, empty ensemble)."""
+
+
+def require_finite(**fields) -> None:
+    """Raise DataError naming the first field, None aside, holding a NaN or inf."""
+    for name, value in fields.items():
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise DataError(f"{name} must be finite")
 
 
 class ConfigError(SafeProbError, ValueError):

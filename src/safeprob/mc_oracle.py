@@ -22,29 +22,24 @@ level keeps its linearly interpolated time; one seen by the bridge alone
 is timed at the step end.  For a 1D constant-coefficient system the
 extrema are exact, so the curves are exact at multiples of the step.
 
-On Linux the blocks run in up to one forked worker process per available
-CPU, and in the calling process otherwise (one block, or one CPU by
-``safeprob.workers.worker_cpus``: no ``fork``, one CPU in the affinity
-set, or a daemonic caller, the rule the PDE's boundary probe follows too);
-the bytes do not depend on the worker count.  Each process holds one
-block's draws at a time.  Workers need ``fork``: Python 3.12 and later
-warn when a process with running threads forks.
+The blocks run in contiguous shares, one forked worker per available CPU
+(``safeprob.workers``, as the PDE's boundary probe does), or in the calling
+process given one block or one CPU; the bytes do not depend on the worker
+count.  Each process holds one block's draws at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DataError
+from .errors import DataError, require_finite
 from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_control_batch
-from .workers import worker_cpus
+from .workers import concurrently, worker_cpus
 
 # Paths are simulated in blocks of at most BLOCK_SIZE paths, and a block's
 # noise is capped near _BLOCK_BYTES bytes; the block partition never affects
@@ -69,6 +64,7 @@ class PathConfig:
     seed: int
 
     def __post_init__(self):
+        require_finite(dt=self.dt, horizon=self.horizon)
         if self.dt <= 0:
             raise DataError("dt must be positive")
         if self.dt > self.horizon:
@@ -278,20 +274,6 @@ def _simulate_block(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     return b_min, b_max, passage, diverged, infeasible_flag
 
 
-# ``_simulate_block`` bound to a worker process's ensemble, inherited from the
-# parent through fork by the pool's initializer; None in every other process.
-_worker_simulator = None
-
-
-def _init_worker(simulator: functools.partial) -> None:
-    global _worker_simulator
-    _worker_simulator = simulator
-
-
-def _simulate_in_worker(block: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    return _worker_simulator(block)
-
-
 def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                    x0, cfg: PathConfig, level: float = 0.0) -> PathEnsemble:
     """Euler-Maruyama ensemble recording barrier extrema and crossing times,
@@ -303,10 +285,10 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     is infeasible are likewise flagged and counted separately.  An excluded
     path freezes at its last state and records nothing more.
 
-    The blocks run in forked worker processes, one per available CPU, or
-    in the calling process when there is one worker; the result does not
-    depend on which.  The models reach the workers through fork, so they
-    need not pickle; only block bounds go out and per-path arrays come back.
+    The blocks run in contiguous shares, one forked worker per available
+    CPU (``safeprob.workers.concurrently``), or in the calling process when
+    there is one share; the result does not depend on which.  A worker that
+    dies raises ``SolverError``.
     """
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if not np.all(np.isfinite(x0)):
@@ -318,19 +300,21 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     per_path_bytes = 8 * (n_steps * sys.k + min(n_steps, BRIDGE_STEPS))
     block = max(64, min(BLOCK_SIZE, int(_BLOCK_BYTES // max(per_path_bytes, 1))))
 
-    # Even out the blocks so that every worker runs as many of them.
+    # Even out the blocks so that every worker runs ``per`` of them.
     n = cfg.n_paths
     workers = min(math.ceil(n / block), worker_cpus())
-    size = math.ceil(n / (workers * math.ceil(n / (block * workers))))
+    per = math.ceil(n / (block * workers))
+    size = math.ceil(n / (workers * per))
     blocks = [(start, min(size, n - start)) for start in range(0, n, size)]
     simulator = functools.partial(_simulate_block, sys, bar, policy, x0, phi0, level,
                                   cfg.seed, n_steps, cfg.horizon)
     if workers == 1:
         parts = list(map(simulator, blocks))
     else:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker, initargs=(simulator,)) as pool:
-            parts = list(pool.map(_simulate_in_worker, blocks))
+        shares = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+        with concurrently(*(lambda share=share: list(map(simulator, share))
+                            for share in shares)) as results:
+            parts = [part for share in results() for part in share]
     min_phi, max_phi, passage, diverged, infeasible = (
         np.concatenate(column) for column in zip(*parts))
     # The passage a path cannot make is at 0: it starts past that level.

@@ -36,6 +36,12 @@ def pin_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def assert_no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def const_system_1d(drift: float, gain: float, vol: float) -> ControlSystem:
     return ControlSystem(
         n=1, m=1, k=1,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from safeprob import cli, distributions, pde_engine
+from safeprob import cli, distributions, mc_oracle, pde_engine
 from safeprob.artifacts import export_snapshot_csv
 from safeprob.cli import main
 from safeprob.config import REQUIRED, SCHEMA, ExperimentConfig, config_hash, validate_config
@@ -19,7 +19,7 @@ from safeprob.errors import ConfigError
 from safeprob.library import make_example
 from safeprob.pde_engine import GridSpec
 
-from conftest import CONFIG_DIR, EXIT_DRIFTED, REPO_ROOT, pin_cpus
+from conftest import CONFIG_DIR, EXIT_DRIFTED, REPO_ROOT, assert_no_child_left, pin_cpus
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -504,6 +504,23 @@ class TestMcCommand:
         [one] = (tmp_path / "one").glob("mc_exit_cdf_*.json")
         [two] = (tmp_path / "two").glob("mc_exit_cdf_*.json")
         assert json.loads(two.read_text()) == json.loads(one.read_text())
+
+    def test_dead_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        # 20,000 paths make several blocks, so two CPUs fork two workers.
+        pin_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def block(*args):
+            if os.getpid() != caller:
+                os._exit(9)
+            pytest.fail("a block ran in the calling process")
+
+        monkeypatch.setattr(mc_oracle, "_simulate_block", block)
+        assert main(["mc", "--config", str(CONFIG_DIR / "drifted_bm_exit.json"),
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: worker process exited with code 9 and sent no result")
+        assert_no_child_left()
 
     def test_seed_flag_changes_artifacts(self, tmp_path):
         doc = small_bm_doc(str(tmp_path / "m1"))

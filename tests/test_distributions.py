@@ -40,6 +40,7 @@ from conftest import (
     EXIT_DRIFTED,
     EXIT_DRIFTLESS,
     INVARIANCE_DRIFTED,
+    assert_no_child_left,
     pin_cpus,
 )
 
@@ -201,6 +202,22 @@ class TestQueryHandling:
     def test_states_outside_box_rejected(self, bm):
         with pytest.raises(DataError, match="inside the truncation box"):
             QuerySpec(states=[[9.0]], horizon=1.0, numerics=bm_numerics())
+
+    @pytest.mark.parametrize("field, bad", [
+        ("box_lo", {"lo": np.nan}), ("box_lo", {"lo": -np.inf}), ("box_hi", {"hi": np.inf}),
+        ("dt", {"dt": np.nan}), ("dt", {"dt": np.inf})])
+    def test_numerics_non_finite_rejected(self, field, bad):
+        with pytest.raises(DataError, match=f"^{field} must be finite$"):
+            bm_numerics(**bad)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("states", {"states": [[np.nan]]}), ("horizon", {"horizon": np.nan}),
+        ("horizon", {"horizon": np.inf}), ("level", {"level": np.nan}),
+        ("times", {"times": [0.0, np.nan]})])
+    def test_query_non_finite_rejected(self, field, bad):
+        kw = {"states": [[1.0]], "horizon": 1.0, "numerics": bm_numerics(), **bad}
+        with pytest.raises(DataError, match=f"^{field} must be finite$"):
+            QuerySpec(**kw)
 
     def test_unknown_kind_rejected(self, bm):
         q = QuerySpec(states=[[1.0]], horizon=1.0, numerics=bm_numerics())
@@ -390,11 +407,6 @@ class TestSolveMemory:
 
         peak(2)  # warm-up: one-time allocations stay out of the comparison
         assert peak(101) <= 1.2 * peak(2)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestProbeWorker:

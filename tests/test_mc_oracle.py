@@ -1,9 +1,8 @@
 import dataclasses
 import multiprocessing
 import os
+import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from safeprob import (
     simulate_paths,
 )
 from safeprob import mc_oracle
-from safeprob.errors import DataError, InfeasibilityError, ShapeError
+from safeprob.errors import DataError, InfeasibilityError, ShapeError, SolverError
 from safeprob.system_model import closed_loop_control_batch
 from safeprob.mc_oracle import CdfTable, EmpiricalDistribution
 
@@ -34,6 +33,7 @@ from conftest import (
     ENTRY_RECOVERY,
     EXIT_DRIFTED,
     EXIT_DRIFTLESS,
+    assert_no_child_left,
     const_system_1d,
     identity_barrier,
     pin_cpus,
@@ -326,8 +326,8 @@ def _fields(ens):
 
 
 class TestWorkerProcesses:
-    """Blocks run in one forked worker per available CPU; the ensemble's
-    bytes do not depend on how many."""
+    """Blocks run in contiguous shares, one forked worker per available CPU;
+    the ensemble's bytes do not depend on how many."""
 
     @staticmethod
     def _reproducibility():
@@ -351,25 +351,20 @@ class TestWorkerProcesses:
         args = (self._excluded(case) if case in ("_diverging", "_infeasible")
                 else getattr(self, case)())
         monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
-        pools = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, workers, **kwargs):
-                pools.append(workers)
-                super().__init__(workers, **kwargs)
-
-        monkeypatch.setattr(mc_oracle, "ProcessPoolExecutor", RecordingPool)
-        runs = {}
+        fork = os.fork
+        runs, forks = {}, {}
         for cpus in (1, 2, 3):
             pin_cpus(monkeypatch, cpus)
+            forks[cpus] = []
+            monkeypatch.setattr(os, "fork", lambda n=cpus: forks[n].append(n) or fork())
             runs[cpus] = _fields(simulate_paths(*args))
-        assert pools == [2, 3]
+        assert {cpus: len(pids) for cpus, pids in forks.items()} == {1: 0, 2: 2, 3: 3}
         assert runs[2] == runs[1]
         assert runs[3] == runs[1]
         if case in ("_diverging", "_infeasible"):
             ens = runs[1]
             assert 0 < ens["n_diverged"] + ens["n_infeasible"] < args[-1].n_paths
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @staticmethod
     def _simulate_failing_in_workers(monkeypatch, fail):
@@ -398,16 +393,37 @@ class TestWorkerProcesses:
 
         with pytest.raises(type(error), match="f failed in a worker"):
             self._simulate_failing_in_workers(monkeypatch, fail)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(SolverError, match="exited with code 3 and sent no result"):
             self._simulate_failing_in_workers(monkeypatch, lambda: os._exit(3))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_first_error_stops_the_other_workers(self, monkeypatch):
+        # The first share's block fails at once while the second's would
+        # run for a minute: the error must not wait for it.
+        original = mc_oracle._simulate_block
+
+        def block(*args):
+            if args[-1][0] == 0:
+                raise ShapeError("first block failed")
+            time.sleep(60)
+            return original(*args)
+
+        monkeypatch.setattr(mc_oracle, "_simulate_block", block)
+        args = self._reproducibility()
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        start = time.monotonic()
+        with pytest.raises(ShapeError, match="^first block failed$"):
+            simulate_paths(*args)
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
 
     def test_daemonic_caller_runs_in_process(self, monkeypatch):
-        # A daemonic process may not start children: a pool there would
-        # raise, and the child below would send nothing.
+        # A daemonic process may not start children, so ``worker_cpus``
+        # keeps its blocks in process; the child below sends its ensemble.
         args = self._reproducibility()
         pin_cpus(monkeypatch, 2)
         monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
@@ -611,3 +627,10 @@ class TestFilteredSimulation:
     def test_bad_seed_rejected(self):
         with pytest.raises(DataError, match="seed"):
             PathConfig(dt=0.1, horizon=1.0, n_paths=10, seed=-1)
+
+    @pytest.mark.parametrize("field", ["dt", "horizon"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        kw = {"dt": 0.1, "horizon": 1.0, "n_paths": 10, "seed": 1, field: value}
+        with pytest.raises(DataError, match=f"^{field} must be finite$"):
+            PathConfig(**kw)
