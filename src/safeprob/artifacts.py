@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import DistributionResult
 from .errors import DataError
-from .mc_oracle import CdfTable, EmpiricalDistribution, PathEnsemble
+from .mc_oracle import DKW_CONFIDENCE, CdfTable, EmpiricalDistribution, PathEnsemble
 from .pde_engine import FieldSeries, GridSpec
 
 
@@ -156,7 +156,7 @@ def empirical_json(emp: EmpiricalDistribution) -> dict:
         "kind": emp.kind,
         "n_total": emp.n_total,
         "n_censored": emp.n_censored,
-        "confidence": emp.confidence,
+        "confidence": DKW_CONFIDENCE,
         "dkw_band": emp.band,
         "grid": emp.grid.tolist(),
         "values": emp.values.tolist(),
@@ -201,8 +201,7 @@ def load_table(path: str) -> tuple[str, CdfTable, float | None]:
                                           np.asarray(values, dtype=float)), band
 
 
-def write_empirical(estimates: dict, ens: PathEnsemble, out_dir: str, tag: str,
-                    event_log: bool = False) -> list:
+def write_empirical(estimates: dict, ens: PathEnsemble, out_dir: str, tag: str) -> list:
     """Persist empirical distributions plus an ensemble summary."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -226,21 +225,6 @@ def write_empirical(estimates: dict, ens: PathEnsemble, out_dir: str, tag: str,
     path = os.path.join(out_dir, f"mc_summary_{tag}.json")
     _dump_json(path, summary)
     written.append(path)
-    if event_log:
-        path = os.path.join(out_dir, f"mc_paths_{tag}.csv")
-        lines = ["path_id,min_phi,max_phi,exit_time,entry_time,censored_exit,"
-                 "censored_entry,excluded"]
-        for i in range(ens.config.n_paths):
-            exit_t = ens.exit_time[i]
-            entry_t = ens.entry_time[i]
-            lines.append(
-                f"{i},{_fmt(ens.min_phi[i])},{_fmt(ens.max_phi[i])},"
-                f"{'' if np.isnan(exit_t) else _fmt(exit_t)},"
-                f"{'' if np.isnan(entry_t) else _fmt(entry_t)},"
-                f"{int(np.isnan(exit_t))},{int(np.isnan(entry_t))},"
-                f"{int(ens.excluded[i])}")
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
     return written
 
 

@@ -59,6 +59,14 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGENCE = 4
 
+# The tolerance of each check ``validate`` makes, and the largest fraction
+# of an ensemble's paths that may be excluded before ``mc`` and ``validate``
+# exit 4.
+TOLERANCES = {"mc_ks": 0.02, "analytic_ks": 5e-3, "complementarity": 1e-6,
+              "monotonicity": 1e-8, "boundary": 1e-3}
+MAX_DIVERGENCE_FRACTION = 0.01
+
+
 def _query(cfg: ExperimentConfig, n: int) -> dict:
     """The query's QuerySpec fields but numerics, for a system of dimension n."""
     states = cfg.get("query.states")
@@ -70,15 +78,12 @@ def _query(cfg: ExperimentConfig, n: int) -> dict:
             "times": cfg.query_times()}
 
 
-def _mc_settings(cfg: ExperimentConfig, horizon: float):
-    """The ensemble's PathConfig, its DKW confidence and the fraction of its
-    paths that may be excluded."""
+def _path_config(cfg: ExperimentConfig, horizon: float) -> PathConfig:
     dt = float(cfg.get("mc.dt"))
     if dt > horizon:
         raise ConfigError(f"dt must not exceed the query horizon {horizon}", "mc.dt")
-    pc = PathConfig(dt=dt, horizon=horizon,
-                    n_paths=int(cfg.get("mc.n_paths")), seed=int(cfg.get("mc.seed")))
-    return pc, float(cfg.get("mc.confidence")), float(cfg.get("mc.max_divergence_fraction"))
+    return PathConfig(dt=dt, horizon=horizon,
+                      n_paths=int(cfg.get("mc.n_paths")), seed=int(cfg.get("mc.seed")))
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
@@ -100,49 +105,45 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 _EMPIRICAL_CDF = {"exit": empirical_cdf_exit, "entry": empirical_cdf_entry}
 
 
-def _mc_estimates(ens, event, times, conf):
+def _mc_estimates(ens, event, times):
     """The curve of the one passage the paths can make, ``event``, over
     ``times``, and the running-extremum curves over the levels they span."""
-    # The passage curve comes first: with every path excluded it raises
-    # DataError before the level span below reduces an empty array.
-    estimates = {f"{event}_cdf": _EMPIRICAL_CDF[event](ens, times, conf)}
     span_lo = float(np.min(ens.min_phi[ens.ok]))
     span_hi = float(np.max(ens.max_phi[ens.ok]))
     if span_lo == span_hi:
         span_lo -= 0.5
         span_hi += 0.5
     levels = np.linspace(span_lo, span_hi, 101)
-    estimates["min_ccdf"] = empirical_ccdf_min(ens, levels, conf)
-    estimates["max_cdf"] = empirical_cdf_max(ens, levels, conf)
-    return estimates
+    return {f"{event}_cdf": _EMPIRICAL_CDF[event](ens, times),
+            "min_ccdf": empirical_ccdf_min(ens, levels),
+            "max_cdf": empirical_cdf_max(ens, levels)}
 
 
-def _simulate(models, states, level, pc: PathConfig, max_fraction: float):
+def _simulate(models, states, level, pc: PathConfig):
     """Simulate the ensemble from the first query state; raise DivergenceError
-    when more than ``max_fraction`` of its paths were excluded."""
+    when more than MAX_DIVERGENCE_FRACTION of its paths were excluded."""
     if len(states) > 1:
         warnings.warn(f"Monte Carlo simulates the first of {len(states)} query states "
                       f"only; {len(states) - 1} not simulated", SafeProbWarning)
     ens = simulate_paths(*models, states[0], pc, level=level)
     frac = (ens.n_diverged + ens.n_infeasible) / pc.n_paths
-    if frac > max_fraction:
+    if frac > MAX_DIVERGENCE_FRACTION:
         raise DivergenceError(
             f"{ens.n_diverged} diverged and {ens.n_infeasible} infeasible paths "
-            f"({frac:.2%}) exceed the allowed fraction {max_fraction:.2%}")
+            f"({frac:.2%}) exceed the allowed fraction {MAX_DIVERGENCE_FRACTION:.2%}")
     return ens
 
 
 def cmd_mc(cfg: ExperimentConfig) -> int:
     models = cfg.models()
     query = _query(cfg, models[0].n)
-    pc, conf, max_fraction = _mc_settings(cfg, query["horizon"])
-    event_log = cfg.get("mc.event_log")
+    pc = _path_config(cfg, query["horizon"])
     out = cfg.get("output.dir")
-    ens = _simulate(models, query["states"], query["level"], pc, max_fraction)
+    ens = _simulate(models, query["states"], query["level"], pc)
     times = tabulation_times(pc.horizon, query["times"])
     event = KIND_TABLE[cfg.get("query.kind")].event
-    estimates = _mc_estimates(ens, event, times, conf)
-    files = write_empirical(estimates, ens, out, cfg.hash, event_log=event_log)
+    estimates = _mc_estimates(ens, event, times)
+    files = write_empirical(estimates, ens, out, cfg.hash)
     files.append(write_manifest(out, cfg.hash, "mc", files, cfg.doc))
     emp = estimates[f"{event}_cdf"]
     print(f"simulated {pc.n_paths} paths (excluded {ens.n_diverged}+{ens.n_infeasible}); "
@@ -155,21 +156,19 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     pde_artifact = cfg.get("validation.pde_artifact")
     mc_artifact = cfg.get("validation.mc_artifact")
     analytic = cfg.get("validation.analytic")
-    tol = {name: cfg.get(f"validation.tolerances.{name}") for name in
-           ("mc_ks", "analytic_ks", "complementarity", "monotonicity", "boundary")}
     out = cfg.get("output.dir")
     checks = []
 
     def add(name, value, band=None, mc_values=None):
-        check = {"name": name, "value": value, "tolerance": tol[name],
-                 "passed": bool(value is None or value <= tol[name])}
+        check = {"name": name, "value": value, "tolerance": TOLERANCES[name],
+                 "passed": bool(value is None or value <= TOLERANCES[name])}
         if band is not None:
             # An estimate whose DKW band reaches the tolerance cannot tell a
             # passing curve from a failing one, and a Monte Carlo curve
             # constant over the tabulation saw no passage in it, so it has
             # no event to compare: both are recorded, not warned.
             check["band"] = band
-            if band >= tol[name]:
+            if band >= TOLERANCES[name]:
                 check["underpowered"] = True
             if np.ptp(mc_values) == 0:
                 check["vacuous"] = True
@@ -196,11 +195,11 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         kind = cfg.get("query.kind")
         models = cfg.models()
         q = QuerySpec(numerics=cfg.numerics(), **_query(cfg, models[0].n))
-        pc, conf, max_fraction = _mc_settings(cfg, q.horizon)
+        pc = _path_config(cfg, q.horizon)
         result = solve_distribution(kind, *models, q, config_hash=cfg.hash)
-        ens = _simulate(models, q.states, result.level, pc, max_fraction)
+        ens = _simulate(models, q.states, result.level, pc)
         pde_event = CdfTable(result.times, event_time_cdf(result)[0])
-        emp = _EMPIRICAL_CDF[KIND_TABLE[kind].event](ens, result.times, conf)
+        emp = _EMPIRICAL_CDF[KIND_TABLE[kind].event](ens, result.times)
         add("mc_ks", ks_distance(pde_event, emp.table), emp.band, emp.values)
         if analytic is not None:
             ref = analytic_first_passage(analytic["x0"], analytic["drift"], analytic["vol"],

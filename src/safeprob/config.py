@@ -86,29 +86,17 @@ SCHEMA: dict = {
         "box_hi": (REQUIRED, [_NUMBER]),
         "cells": (REQUIRED, [int]),
         "dt": (REQUIRED, _NUMBER, (lambda v: v > 0, "dt must be positive")),
-        "boundary_probe": (True, bool),
     }),
     "mc": (None, {
         "n_paths": (REQUIRED, int, (lambda v: v >= 1, "n_paths must be >= 1")),
         "dt": (REQUIRED, _NUMBER, (lambda v: v > 0, "dt must be positive")),
         "seed": (REQUIRED, int, (lambda v: 0 <= v < 2**64,
                                  "seed must fit an unsigned 64-bit integer")),
-        "confidence": (0.95, _NUMBER, (lambda v: 0 < v < 1, "confidence must lie in (0, 1)")),
-        "max_divergence_fraction": (0.01, _NUMBER, (lambda v: 0 <= v <= 1,
-                                                    "max_divergence_fraction must lie in [0, 1]")),
-        "event_log": (False, bool),
     }),
     "output": (None, {
         "dir": ("out", str),
     }),
     "validation": (None, {
-        "tolerances": (None, {
-            "mc_ks": (0.02, _NUMBER),
-            "analytic_ks": (5e-3, _NUMBER),
-            "complementarity": (1e-6, _NUMBER),
-            "monotonicity": (1e-8, _NUMBER),
-            "boundary": (1e-3, _NUMBER),
-        }),
         "analytic": (None, {
             "x0": (REQUIRED, _NUMBER),
             "drift": (REQUIRED, _NUMBER),
@@ -304,7 +292,7 @@ class ExperimentConfig:
         return cls.from_doc(doc, overrides)
 
     def get(self, dotted: str):
-        """The value at a dotted key such as ``"mc.confidence"``, or its SCHEMA
+        """The value at a dotted key such as ``"mc.seed"``, or its SCHEMA
         default; ConfigError names the outermost absent key of a required one."""
         return _lookup(self.doc, dotted)
 
@@ -329,8 +317,7 @@ class ExperimentConfig:
         return NumericsConfig(box_lo=tuple(self.get("numerics.box_lo")),
                               box_hi=tuple(self.get("numerics.box_hi")),
                               cells=tuple(self.get("numerics.cells")),
-                              dt=float(self.get("numerics.dt")),
-                              boundary_probe=self.get("numerics.boundary_probe"))
+                              dt=float(self.get("numerics.dt")))
 
     def query_times(self) -> np.ndarray | None:
         section = self.get("query.times")

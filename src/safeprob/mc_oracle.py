@@ -49,6 +49,8 @@ from .workers import concurrently, worker_cpus
 BLOCK_SIZE = 4096
 _BLOCK_BYTES = 512_000_000
 BRIDGE_STEPS = 256
+# The confidence of every DKW band (Massart, Ann. Probab. 18, 1990).
+DKW_CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -348,17 +350,16 @@ class EmpiricalDistribution:
     """Empirical estimate with censoring count and a DKW band."""
 
     kind: str
-    samples: np.ndarray
     n_total: int
     n_censored: int
-    confidence: float
     grid: np.ndarray
     values: np.ndarray
 
     @property
     def band(self) -> float:
-        """DKW half-width: sqrt(ln(2/delta) / (2 N)) at delta = 1 - confidence."""
-        delta = 1.0 - self.confidence
+        """DKW half-width: sqrt(ln(2/delta) / (2 N)) at delta = 1 - DKW_CONFIDENCE,
+        which is 0.050000000000000044, not 0.05."""
+        delta = 1.0 - DKW_CONFIDENCE
         return float(np.sqrt(np.log(2.0 / delta) / (2.0 * self.n_total)))
 
     @property
@@ -373,46 +374,37 @@ def _ok_values(ens: PathEnsemble, values: np.ndarray) -> np.ndarray:
     return values[ens.ok]
 
 
-def empirical_ccdf_min(ens: PathEnsemble, levels, confidence: float = 0.95
-                       ) -> EmpiricalDistribution:
+def empirical_ccdf_min(ens: PathEnsemble, levels) -> EmpiricalDistribution:
     """P(min of phi over [0,T] >= level) on the given level grid."""
     samples = np.sort(_ok_values(ens, ens.min_phi))
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     counts = samples.size - np.searchsorted(samples, levels, side="left")
-    return EmpiricalDistribution("min_ccdf", samples, samples.size, 0, confidence,
-                                 levels, counts / samples.size)
+    return EmpiricalDistribution("min_ccdf", samples.size, 0, levels, counts / samples.size)
 
 
-def empirical_cdf_max(ens: PathEnsemble, levels, confidence: float = 0.95
-                      ) -> EmpiricalDistribution:
+def empirical_cdf_max(ens: PathEnsemble, levels) -> EmpiricalDistribution:
     """P(max of phi over [0,T] < level) on the given level grid."""
     samples = np.sort(_ok_values(ens, ens.max_phi))
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     counts = np.searchsorted(samples, levels, side="left")
-    return EmpiricalDistribution("max_cdf", samples, samples.size, 0, confidence,
-                                 levels, counts / samples.size)
+    return EmpiricalDistribution("max_cdf", samples.size, 0, levels, counts / samples.size)
 
 
-def _event_cdf(kind: str, obs: np.ndarray, grid, confidence: float) -> EmpiricalDistribution:
-    events = obs[~np.isnan(obs)]
-    n_total = obs.size
-    n_censored = n_total - events.size
-    samples = np.sort(events)
+def _event_cdf(kind: str, obs: np.ndarray, grid) -> EmpiricalDistribution:
+    samples = np.sort(obs[~np.isnan(obs)])
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    values = np.searchsorted(samples, grid, side="right") / n_total
-    return EmpiricalDistribution(kind, samples, n_total, n_censored, confidence, grid, values)
+    values = np.searchsorted(samples, grid, side="right") / obs.size
+    return EmpiricalDistribution(kind, obs.size, obs.size - samples.size, grid, values)
 
 
-def empirical_cdf_exit(ens: PathEnsemble, times, confidence: float = 0.95
-                       ) -> EmpiricalDistribution:
+def empirical_cdf_exit(ens: PathEnsemble, times) -> EmpiricalDistribution:
     """P(first crossing below the level <= t) on the given time grid."""
-    return _event_cdf("exit_cdf", _ok_values(ens, ens.exit_time), times, confidence)
+    return _event_cdf("exit_cdf", _ok_values(ens, ens.exit_time), times)
 
 
-def empirical_cdf_entry(ens: PathEnsemble, times, confidence: float = 0.95
-                        ) -> EmpiricalDistribution:
+def empirical_cdf_entry(ens: PathEnsemble, times) -> EmpiricalDistribution:
     """P(first crossing above the level <= t) on the given time grid."""
-    return _event_cdf("entry_cdf", _ok_values(ens, ens.entry_time), times, confidence)
+    return _event_cdf("entry_cdf", _ok_values(ens, ens.entry_time), times)
 
 
 def analytic_first_passage(x0: float, drift: float, vol: float, level: float, t):

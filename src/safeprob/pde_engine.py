@@ -57,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DataError, SolverError
+from .errors import DataError, SolverError, require_finite
 from .system_model import BarrierProblem
 
 MAX_GRID_DIM = 3
@@ -81,6 +81,7 @@ class GridSpec:
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
+        require_finite(lo=self.lo, hi=self.hi)
         if not (len(self.lo) == len(self.hi) == len(self.cells)):
             raise DataError("lo, hi, cells must have equal lengths")
         if self.ndim == 0:
@@ -170,6 +171,7 @@ class IbvpSpec:
             raise DataError("convection/sigma fields contain non-finite values")
         if self.dirichlet_value not in (0.0, 1.0):
             raise DataError(f"dirichlet_value must be 0 or 1, got {self.dirichlet_value}")
+        require_finite(horizon=self.horizon, dt=self.dt)
         if self.horizon < 0:
             raise DataError("horizon must be >= 0")
         if self.dt <= 0:

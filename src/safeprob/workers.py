@@ -13,6 +13,7 @@ import os
 import pickle
 import signal
 from contextlib import contextmanager
+from multiprocessing.connection import wait
 
 from .errors import SolverError
 
@@ -51,9 +52,9 @@ def concurrently(*calls):
     """Run each zero-argument call in a forked worker of its own while the
     ``with`` block runs.
 
-    Yields ``results``, which waits for the workers in call order and
-    returns what the calls returned, as a list, or raises the first error
-    in that order as soon as it arrives.  Without a second CPU
+    Yields ``results``, which waits on every worker at once and returns
+    what the calls returned, as a list in call order, or raises the first
+    error to arrive, whichever call raised it.  Without a second CPU
     (``worker_cpus``) nothing is forked, and ``results`` makes the calls.
     No worker outlives the block: those not yet reaped, because an error
     came first, are killed and reaped.
@@ -64,20 +65,26 @@ def concurrently(*calls):
     running = {}  # pid -> read end of its pipe, for the workers not yet reaped
 
     def results():
-        values = []
-        for pid, pipe in list(running.items()):
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del running[pid]
-            pipe.close()
-            if not data:
-                raise SolverError(f"worker process exited with code "
-                                  f"{os.waitstatus_to_exitcode(status)} and sent no result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            values.append(value)
-        return values
+        order, values = list(running), {}
+        while running:
+            ready = wait(list(running.values()))
+            for pid, pipe in list(running.items()):
+                if pipe not in ready:
+                    continue
+                # A worker writes its whole reply at once and exits, so a
+                # pipe with data reads to its end without waiting on work.
+                data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del running[pid]
+                pipe.close()
+                if not data:
+                    raise SolverError(f"worker process exited with code "
+                                      f"{os.waitstatus_to_exitcode(status)} and sent no result")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                values[pid] = value
+        return [values[pid] for pid in order]
 
     try:
         for call in calls:

@@ -27,6 +27,7 @@ from safeprob import mc_oracle
 from safeprob.errors import DataError, InfeasibilityError, ShapeError, SolverError
 from safeprob.system_model import closed_loop_control_batch
 from safeprob.mc_oracle import CdfTable, EmpiricalDistribution
+from safeprob.workers import concurrently, worker_cpus
 
 from conftest import (
     DKW_1E5,
@@ -302,6 +303,20 @@ class TestExcludedPaths:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert (a.n_diverged, a.n_infeasible) == (b.n_diverged, b.n_infeasible)
 
+    def test_every_path_excluded_raises(self):
+        # Cubic blow-up from above at a large step: every path overflows, and
+        # no curve can be estimated from what is left.
+        sys = ControlSystem(n=1, m=1, k=1, f=lambda X: X ** 3 + 10,
+                            g=lambda X: np.zeros(X.shape + (1,)),
+                            sigma=lambda X: np.ones(X.shape + (1,)))
+        cfg = PathConfig(dt=0.5, horizon=5.0, n_paths=50, seed=5)
+        ens = simulate_paths(sys, identity_barrier(), NONE_POLICY, [1.0], cfg)
+        assert ens.n_diverged == cfg.n_paths
+        for estimate in (empirical_cdf_exit, empirical_cdf_entry, empirical_ccdf_min,
+                         empirical_cdf_max):
+            with pytest.raises(DataError, match="^all paths were excluded; nothing to estimate$"):
+                estimate(ens, [1.0])
+
     @pytest.mark.parametrize("case", ["_diverging", "_infeasible"])
     def test_matches_per_path_reference(self, case):
         sys, policy, x0, cfg = getattr(self, case)()
@@ -421,6 +436,35 @@ class TestWorkerProcesses:
         assert time.monotonic() - start < 10
         assert_no_child_left()
 
+    @pytest.mark.skipif(worker_cpus() < 2, reason="needs two CPUs to fork workers")
+    def test_first_error_to_arrive_is_raised(self):
+        # The second call fails at once behind a first that takes 3 s: its
+        # error must not wait for the first call's result.
+        def slow():
+            time.sleep(3)
+            return "slow"
+
+        def failing():
+            raise ShapeError("second call failed")
+
+        start = time.monotonic()
+        with pytest.raises(ShapeError, match="^second call failed$"):
+            with concurrently(slow, failing) as results:
+                results()
+        assert time.monotonic() - start < 1
+        assert_no_child_left()
+
+    @pytest.mark.skipif(worker_cpus() < 2, reason="needs two CPUs to fork workers")
+    def test_results_come_in_call_order(self):
+        # The second call returns first; the list keeps the calls' order.
+        def slow():
+            time.sleep(0.3)
+            return "first"
+
+        with concurrently(slow, lambda: "second") as results:
+            assert results() == ["first", "second"]
+        assert_no_child_left()
+
     def test_daemonic_caller_runs_in_process(self, monkeypatch):
         # A daemonic process may not start children, so ``worker_cpus``
         # keeps its blocks in process; the child below sends its ensemble.
@@ -493,25 +537,26 @@ class TestEmpiricalDistributions:
         np.testing.assert_array_equal(emp.values, [0.0, 1.0])
 
     def test_dkw_band_at_reference_size(self):
-        emp = EmpiricalDistribution(kind="exit_cdf", samples=np.array([]),
-                                    n_total=100_000, n_censored=100_000,
-                                    confidence=0.95, grid=np.array([1.0]),
-                                    values=np.array([0.0]))
+        emp = EmpiricalDistribution(kind="exit_cdf", n_total=100_000, n_censored=100_000,
+                                    grid=np.array([1.0]), values=np.array([0.0]))
         assert emp.band == pytest.approx(DKW_1E5, abs=1e-15)
         assert emp.band == pytest.approx(0.0043, abs=5e-5)
 
     def test_censoring_consistency(self):
         ens = self._drifted_ensemble(n_paths=5000)
         emp = empirical_cdf_exit(ens, [1.0])
-        mass = emp.samples.size / emp.n_total
+        mass = np.count_nonzero(~np.isnan(ens.exit_time)) / emp.n_total
         assert mass + emp.n_censored / emp.n_total == pytest.approx(1.0, abs=1e-15)
         # CDF at the horizon equals the uncensored mass.
         assert emp.values[-1] == pytest.approx(mass, abs=1e-15)
 
     def test_samples_sorted(self):
+        # Each value is the share of exit times at or before its time.
         ens = self._drifted_ensemble(n_paths=3000)
-        emp = empirical_cdf_exit(ens, np.linspace(0, 1, 5))
-        assert np.all(np.diff(emp.samples) >= 0)
+        times = np.linspace(0, 1, 5)
+        emp = empirical_cdf_exit(ens, times)
+        counts = [np.count_nonzero(ens.exit_time <= t) for t in times]
+        np.testing.assert_array_equal(emp.values, np.asarray(counts) / ens.n_ok)
         assert np.all(np.diff(emp.values) >= 0)
 
     def test_min_ccdf_and_exit_cdf_agree_at_level(self):

@@ -178,6 +178,15 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="cap"):
             GridSpec((0.0,) * 3, (1.0,) * 3, (200,) * 3)
 
+    # Every comparison with NaN is false, so no range check would catch it.
+    @pytest.mark.parametrize("lo, hi, name", [
+        ((-np.inf,), (2.0,), "lo"), ((np.nan,), (2.0,), "lo"),
+        ((0.0,), (np.inf,), "hi"), ((0.0, 0.0), (1.0, np.nan), "hi"),
+    ])
+    def test_rejects_non_finite_bounds(self, lo, hi, name):
+        with pytest.raises(DataError, match=f"^{name} must be finite$"):
+            GridSpec(lo, hi, (8,) * len(lo))
+
 
 class TestBuildMask:
     def test_sign_mask_on_line(self):
@@ -233,6 +242,18 @@ class TestIbvpSpecValidation:
         conv, sigma = const_fields(grid, 0.0, 1.0)
         with pytest.raises(DataError, match="0 or 1"):
             IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, sigma, dirichlet, 1.0, 0.1)
+
+    # A NaN horizon would march 0 steps and an infinite one overflow the
+    # step count.
+    @pytest.mark.parametrize("horizon, dt, name", [
+        (np.nan, 0.1, "horizon"), (np.inf, 0.1, "horizon"),
+        (1.0, np.nan, "dt"), (1.0, np.inf, "dt"),
+    ])
+    def test_non_finite_horizon_or_dt_rejected(self, horizon, dt, name):
+        grid = GridSpec((-2.0,), (2.0,), (8,))
+        conv, sigma = const_fields(grid, 0.0, 1.0)
+        with pytest.raises(DataError, match=f"^{name} must be finite$"):
+            IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, sigma, 0.0, horizon, dt)
 
 
 class TestOperatorDependsOnSigmaSigmaT:
