@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import KINDS, NumericsConfig
 from .errors import ConfigError
-from .expressions import compile_matrix, compile_scalar, compile_vector
+from .expressions import compile_expressions
 from .library import example_names, make_example
 from .system_model import POLICY_KINDS, BarrierProblem, ControlSystem, Policy, linear_rate
 
@@ -238,33 +238,22 @@ def config_hash(doc: dict) -> str:
 
 
 def _system_from_doc(section: dict) -> ControlSystem:
-    n = section["dim_state"]
-    m = section["dim_input"]
-    k = section["dim_noise"]
-    if len(section["f"]) != n:
-        raise ConfigError(f"f must list {n} expressions", "system.f")
-    if len(section["g"]) != n or any(len(r) != m for r in section["g"]):
-        raise ConfigError(f"g must be {n} rows of {m} expressions", "system.g")
-    if len(section["sigma"]) != n or any(len(r) != k for r in section["sigma"]):
-        raise ConfigError(f"sigma must be {n} rows of {k} expressions", "system.sigma")
+    n, m, k = section["dim_state"], section["dim_input"], section["dim_noise"]
     return ControlSystem(n=n, m=m, k=k,
-                         f=compile_vector(section["f"], n),
-                         g=compile_matrix(section["g"], n),
-                         sigma=compile_matrix(section["sigma"], n))
+                         f=compile_expressions(section["f"], n, (n,), "system.f"),
+                         g=compile_expressions(section["g"], n, (n, m), "system.g"),
+                         sigma=compile_expressions(section["sigma"], n, (n, k), "system.sigma"))
 
 
 def _policy_from_doc(section: dict, n: int, m: int) -> Policy:
-    kind = section["kind"]
     if "nominal" in section:
-        if len(section["nominal"]) != m:
-            raise ConfigError(f"nominal must list {m} expressions", "policy.nominal")
-        nominal = compile_vector(section["nominal"], n)
+        nominal = compile_expressions(section["nominal"], n, (m,), "policy.nominal")
     else:
         def nominal(X):
             return np.zeros((len(X), m))
     alpha = linear_rate(float(_lookup({"policy": section}, "policy.alpha_gain")))
-    c = compile_scalar(section["c"], n) if "c" in section else None
-    return Policy(nominal=nominal, kind=kind, alpha=alpha, c=c)
+    c = compile_expressions(section["c"], n, (), "policy.c") if "c" in section else None
+    return Policy(nominal=nominal, kind=section["kind"], alpha=alpha, c=c)
 
 
 @dataclass
@@ -302,7 +291,8 @@ class ExperimentConfig:
         system = (_system_from_doc(self.doc["system"]) if "system" in self.doc
                   else bundle.system)
         if "barrier" in self.doc:
-            barrier = BarrierProblem(phi=compile_scalar(self.get("barrier.phi"), system.n))
+            barrier = BarrierProblem(phi=compile_expressions(self.get("barrier.phi"), system.n,
+                                                             (), "barrier.phi"))
         else:
             barrier = bundle.barrier
         if "policy" in self.doc:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -310,23 +309,23 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
 
     # The probe specs are assembled before the march, so an infeasible probe
     # grid fails first; the probe then solves while the march runs.
-    probe = None
+    probe = []
     if q.numerics.boundary_probe and q.horizon > 0:
         grids = _probe_grids(grid, spec.interior_mask)
         if grids is not None:
-            probe = [assemble(g, q.numerics.dt * PROBE_COARSEN) for g in grids]
+            specs = [assemble(g, q.numerics.dt * PROBE_COARSEN) for g in grids]
+            probe = [partial(_probe_sensitivity, *specs,
+                             states[on_side] if np.any(on_side) else states)]
 
-    with (concurrently(partial(_probe_sensitivity, *probe,
-                               states[on_side] if np.any(on_side) else states))
-          if probe is not None else nullcontext()) as probe_results:
+    with concurrently(*probe) as probe_results:
         series = solve_ibvp(spec, snapshot_times=tabulation_times(q.horizon, q.times),
                             points=states)
-        if probe_results is not None:
-            diag = series.diagnostics
-            [diag.boundary_sensitivity] = probe_results()
-            diag.boundary_flagged = diag.boundary_sensitivity > PROBE_TOLERANCE
+        diag = series.diagnostics
+        for sensitivity in probe_results():
+            diag.boundary_sensitivity = sensitivity
+            diag.boundary_flagged = sensitivity > PROBE_TOLERANCE
             if diag.boundary_flagged:
-                diag.notes.append(f"boundary sensitivity {diag.boundary_sensitivity:.3e} "
+                diag.notes.append(f"boundary sensitivity {sensitivity:.3e} "
                                   f"exceeds tolerance {PROBE_TOLERANCE:.1e}")
 
     values = np.where(on_side[:, None], series.values, dirichlet)

@@ -128,11 +128,18 @@ def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
 
     ``side='super'`` marks nodes with phi >= level interior, ``'sub'``
     marks phi < level.  Comparisons are weak on the super side by
-    convention; the two sides are exact complements.
+    convention; the two sides are exact complements.  A NaN would sit on
+    neither side, so DataError names the first node where phi is not finite.
     """
     if side not in ("super", "sub"):
         raise ValueError(f"side must be 'super' or 'sub', got {side!r}")
-    phi = bar.phi_at(grid.nodes()).reshape(grid.shape)
+    nodes = grid.nodes()
+    phi = bar.phi_at(nodes)
+    bad = ~np.isfinite(phi)
+    if bad.any():
+        raise DataError(f"barrier phi is {phi[bad][0]} at grid node {nodes[bad][0].tolist()}; "
+                        "it must be finite on the solve grid")
+    phi = phi.reshape(grid.shape)
     return phi >= level if side == "super" else phi < level
 
 

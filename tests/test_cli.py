@@ -59,6 +59,13 @@ def _refused_stderr(tmp_path, capsys, monkeypatch, command, override):
     return err
 
 
+def _inline_system(**fields):
+    """An override for the 1D inline system with ``fields`` replaced."""
+    section = {"dim_state": 1, "dim_input": 1, "dim_noise": 1,
+               "f": ["1"], "g": [["0"]], "sigma": [["1"]], **fields}
+    return "system=" + json.dumps(section)
+
+
 def strip_times_if_zero_horizon(doc):
     if doc["query"].get("times") is None:
         doc["query"].pop("times")
@@ -265,6 +272,47 @@ class TestConfigValidation:
                                  key):
         err = _refused_stderr(tmp_path, capsys, monkeypatch, command, override)
         assert f"unknown key (at config key '{key}')" in err
+
+    # A parse, name, argument-count, literal or shape error in an inline
+    # expression exits 2 at its key, a list item at its index.
+    @pytest.mark.parametrize("command, override, key, reason", [
+        ("solve", 'barrier={"phi": "2 +"}', "barrier.phi", "cannot parse"),
+        ("mc", 'barrier={"phi": "log(x1)"}', "barrier.phi", "unknown function 'log'"),
+        ("solve", 'barrier={"phi": "sin(x1, x1)"}', "barrier.phi", "sin() takes one argument"),
+        ("solve", 'barrier={"phi": "norm()"}', "barrier.phi", "norm() takes one or more"),
+        ("solve", 'barrier={"phi": "x1 + 1e999*0"}', "barrier.phi", "literal inf is not finite"),
+        ("solve", _inline_system(f=["x2"]), "system.f[0]", "unknown variable 'x2'"),
+        ("solve", _inline_system(f=["1", "0"]), "system.f", "expected a list of length 1"),
+        ("mc", _inline_system(g=[["0"], ["1"]]), "system.g", "expected a list of length 1"),
+        ("solve", _inline_system(g=[["0", "1"]]), "system.g[0]", "expected a list of length 1"),
+        ("solve", _inline_system(g=[["sqrt()"]]), "system.g[0][0]", "sqrt() takes one"),
+        ("validate", _inline_system(sigma=[["1 +"]]), "system.sigma[0][0]", "cannot parse"),
+        ("mc", _inline_system(sigma=[[]]), "system.sigma[0]", "expected a list of length 1"),
+        ("solve", 'policy={"kind": "none", "nominal": ["0", "1"]}', "policy.nominal",
+         "expected a list of length 1"),
+        ("mc", 'policy={"kind": "none", "nominal": ["exp(x1, x1)"]}', "policy.nominal[0]",
+         "exp() takes one argument"),
+        ("solve", 'policy={"kind": "gradient", "c": "x9"}', "policy.c", "unknown variable"),
+        ("validate", 'policy={"kind": "gradient", "c": "abs()"}', "policy.c",
+         "abs() takes one argument"),
+    ])
+    def test_bad_expression_exits_2(self, tmp_path, capsys, monkeypatch, command, override,
+                                    key, reason):
+        err = _refused_stderr(tmp_path, capsys, monkeypatch, command, override)
+        assert reason in err
+        assert f"(at config key '{key}')" in err
+
+    @pytest.mark.filterwarnings("always::safeprob.distributions.SafeProbWarning")
+    @pytest.mark.filterwarnings("always::RuntimeWarning")
+    def test_barrier_not_finite_on_grid_exits_2(self, tmp_path, capsys):
+        # NaN below x1 = 2 would be pinned on both sides of the level set.
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["barrier"] = {"phi": "sqrt(x1 - 2)"}
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "error: barrier phi is nan at grid node [" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["solve", "mc", "validate"])
     @pytest.mark.parametrize("states", [[], [[1.0, 2.0]]], ids=["empty", "2-vector"])

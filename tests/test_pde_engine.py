@@ -218,6 +218,15 @@ class TestBuildMask:
         with pytest.raises(ValueError):
             build_mask(grid, identity_barrier(), "above")
 
+    # A NaN node would be pinned on both sides; no mask is built on a non-finite phi.
+    @pytest.mark.parametrize("side", ["super", "sub"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_barrier_node_named(self, side, value):
+        grid = GridSpec((-2.0,), (2.0,), (8,))
+        bar = BarrierProblem(phi=lambda X: np.where(X[..., 0] >= 1.0, value, X[..., 0]))
+        with pytest.raises(DataError, match=rf"^barrier phi is {value} at grid node \[1\.0\]; "):
+            build_mask(grid, bar, side)
+
 
 class TestIbvpSpecValidation:
     @pytest.mark.parametrize("shape", [(9, 9, 1), (9, 9, 3, 1), (8, 9, 2, 1)])
