@@ -287,7 +287,7 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
     side, dirichlet = KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet
     level = float(q.level)
     states = q.states
-    phi0 = bar.phi_at(states)
+    phi0 = bar.finite_phi_at(states, "query state")
     on_side = phi0 >= level if side == "super" else phi0 < level
     if not np.all(on_side):
         bad = states[~on_side][0]

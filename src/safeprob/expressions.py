@@ -24,16 +24,21 @@ _FUNCS = {"sin": (np.sin, 1), "cos": (np.cos, 1), "exp": (np.exp, 1), "tanh": (n
 _CONSTS = {"pi": np.pi, "e": np.e}
 _OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
         ast.Pow: np.power, ast.USub: operator.neg, ast.UAdd: operator.pos}
+# An expression level takes a frame to compile and one to evaluate; half the
+# recursion limit leaves the evaluator's callers the rest.
+MAX_DEPTH = sys.getrecursionlimit() // 2
 
 
-def _compile(node: ast.AST, names: set, fail: Callable) -> Callable:
-    """The evaluator env -> value of a node; raises ``fail(reason)`` outside the grammar."""
+def _compile(node: ast.AST, names: set, fail: Callable, depth: int = 0) -> Callable:
+    """The evaluator env -> value of a node ``depth`` deep; raises ``fail(reason)`` off grammar."""
+    if depth > MAX_DEPTH:
+        raise fail(f"nested too deeply (over {MAX_DEPTH} levels)")
     if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
         op = _OPS[type(node.op)]
-        left, right = _compile(node.left, names, fail), _compile(node.right, names, fail)
+        left, right = (_compile(side, names, fail, depth + 1) for side in (node.left, node.right))
         return lambda env: op(left(env), right(env))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _OPS:
-        op, operand = _OPS[type(node.op)], _compile(node.operand, names, fail)
+        op, operand = _OPS[type(node.op)], _compile(node.operand, names, fail, depth + 1)
         return lambda env: op(operand(env))
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
         if node.func.id not in _FUNCS:
@@ -42,7 +47,7 @@ def _compile(node: ast.AST, names: set, fail: Callable) -> Callable:
         if not node.args or most is not None and len(node.args) > most:
             takes = "one argument" if most == 1 else "one or more arguments"
             raise fail(f"{node.func.id}() takes {takes}, got {len(node.args)}")
-        args = [_compile(a, names, fail) for a in node.args]
+        args = [_compile(a, names, fail, depth + 1) for a in node.args]
         return lambda env: fn(*[a(env) for a in args])
     if isinstance(node, ast.Name) and node.id in names:
         return lambda env: env[node.id]
@@ -85,6 +90,8 @@ def compile_expressions(exprs, n: int, shape: tuple, key: str) -> Callable:
             tree = ast.parse(item.replace("^", "**"), mode="eval")
         except (SyntaxError, ValueError) as err:  # ValueError: a null byte, on older Pythons
             raise fail(f"cannot parse: {getattr(err, 'msg', err)}") from None
+        except (RecursionError, MemoryError):  # the parser's own nesting limits
+            raise fail(f"nested too deeply (over {MAX_DEPTH} levels)") from None
         parts.append(((slice(None),) + index, _compile(tree.body, names, fail)))
 
     walk(exprs, (), key)

@@ -296,7 +296,7 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     if not np.all(np.isfinite(x0)):
         raise DataError("initial state must be finite")
     level = float(level)
-    phi0 = float(bar.phi_at(x0[None])[0])
+    phi0 = float(bar.finite_phi_at(x0[None], "initial state")[0])
 
     n_steps = cfg.n_steps
     per_path_bytes = 8 * (n_steps * sys.k + min(n_steps, BRIDGE_STEPS))

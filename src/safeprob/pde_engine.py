@@ -31,6 +31,13 @@ each recorded time the field is sampled at the query points from a
 multilinear weight table built once; a solve keeps those samples and the
 horizon field, so its memory does not grow with the times.
 
+Assembly: each factor is built in one pass over the interior rows from the
+stencil.  A term reaches its neighbour by flat-index stride; a step off the
+box stays on the face, folding the term into a nearer column (the
+zero-gradient closure), and a pinned neighbour's coefficient goes to the
+load.  A column's terms add in stencil order, a row's sum and load its
+columns in ascending order.  Sigma adds sigma's products over its columns.
+
 Linear solves: each factor's matrix is LU-factorized once and each step
 solves once with it.  Without cross terms a factor is a set of
 independent tridiagonal line systems and the LU has no fill.  The LU
@@ -133,13 +140,7 @@ def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
     """
     if side not in ("super", "sub"):
         raise ValueError(f"side must be 'super' or 'sub', got {side!r}")
-    nodes = grid.nodes()
-    phi = bar.phi_at(nodes)
-    bad = ~np.isfinite(phi)
-    if bad.any():
-        raise DataError(f"barrier phi is {phi[bad][0]} at grid node {nodes[bad][0].tolist()}; "
-                        "it must be finite on the solve grid")
-    phi = phi.reshape(grid.shape)
+    phi = bar.finite_phi_at(grid.nodes(), "grid node").reshape(grid.shape)
     return phi >= level if side == "super" else phi < level
 
 
@@ -189,9 +190,13 @@ class IbvpSpec:
 
     @cached_property
     def Sigma(self) -> np.ndarray:
-        """The diffusion tensor sigma sigma^T per node, shape (nodes, n, n)."""
-        sig = self.sigma.reshape(self.grid.n_nodes, self.grid.ndim, self.sigma.shape[-1])
-        Sigma = np.einsum("bik,bjk->bij", sig, sig)
+        """The diffusion tensor sigma sigma^T, shape (n, n, nodes): ``Sigma[i, j]``
+        is a node vector, the products of sigma's rows i and j added in column order."""
+        n, k = self.sigma.shape[-2:]
+        sig = self.sigma.reshape(-1, n, k)
+        Sigma = np.empty((n, n, sig.shape[0]))
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            Sigma[i, j] = Sigma[j, i] = sum(sig[:, i, c] * sig[:, j, c] for c in range(k))
         Sigma.setflags(write=False)
         return Sigma
 
@@ -274,114 +279,93 @@ class FieldSeries:
         return GridSampler(self.grid, states)(self.final_field.ravel())
 
 
-def _assemble_operator(spec: IbvpSpec, axis: int) -> sp.csr_matrix:
-    """Axis ``axis``'s rows of the spatial operator L at the interior nodes,
-    shape (interior, nodes).
-
-    They hold the upwind convection and the diffusion along the axis, and
-    the cross-derivative terms pairing it with each later axis; summed over
-    the axes they are L.  Row i belongs to the i-th interior node in C
-    order; columns index every node, pinned ones included.
-    """
-    grid = spec.grid
-    shape = grid.shape
-    n = grid.ndim
-    h = grid.spacing
-    N = grid.n_nodes
-    a = axis
-    base = np.flatnonzero(spec.interior_mask.ravel())
-    # The axis component of mu - 1/2 div Sigma, with (div Sigma)_a = sum_b d_b Sigma_ba.
-    Sigma = spec.Sigma
-    div = sum(np.gradient(Sigma[:, b, a].reshape(shape), h[b], axis=b) for b in range(n))
-    v = (spec.convection[..., a] - 0.5 * div).ravel()[base]
-
+def _axis_factor(spec: IbvpSpec, a: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Axis ``a``'s factor over the interior nodes in C order, built in one pass
+    over their rows (see Assembly above): ``A = I - dt L_a,II``, the pinned load
+    ``dt L_a,IP g`` and the row sums of ``L_a``."""
+    shape, n, h, dt = spec.grid.shape, spec.grid.ndim, spec.grid.spacing, spec.dt
+    mask = spec.interior_mask.ravel()
+    base = np.flatnonzero(mask)
     index = np.unravel_index(base, shape)
+    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+    Sigma = spec.Sigma
+    crosses = [b for b in range(a + 1, n) if np.any(Sigma[a, b])]
+    # A row's slots are its neighbours zero or one step along each stencil axis;
+    # a slot's number, in base 3 with digits step + 1, ascends with its column.
+    place = dict(zip([a] + crosses, 3 ** np.arange(len(crosses), -1, -1)))
+    size = 3 ** len(place)
+    neighbours = {}
+
+    def neighbour(offset) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's neighbour at ``offset``, clipped: flat index, place in ``vals``."""
+        if tuple(offset) not in neighbours:
+            flat, at = base.copy(), np.arange(size // 2, base.size * size, size)
+            for c in np.flatnonzero(offset):
+                step = offset[c] * (index[c] < shape[c] - 1 if offset[c] > 0 else index[c] > 0)
+                flat += step * stride[c]
+                at += step * place[c]
+            neighbours[tuple(offset)] = flat, at
+        return neighbours[tuple(offset)]
+
+    # The axis component of mu - 1/2 div Sigma, with (div Sigma)_a = sum_b d_b Sigma_ba.
+    div = sum(np.gradient(Sigma[b, a].reshape(shape), h[b], axis=b)
+              for b in range(n) if np.any(Sigma[b, a]))
+    v = (spec.convection[..., a] - 0.5 * div).ravel()[base]
     unit = np.eye(n, dtype=int)
-
-    def shifted(delta) -> np.ndarray:
-        coords = [np.clip(index[c] + delta[c], 0, shape[c] - 1) for c in range(n)]
-        return np.ravel_multi_index(coords, shape)
-
-    cols, vals = [], []
-
-    def add(col_idx, coeff):
-        cols.append(col_idx)
-        vals.append(coeff)
-
-    plus = shifted(unit[a])
-    minus = shifted(-unit[a])
-
+    e = unit[a]
     # Upwind convection for the backward generator: positive velocity
     # pulls the field value from the positive neighbor.
     vp = np.maximum(v, 0.0) / h[a]
     vm = np.minimum(v, 0.0) / h[a]
-    add(plus, vp)
-    add(minus, -vm)
-    add(base, -(vp - vm))
-
     # Conservative diffusion with face-averaged coefficients.
-    saa = Sigma[:, a, a]
-    wp = 0.25 * (saa[base] + saa[plus]) / h[a] ** 2
-    wm = 0.25 * (saa[base] + saa[minus]) / h[a] ** 2
-    add(plus, wp)
-    add(minus, wm)
-    add(base, -(wp + wm))
-
+    saa = Sigma[a, a]
+    wp = 0.25 * (saa[base] + saa[neighbour(e)[0]]) / h[a] ** 2
+    wm = 0.25 * (saa[base] + saa[neighbour(-e)[0]]) / h[a] ** 2
+    terms = [(e, vp), (-e, -vm), (0 * e, -(vp - vm)), (e, wp), (-e, wm), (0 * e, -(wp + wm))]
     # Cross-derivative stencil for off-diagonal diffusion.
-    for b in range(a + 1, n):
-        sab = Sigma[:, a, b]
-        if not np.any(sab):
-            continue
+    for b in crosses:
         for outer, inner in ((a, b), (b, a)):
             eo, ei = unit[outer], unit[inner]
-            c_p = 0.5 * sab[shifted(eo)] / (4.0 * h[outer] * h[inner])
-            c_m = 0.5 * sab[shifted(-eo)] / (4.0 * h[outer] * h[inner])
-            add(shifted(eo + ei), c_p)
-            add(shifted(eo - ei), -c_p)
-            add(shifted(-eo + ei), -c_m)
-            add(shifted(-eo - ei), c_m)
+            c_p = 0.5 * Sigma[a, b][neighbour(eo)[0]] / (4.0 * h[outer] * h[inner])
+            c_m = 0.5 * Sigma[a, b][neighbour(-eo)[0]] / (4.0 * h[outer] * h[inner])
+            terms += [(eo + ei, c_p), (eo - ei, -c_p), (-eo + ei, -c_m), (-eo - ei, c_m)]
 
-    # Each term fills every interior row once.  The rows start as int32, the
-    # COO index type below 2^31 nodes, so no int64 copy of them is made.
-    rows = np.tile(np.arange(base.size, dtype=np.int32), len(cols))
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    keep = vals != 0.0
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(base.size, N)).tocsr()
+    vals = np.zeros((base.size, size))
+    for offset, coeff in terms:
+        vals.ravel()[neighbour(offset)[1]] += coeff
+    # Slots a row does not reach hold 0 at the row's own node.
+    cols = np.repeat(base[:, None], size, axis=1)
+    for flat, at in neighbours.values():
+        cols.ravel()[at] = flat
+    pinned = ~mask[cols]
+    sums = sum(vals.T, np.zeros(base.size))
+    load = dt * sum((vals * np.where(pinned, spec.dirichlet_value, 0.0)).T, np.zeros(base.size))
+    entries = -(dt * vals)
+    entries[:, size // 2] = 1.0 - dt * vals[:, size // 2]
+    # The interior columns, in the interior numbering; zero entries drop.
+    keep = (~pinned & (entries != 0.0)).ravel()
+    rank = np.cumsum(mask, dtype=np.int32) - 1
+    indptr = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)[size - 1::size]))
+    return (sp.csr_matrix((entries.ravel()[keep], rank[cols.ravel()[keep]], indptr),
+                          shape=(base.size, base.size)), load, sums)
 
 
 class ThetaStepper:
     """Owns one axis's backward-Euler factor over the interior nodes and its solves.
 
-    Pinned nodes hold the Dirichlet value g for all time, so only the
-    interior values u_I are unknowns: each call of ``step`` solves
-    ``A u_I' = u_I + c`` with ``A = I - dt L_a,II``, ``L_a`` the axis's
-    rows of the operator, and the constant load ``c = dt L_a,IP g`` of the
-    pinned columns.  ``A`` is LU-factorized once; ``solves`` counts the
-    solves with that factorization, one per step.  The spec needs at least
-    one interior node.
+    Pinned nodes hold the Dirichlet value g for all time, so each call of
+    ``step`` solves ``A u_I' = u_I + c`` for the interior values, with ``A``
+    and the constant load ``c`` from ``_axis_factor``.  ``A`` is LU-factorized
+    once; ``solves`` counts the solves with that factorization, one per step.
+    The spec needs at least one interior node.
     """
 
     def __init__(self, spec: IbvpSpec, axis: int):
-        mask = spec.interior_mask.ravel()
-        interior = np.flatnonzero(mask)
-        n_int = interior.size
-        L_I = _assemble_operator(spec, axis)
-        # Interior columns of L_I map to step-matrix columns through ``pos``.
-        pos = np.full(mask.size, -1)
-        pos[interior] = np.arange(n_int)
-        cols = pos[L_I.indices]
-        inner = cols >= 0
-        rows = np.repeat(np.arange(n_int), np.diff(L_I.indptr))
-        L_II = sp.csr_matrix((L_I.data[inner], (rows[inner], cols[inner])),
-                             shape=(n_int, n_int))
+        self.A, self._load, sums = _axis_factor(spec, axis)
         # Zero up to rounding: the generator sends constants to zero.
-        self.row_sum_defect = float(np.max(np.abs(L_I @ np.ones(mask.size))))
-        g = float(spec.dirichlet_value)
-        self._load = spec.dt * (L_I @ np.where(mask, 0.0, g))
+        self.row_sum_defect = float(np.max(np.abs(sums)))
         # ||b||^2 of the full-node right-hand side contributed by pinned rows.
-        self._pinned_sq = (mask.size - n_int) * g * g
-        self.A = (sp.identity(n_int, format="csr") - spec.dt * L_II).tocsr()
+        self._pinned_sq = (spec.grid.n_nodes - self.A.shape[0]) * float(spec.dirichlet_value) ** 2
         self.solves = 0
         try:
             self._lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",

@@ -130,6 +130,15 @@ class BarrierProblem:
     def phi_at(self, X) -> np.ndarray:
         return _eval_batch(self.phi, _as_batch(X), (), "phi")
 
+    def finite_phi_at(self, X, where: str) -> np.ndarray:
+        """``phi_at``; DataError names the first state (a ``where``) where phi is not finite."""
+        phi = self.phi_at(X := _as_batch(X))
+        bad = ~np.isfinite(phi)
+        if bad.any():
+            raise DataError(f"barrier phi is {phi[bad][0]} at {where} {X[bad][0].tolist()}; "
+                            "it must be finite there")
+        return phi
+
     def grad_at(self, X) -> np.ndarray:
         X = _as_batch(X)
         if self.grad_phi is None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from safeprob import cli, distributions, mc_oracle, pde_engine
+from safeprob import cli, distributions, expressions, mc_oracle, pde_engine
 from safeprob.artifacts import export_snapshot_csv
 from safeprob.cli import main
 from safeprob.config import REQUIRED, SCHEMA, ExperimentConfig, config_hash, validate_config
@@ -302,11 +302,57 @@ class TestConfigValidation:
         assert reason in err
         assert f"(at config key '{key}')" in err
 
-    @pytest.mark.filterwarnings("always::safeprob.distributions.SafeProbWarning")
+    @pytest.mark.parametrize("depth", [2000, 5000])
+    def test_deep_expression_exits_2(self, tmp_path, capsys, monkeypatch, depth):
+        override = f'barrier={{"phi": "{"-" * depth}x1"}}'
+        err = _refused_stderr(tmp_path, capsys, monkeypatch, "solve", override)
+        assert "nested too deeply" in err
+        assert "(at config key 'barrier.phi')" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "mc"])
+    def test_deepest_expression_that_compiles_runs(self, tmp_path, capsys, command):
+        # It is evaluated deeper in the stack than it is compiled: in the
+        # solve's mask and in every simulated step.  An even count of signs
+        # leaves x1, so the run prints what phi = x1 prints.
+        printed = []
+        for phi in ("-" * expressions.MAX_DEPTH + "x1", "x1"):
+            doc = small_bm_doc(str(tmp_path / "out"), horizon=0.1)
+            doc["barrier"] = {"phi": phi}
+            doc["mc"]["n_paths"] = 500
+            assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+            printed.append(capsys.readouterr().out.splitlines()[0])
+        assert printed[0] == printed[1]
+
+    @pytest.mark.filterwarnings("always::RuntimeWarning")
+    @pytest.mark.parametrize("command, where", [
+        ("solve", "query state"), ("validate", "query state"), ("mc", "initial state"),
+    ])
+    def test_barrier_not_finite_at_query_state_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                        command, where):
+        # phi = sqrt(x1 - 2) is NaN at the state 1.0, which sits on neither
+        # side of the level set: no wrong-side warning, and nothing solved or
+        # simulated.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve or a simulation ran")
+
+        monkeypatch.setattr(distributions, "_assemble", refuse)
+        monkeypatch.setattr(mc_oracle, "_simulate_block", refuse)
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc["barrier"] = {"phi": "sqrt(x1 - 2)"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert not [w for w in caught if issubclass(w.category, distributions.SafeProbWarning)]
+        err = capsys.readouterr().err
+        assert f"error: barrier phi is nan at {where} [1.0]" in err
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("always::RuntimeWarning")
     def test_barrier_not_finite_on_grid_exits_2(self, tmp_path, capsys):
-        # NaN below x1 = 2 would be pinned on both sides of the level set.
-        doc = small_bm_doc(str(tmp_path / "out"))
+        # NaN below x1 = 2 would be pinned on both sides of the level set; at
+        # the query state 3.0 phi is finite.
+        doc = small_bm_doc(str(tmp_path / "out"), states=((3.0,),))
         doc["barrier"] = {"phi": "sqrt(x1 - 2)"}
         assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
@@ -769,13 +815,21 @@ class TestValidateCommand:
         assert len(calls) == 3
 
     @staticmethod
-    def _validate_with_operator(tmp_path, monkeypatch, capsys, mutate):
-        """Run validate on the small 1D exit query with ``mutate(spec, L_I)``
-        in place of the assembled interior rows of its one axis; returns
-        (exit code, stdout)."""
-        original = pde_engine._assemble_operator
-        monkeypatch.setattr(pde_engine, "_assemble_operator",
-                            lambda spec, axis: mutate(spec, original(spec, axis)))
+    def _validate_with_operator(tmp_path, monkeypatch, capsys, shift):
+        """Run validate on the small 1D exit query with the interior rows of its
+        one axis changed: ``shift(spec)`` gives, per row, the weight its own
+        column (``own``) or its pinned neighbours (``pinned``) lose.  The change
+        reaches the factor's A, load and row sums as a changed operator row
+        would; returns (exit code, stdout)."""
+        original = pde_engine._axis_factor
+
+        def changed(spec, axis):
+            A, load, sums = original(spec, axis)
+            own, pinned = shift(spec)
+            A = A + sp.diags(spec.dt * own)
+            return A.tocsr(), load - spec.dt * spec.dirichlet_value * pinned, sums - own - pinned
+
+        monkeypatch.setattr(pde_engine, "_axis_factor", changed)
         doc = small_bm_doc(str(tmp_path / "out"))
         doc["mc"]["n_paths"] = 500
         rc = main(["validate", "--config", write_config(tmp_path, doc)])
@@ -783,11 +837,11 @@ class TestValidateCommand:
 
     def test_perturbed_operator_row_fails_complementarity(self, tmp_path, monkeypatch,
                                                           capsys):
-        def perturb(spec, L):
+        def perturb(spec):
             # The first interior row's pinned neighbour loses 1e-3 of weight.
-            L = L.tolil()
-            L[0, 0] -= 1e-3
-            return L.tocsr()
+            pinned = np.zeros(int(spec.interior_mask.sum()))
+            pinned[0] = 1e-3
+            return np.zeros_like(pinned), pinned
 
         rc, out = self._validate_with_operator(tmp_path, monkeypatch, capsys, perturb)
         assert rc == 1
@@ -798,14 +852,13 @@ class TestValidateCommand:
         # A Dirichlet-0 closure: the interior node on the upper box face loses
         # its folded-in outward neighbour (upwind drift plus diffusion weight),
         # as if that neighbour were pinned to 0 instead of mirroring the face.
-        def dirichlet_zero(spec, L):
+        def dirichlet_zero(spec):
             base = np.flatnonzero(spec.interior_mask.ravel())
             face = base == spec.interior_mask.size - 1
             h = spec.grid.spacing[0]
             weight = (np.maximum(spec.convection.ravel(), 0.0) / h
-                      + 0.5 * spec.Sigma.ravel() / h ** 2)[base[face]]
-            rows = np.flatnonzero(face)
-            return (L - sp.csr_matrix((weight, (rows, base[face])), shape=L.shape)).tocsr()
+                      + 0.5 * spec.Sigma.ravel() / h ** 2)[base]
+            return np.where(face, weight, 0.0), np.zeros(base.size)
 
         rc, out = self._validate_with_operator(tmp_path, monkeypatch, capsys,
                                                dirichlet_zero)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from safeprob.errors import ConfigError
-from safeprob.expressions import compile_expressions
+from safeprob.expressions import MAX_DEPTH, compile_expressions
 
 
 def compile_scalar(expr, n):
@@ -137,6 +137,20 @@ class TestRejection:
     def test_literal_must_be_finite(self, expr):
         with pytest.raises(ConfigError, match="is not finite"):
             compile_scalar(expr, 1)
+
+    # 2000 levels pass the parser and would overflow the compiler; 5000 and
+    # a 3000-term sum overflow the parser itself.
+    @pytest.mark.parametrize("expr", ["-" * 2000 + "x1", "-" * 5000 + "x1",
+                                      "+".join(["x1"] * 3000), "-" * (MAX_DEPTH + 1) + "x1"])
+    def test_deep_nesting_refused_at_its_key(self, expr):
+        with pytest.raises(ConfigError, match=r"nested too deeply \(over \d+ levels\) in "
+                                              r"expression .*\(at config key 'barrier.phi'\)$"):
+            compile_scalar(expr, 1)
+
+    def test_deepest_expression_that_compiles_evaluates(self):
+        X = np.array([[0.5, -2.0]])
+        fn = compile_scalar("-" * (MAX_DEPTH - 1) + "x1 + x2", 2)
+        np.testing.assert_array_equal(fn(X), [(-1) ** (MAX_DEPTH - 1) * 0.5 - 2.0])
 
 
 class TestVectorAndMatrix:

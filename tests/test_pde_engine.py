@@ -28,7 +28,7 @@ from safeprob.pde_engine import (
     LINEAR_RTOL,
     GridSampler,
     ThetaStepper,
-    _assemble_operator,
+    _axis_factor,
 )
 
 from conftest import HEAT_HALFLINE, identity_barrier
@@ -69,6 +69,74 @@ def interior_values(spec):
     return initial_field(spec)[spec.interior_mask]
 
 
+def reference_rows(spec, axis):
+    """Axis ``axis``'s rows of the operator L at the interior nodes, shape
+    (interior, nodes), built over all nodes: the reference for ``_axis_factor``.
+
+    Every stencil term fills every interior row with a clipped neighbour
+    column, ``Sigma`` comes from ``einsum``, and a COO to CSR conversion sums
+    the terms that share a column.
+    """
+    grid = spec.grid
+    shape = grid.shape
+    n = grid.ndim
+    h = grid.spacing
+    a = axis
+    base = np.flatnonzero(spec.interior_mask.ravel())
+    sig = spec.sigma.reshape(grid.n_nodes, n, -1)
+    Sigma = np.einsum("bik,bjk->bij", sig, sig)
+    div = sum(np.gradient(Sigma[:, b, a].reshape(shape), h[b], axis=b) for b in range(n))
+    v = (spec.convection[..., a] - 0.5 * div).ravel()[base]
+    index = np.unravel_index(base, shape)
+    unit = np.eye(n, dtype=int)
+
+    def shifted(delta):
+        coords = [np.clip(index[c] + delta[c], 0, shape[c] - 1) for c in range(n)]
+        return np.ravel_multi_index(coords, shape)
+
+    plus, minus = shifted(unit[a]), shifted(-unit[a])
+    vp = np.maximum(v, 0.0) / h[a]
+    vm = np.minimum(v, 0.0) / h[a]
+    saa = Sigma[:, a, a]
+    wp = 0.25 * (saa[base] + saa[plus]) / h[a] ** 2
+    wm = 0.25 * (saa[base] + saa[minus]) / h[a] ** 2
+    terms = [(plus, vp), (minus, -vm), (base, -(vp - vm)),
+             (plus, wp), (minus, wm), (base, -(wp + wm))]
+    for b in range(a + 1, n):
+        sab = Sigma[:, a, b]
+        if not np.any(sab):
+            continue
+        for outer, inner in ((a, b), (b, a)):
+            eo, ei = unit[outer], unit[inner]
+            c_p = 0.5 * sab[shifted(eo)] / (4.0 * h[outer] * h[inner])
+            c_m = 0.5 * sab[shifted(-eo)] / (4.0 * h[outer] * h[inner])
+            terms += [(shifted(eo + ei), c_p), (shifted(eo - ei), -c_p),
+                      (shifted(-eo + ei), -c_m), (shifted(-eo - ei), c_m)]
+    rows = np.tile(np.arange(base.size), len(terms))
+    cols = np.concatenate([c for c, _ in terms])
+    vals = np.concatenate([v for _, v in terms])
+    keep = vals != 0.0
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(base.size, grid.n_nodes)).tocsr()
+
+
+def reference_factor(spec, axis):
+    """``_axis_factor``'s (A, load, row sums) from the all-node rows: A keeps
+    the interior columns of ``I - dt L_I``, the load is ``dt L_I`` applied to
+    g on the pinned nodes and the row sums ``L_I`` applied to ones."""
+    mask = spec.interior_mask.ravel()
+    L_I = reference_rows(spec, axis)
+    pos = np.full(mask.size, -1)
+    pos[mask] = np.arange(L_I.shape[0])
+    cols = pos[L_I.indices]
+    inner = cols >= 0
+    rows = np.repeat(np.arange(L_I.shape[0]), np.diff(L_I.indptr))
+    L_II = sp.csr_matrix((L_I.data[inner], (rows[inner], cols[inner])), shape=(L_I.shape[0],) * 2)
+    A = (sp.identity(L_I.shape[0], format="csr") - spec.dt * L_II).tocsr()
+    load = spec.dt * (L_I @ np.where(mask, 0.0, spec.dirichlet_value))
+    return A, load, L_I @ np.ones(mask.size)
+
+
 def full_node_steps(spec, n_steps, split=False):
     """Reference march over every node: Dirichlet rows are identity rows of
     ``I - dt L`` and each step is one ``spsolve``, or with ``split`` one
@@ -79,7 +147,7 @@ def full_node_steps(spec, n_steps, split=False):
     # Place the interior rows of L at their nodes; pinned rows stay empty.
     embed = sp.csr_matrix((np.ones(interior.size), (interior, np.arange(interior.size))),
                           shape=(mask.size, interior.size))
-    parts = [embed @ _assemble_operator(spec, a) for a in range(spec.grid.ndim)]
+    parts = [embed @ reference_rows(spec, a) for a in range(spec.grid.ndim)]
     if not split:
         parts = [sum(parts[1:], parts[0])]
     factors = [(sp.identity(spec.grid.n_nodes) - spec.dt * L).tocsc() for L in parts]
@@ -265,13 +333,74 @@ class TestIbvpSpecValidation:
             IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, sigma, 0.0, horizon, dt)
 
 
+def factor_spec(ndim, sigma_kind, dirichlet, seed=0):
+    """A small spec whose mask cuts every box face and has pinned holes, with
+    a random drift and a noise matrix of the given kind."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(tuple(-1.0 - 0.1 * a for a in range(ndim)),
+                    tuple(1.0 + 0.2 * a for a in range(ndim)), (9, 10, 8)[:ndim])
+    mask = rng.random(grid.shape) < 0.75
+    conv = rng.standard_normal(grid.shape + (ndim,))
+    sigma = np.zeros(grid.shape + (ndim, ndim))
+    if sigma_kind == "diagonal":
+        for a in range(ndim):
+            sigma[..., a, a] = 0.5 + rng.random(grid.shape)
+    elif sigma_kind == "one_pair":
+        # Only Sigma_02 is off the diagonal: one cross pair, on axis 0.
+        sigma[..., 0, 0] = 0.5 + rng.random(grid.shape)
+        sigma[..., 2, 0] = rng.standard_normal(grid.shape)
+        sigma[..., 1, 1] = 1.0
+        sigma = sigma[..., :2]
+    else:
+        sigma = rng.standard_normal(grid.shape + (ndim, {"column": 1, "full": 2}[sigma_kind]))
+    return IbvpSpec(grid, mask, conv, sigma, dirichlet, 0.1, 1e-2)
+
+
+class TestAxisFactor:
+    """The one-pass factor against the all-node reference construction."""
+
+    @pytest.mark.parametrize("dirichlet", [0.0, 1.0])
+    @pytest.mark.parametrize("ndim, sigma_kind", [
+        (1, "column"), (2, "diagonal"), (2, "column"), (2, "full"),
+        (3, "diagonal"), (3, "column"), (3, "one_pair"), (3, "full"),
+    ])
+    def test_matches_the_all_node_reference(self, ndim, sigma_kind, dirichlet):
+        spec = factor_spec(ndim, sigma_kind, dirichlet)
+        for a in range(ndim):
+            A, load, sums = _axis_factor(spec, a)
+            A_ref, load_ref, sums_ref = reference_factor(spec, a)
+            np.testing.assert_array_equal(A.indptr, A_ref.indptr)
+            np.testing.assert_array_equal(A.indices, A_ref.indices)
+            if a == 0 and (ndim, sigma_kind) in ((3, "column"), (3, "full")):
+                # Both cross pairs give axis-0 rows over 16 terms, past which
+                # SciPy's index sort is not stable: the reference adds a
+                # column's terms in the sort's order, the factor in stencil
+                # order, so they agree to rounding of the largest entry.
+                tol = 32 * np.finfo(float).eps * abs(reference_rows(spec, a)).max()
+                np.testing.assert_allclose(A.data, A_ref.data, rtol=0.0, atol=spec.dt * tol)
+                np.testing.assert_allclose(load, load_ref, rtol=0.0, atol=spec.dt * tol)
+                np.testing.assert_allclose(sums, sums_ref, rtol=0.0, atol=tol)
+            else:
+                np.testing.assert_array_equal(A.data, A_ref.data)
+                np.testing.assert_array_equal(load, load_ref)
+                np.testing.assert_array_equal(sums, sums_ref)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sigma_equals_einsum(self, k):
+        # Products summed over k in order are einsum's values for k <= 2.
+        spec = factor_spec(3, {1: "column", 2: "full"}[k], 1.0)
+        sig = spec.sigma.reshape(spec.grid.n_nodes, 3, k)
+        expected = np.einsum("bik,bjk->bij", sig, sig)
+        np.testing.assert_array_equal(np.moveaxis(spec.Sigma, -1, 0), expected)
+
+
 class TestOperatorDependsOnSigmaSigmaT:
     """Two sigmas with the same sigma sigma^T build the same operator rows."""
 
     @staticmethod
-    def _rows(grid, mask, conv, sigma):
+    def _factors(grid, mask, conv, sigma):
         spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
-        return [_assemble_operator(spec, a) for a in range(grid.ndim)]
+        return [_axis_factor(spec, a) for a in range(grid.ndim)]
 
     @settings(max_examples=30, deadline=None)
     @given(ndim=st.integers(1, 3), k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
@@ -281,15 +410,25 @@ class TestOperatorDependsOnSigmaSigmaT:
         mask = rng.random(grid.shape) < 0.7
         conv = rng.standard_normal(grid.shape + (ndim,))
         sigma = rng.standard_normal(grid.shape + (ndim, k))
-        rows = self._rows(grid, mask, conv, sigma)
+        factors = self._factors(grid, mask, conv, sigma)
         # A zero column adds exact zeros to every sum of sigma sigma^T.
         padded = np.concatenate([sigma, np.zeros(grid.shape + (ndim, 1))], axis=-1)
-        for L, L_pad in zip(rows, self._rows(grid, mask, conv, padded)):
-            assert (L != L_pad).nnz == 0
-        # An orthogonal Q leaves sigma Q Q^T sigma^T equal up to rounding.
+        for (A, load, sums), (A_pad, load_pad, sums_pad) in zip(
+                factors, self._factors(grid, mask, conv, padded)):
+            assert (A != A_pad).nnz == 0
+            np.testing.assert_array_equal(load, load_pad)
+            np.testing.assert_array_equal(sums, sums_pad)
+        # An orthogonal Q leaves sigma Q Q^T sigma^T equal up to rounding: each
+        # operator entry moves by at most 1e-14 of the largest, and a row's
+        # load and sum add at most 3^ndim entries.
         Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-        for L, L_rot in zip(rows, self._rows(grid, mask, conv, sigma @ Q)):
-            assert abs(L - L_rot).max() <= 1e-14 * abs(L).max()
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
+        for a, ((A, load, sums), (A_rot, load_rot, sums_rot)) in enumerate(zip(
+                factors, self._factors(grid, mask, conv, sigma @ Q))):
+            tol = 1e-14 * abs(reference_rows(spec, a)).max()
+            assert abs(A - A_rot).max() <= spec.dt * tol + np.finfo(float).eps
+            np.testing.assert_allclose(load, load_rot, rtol=0.0, atol=3 ** ndim * spec.dt * tol)
+            np.testing.assert_allclose(sums, sums_rot, rtol=0.0, atol=3 ** ndim * tol)
 
 
 class TestStep:
@@ -390,7 +529,8 @@ class TestCrossDerivativeStencil:
         conv = np.zeros(grid.shape + (2,))
         sigma = const_sigma(grid, [[1.0, r], [r, 1.0]])
         spec = IbvpSpec(grid, mask, conv, sigma, 0.0, 1.0, 0.1)
-        L = _assemble_operator(spec, 0) + _assemble_operator(spec, 1)
+        # Every node is interior, so each factor's A is I - dt L_a.
+        L = sum(sp.identity(grid.n_nodes) - _axis_factor(spec, a)[0] for a in range(2)) / spec.dt
         xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
         F = (xs * ys).ravel()
         out = (L @ F).reshape(grid.shape)
@@ -516,7 +656,7 @@ class TestStepperInternals:
         conv = np.stack([nodes[:, 1], -0.5 * nodes[:, 0]], axis=1).reshape(grid.shape + (2,))
         sigma = const_sigma(grid, [[1.0, 0.6], [0.6, 0.5]])
         spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
-        assert _assemble_operator(spec, 1).nnz < _assemble_operator(spec, 0).nnz
+        assert _axis_factor(spec, 1)[0].nnz < _axis_factor(spec, 0)[0].nnz
         marched = split_steps(spec, interior_values(spec), 5)
         for values, expected in zip(marched, full_node_steps(spec, 5, split=True)):
             np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
@@ -547,14 +687,17 @@ class TestStepperInternals:
     def test_row_sum_defect_sums_the_axis_factors(self, monkeypatch, eps):
         # A row perturbed in any factor moves F + G - 1 by dt times its defect,
         # so the reported defect is the sum over the factors.
-        original = pde_engine._assemble_operator
+        original = pde_engine._axis_factor
 
         def perturbed(spec, axis):
-            L = original(spec, axis).tolil()
-            L[0, np.flatnonzero(spec.interior_mask)[0]] -= eps.get(axis, 0.0)
-            return L.tocsr()
+            # The first row's own entry of L_a loses eps: A gains dt eps there.
+            A, load, sums = original(spec, axis)
+            A, sums = A.tolil(), sums.copy()
+            A[0, 0] += spec.dt * eps.get(axis, 0.0)
+            sums[0] -= eps.get(axis, 0.0)
+            return A.tocsr(), load, sums
 
-        monkeypatch.setattr(pde_engine, "_assemble_operator", perturbed)
+        monkeypatch.setattr(pde_engine, "_axis_factor", perturbed)
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (16, 16))
         conv, sigma = const_fields(grid, 0.5, 1.0)
         mask = grid.nodes()[:, 0].reshape(grid.shape) >= 0.0
