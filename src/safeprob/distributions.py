@@ -49,6 +49,7 @@ from .errors import DataError, InfeasibilityError, require_finite
 from .pde_engine import (
     MIN_CELLS,
     FieldSeries,
+    GridSampler,
     GridSpec,
     IbvpSpec,
     build_mask,
@@ -59,7 +60,8 @@ from .workers import concurrently
 
 
 class SafeProbWarning(UserWarning):
-    """Non-fatal solver notices (wrong-side queries, trivial masks)."""
+    """Non-fatal solver notices (wrong-side queries, trivial masks, states near
+    the level set)."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,10 @@ PROBE_COARSEN = 2
 PROBE_TOLERANCE = 1e-3
 # Evenly spaced tabulation times over [0, horizon] when a query names none.
 TABULATION_TIMES = 101
+# A query state is warned about when a pinned node lies within this many cells
+# of the state's own cell along every axis: the node-based mask places the level
+# set only to a cell, and values this close to it can be off by O(1).
+NEAR_LEVEL_CELLS = 2
 
 
 def tabulation_times(horizon: float, times: np.ndarray | None) -> np.ndarray:
@@ -254,6 +260,15 @@ def _probe_grids(grid: GridSpec, mask: np.ndarray) -> tuple[GridSpec, GridSpec] 
             GridSpec(tuple(lo), tuple(hi), tuple(dcells)))
 
 
+def _near_level_set(grid: GridSpec, mask: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Whether each state has a node outside ``mask`` within ``NEAR_LEVEL_CELLS``
+    cells of its own cell, the one it is sampled from, along every axis."""
+    # Row 0 of the sampler's corners is each cell's lower corner.
+    lower = np.unravel_index(GridSampler(grid, states).index[0], grid.shape)
+    return np.array([not mask[tuple(slice(max(i - NEAR_LEVEL_CELLS, 0), i + 2 + NEAR_LEVEL_CELLS)
+                                    for i in cell)].all() for cell in zip(*lower)], dtype=bool)
+
+
 def _probe_sensitivity(coarse: IbvpSpec, doubled: IbvpSpec, points) -> float:
     """Largest disagreement of the two probe solves at ``points`` at the horizon."""
     return float(np.max(np.abs(solve_ibvp(coarse).sample(points)
@@ -305,6 +320,11 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
         warnings.warn(
             f"{kind}: the level set does not intersect the solve box; the mask is "
             "trivial and the result degenerates to its initial/boundary data",
+            SafeProbWarning, stacklevel=2)
+    for x in states[on_side & _near_level_set(grid, spec.interior_mask, states)]:
+        warnings.warn(
+            f"{kind}: state {x.tolist()} lies within {NEAR_LEVEL_CELLS} cells of level "
+            f"{level}; so close to the level set the solve can be off by O(1)",
             SafeProbWarning, stacklevel=2)
 
     # The probe specs are assembled before the march, so an infeasible probe

@@ -27,6 +27,15 @@ _OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: n
 # An expression level takes a frame to compile and one to evaluate; half the
 # recursion limit leaves the evaluator's callers the rest.
 MAX_DEPTH = sys.getrecursionlimit() // 2
+# An error quotes at most this many characters of its expression.
+QUOTED_CHARS = 60
+
+
+def _quoted(expr: str) -> str:
+    """``expr`` quoted, or its first ``QUOTED_CHARS`` characters, ``…`` and its length."""
+    if len(expr) <= QUOTED_CHARS:
+        return repr(expr)
+    return f"{expr[:QUOTED_CHARS]!r}… ({len(expr)} characters)"
 
 
 def _compile(node: ast.AST, names: set, fail: Callable, depth: int = 0) -> Callable:
@@ -83,7 +92,7 @@ def compile_expressions(exprs, n: int, shape: tuple, key: str) -> Callable:
             return
 
         def fail(reason: str) -> ConfigError:
-            return ConfigError(f"{reason} in expression {item!r}", here)
+            return ConfigError(f"{reason} in expression {_quoted(item)}", here)
         if not isinstance(item, str):
             raise ConfigError("expected an expression string", here)
         try:

@@ -36,7 +36,9 @@ stencil.  A term reaches its neighbour by flat-index stride; a step off the
 box stays on the face, folding the term into a nearer column (the
 zero-gradient closure), and a pinned neighbour's coefficient goes to the
 load.  A column's terms add in stencil order, a row's sum and load its
-columns in ascending order.  Sigma adds sigma's products over its columns.
+columns in ascending order.  Sigma adds sigma's products over its columns
+and keeps only the pairs that are nonzero somewhere: an absent pair adds no
+term, which is the same as adding its zeros.
 
 Linear solves: each factor's matrix is LU-factorized once and each step
 solves once with it.  Without cross terms a factor is a set of
@@ -56,8 +58,7 @@ The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field as dc_field
-from functools import cached_property
+from dataclasses import InitVar, asdict, dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
@@ -148,9 +149,12 @@ def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
 class IbvpSpec:
     """A discretized masked-Dirichlet convection-diffusion problem.
 
-    ``convection`` holds the drift mu per node (shape + (n,)) and ``sigma``
-    the noise matrix per node (shape + (n, k)); the diffusion tensor
-    ``Sigma = sigma sigma^T`` is formed once, on first use.  Nodes outside
+    ``convection`` holds the drift mu per node (shape + (n,)).  ``sigma``,
+    the noise matrix per node (shape + (n, k)), is an argument only: the
+    spec keeps ``Sigma``, which maps each pair (i, j), i <= j, of the
+    diffusion tensor ``sigma sigma^T`` that is nonzero at some node to its
+    read-only node vector, the products of sigma's rows i and j added in
+    column order.  An absent pair is zero everywhere.  Nodes outside
     ``interior_mask`` are pinned to ``dirichlet_value`` g, 0 or 1, for all
     time, and the march starts from 1 - g on the interior.
     """
@@ -158,17 +162,18 @@ class IbvpSpec:
     grid: GridSpec
     interior_mask: np.ndarray
     convection: np.ndarray
-    sigma: np.ndarray
+    sigma: InitVar[np.ndarray]
     dirichlet_value: float
     horizon: float
     dt: float
+    Sigma: dict = dc_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, sigma):
         shape = self.grid.shape
         n = self.grid.ndim
         mask = np.asarray(self.interior_mask, dtype=bool)
         conv = np.asarray(self.convection, dtype=float)
-        sig = np.asarray(self.sigma, dtype=float)
+        sig = np.asarray(sigma, dtype=float)
         if mask.shape != shape:
             raise DataError(f"interior_mask shape {mask.shape} != grid shape {shape}")
         if conv.shape != shape + (n,):
@@ -184,21 +189,18 @@ class IbvpSpec:
             raise DataError("horizon must be >= 0")
         if self.dt <= 0:
             raise DataError("dt must be > 0")
-        for name, arr in (("interior_mask", mask), ("convection", conv), ("sigma", sig)):
+        for name, arr in (("interior_mask", mask), ("convection", conv)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @cached_property
-    def Sigma(self) -> np.ndarray:
-        """The diffusion tensor sigma sigma^T, shape (n, n, nodes): ``Sigma[i, j]``
-        is a node vector, the products of sigma's rows i and j added in column order."""
-        n, k = self.sigma.shape[-2:]
-        sig = self.sigma.reshape(-1, n, k)
-        Sigma = np.empty((n, n, sig.shape[0]))
+        k = sig.shape[-1]
+        sig = sig.reshape(-1, n, k)
+        Sigma = {}
         for i, j in itertools.combinations_with_replacement(range(n), 2):
-            Sigma[i, j] = Sigma[j, i] = sum(sig[:, i, c] * sig[:, j, c] for c in range(k))
-        Sigma.setflags(write=False)
-        return Sigma
+            pair = sum(sig[:, i, c] * sig[:, j, c] for c in range(k))
+            if np.any(pair):
+                pair.setflags(write=False)
+                Sigma[i, j] = pair
+        object.__setattr__(self, "Sigma", Sigma)
 
 
 @dataclass
@@ -285,69 +287,92 @@ def _axis_factor(spec: IbvpSpec, a: int) -> tuple[sp.csr_matrix, np.ndarray, np.
     ``dt L_a,IP g`` and the row sums of ``L_a``."""
     shape, n, h, dt = spec.grid.shape, spec.grid.ndim, spec.grid.spacing, spec.dt
     mask = spec.interior_mask.ravel()
-    base = np.flatnonzero(mask)
-    index = np.unravel_index(base, shape)
-    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+    # Node and slot numbers fit 32 bits: at most DEFAULT_NODE_CAP nodes of 27 slots.
+    base = np.flatnonzero(mask).astype(np.int32)
+    stride = [int(s) for s in np.cumprod((1,) + shape[:0:-1])[::-1]]
     Sigma = spec.Sigma
-    crosses = [b for b in range(a + 1, n) if np.any(Sigma[a, b])]
+    crosses = [b for b in range(a + 1, n) if (a, b) in Sigma]
     # A row's slots are its neighbours zero or one step along each stencil axis;
     # a slot's number, in base 3 with digits step + 1, ascends with its column.
-    place = dict(zip([a] + crosses, 3 ** np.arange(len(crosses), -1, -1)))
+    place = {c: 3 ** p for c, p in zip([a] + crosses, range(len(crosses), -1, -1))}
     size = 3 ** len(place)
+    # Each row's coordinate along the stencil axes, for the clipping at box faces.
+    coord = {c: base // stride[c] % shape[c] for c in place}
     neighbours = {}
 
     def neighbour(offset) -> tuple[np.ndarray, np.ndarray]:
         """Each row's neighbour at ``offset``, clipped: flat index, place in ``vals``."""
         if tuple(offset) not in neighbours:
-            flat, at = base.copy(), np.arange(size // 2, base.size * size, size)
+            flat = base.copy()
+            at = np.arange(size // 2, base.size * size, size, dtype=np.int32)
             for c in np.flatnonzero(offset):
-                step = offset[c] * (index[c] < shape[c] - 1 if offset[c] > 0 else index[c] > 0)
-                flat += step * stride[c]
-                at += step * place[c]
+                step = int(offset[c])
+                moves = coord[c] < shape[c] - 1 if step > 0 else coord[c] > 0
+                flat[moves] += step * stride[c]
+                at[moves] += step * place[c]
             neighbours[tuple(offset)] = flat, at
         return neighbours[tuple(offset)]
 
-    # The axis component of mu - 1/2 div Sigma, with (div Sigma)_a = sum_b d_b Sigma_ba.
-    div = sum(np.gradient(Sigma[b, a].reshape(shape), h[b], axis=b)
-              for b in range(n) if np.any(Sigma[b, a]))
-    v = (spec.convection[..., a] - 0.5 * div).ravel()[base]
     unit = np.eye(n, dtype=int)
     e = unit[a]
-    # Upwind convection for the backward generator: positive velocity
-    # pulls the field value from the positive neighbor.
-    vp = np.maximum(v, 0.0) / h[a]
-    vm = np.minimum(v, 0.0) / h[a]
-    # Conservative diffusion with face-averaged coefficients.
-    saa = Sigma[a, a]
-    wp = 0.25 * (saa[base] + saa[neighbour(e)[0]]) / h[a] ** 2
-    wm = 0.25 * (saa[base] + saa[neighbour(-e)[0]]) / h[a] ** 2
-    terms = [(e, vp), (-e, -vm), (0 * e, -(vp - vm)), (e, wp), (-e, wm), (0 * e, -(wp + wm))]
-    # Cross-derivative stencil for off-diagonal diffusion.
-    for b in crosses:
-        for outer, inner in ((a, b), (b, a)):
-            eo, ei = unit[outer], unit[inner]
-            c_p = 0.5 * Sigma[a, b][neighbour(eo)[0]] / (4.0 * h[outer] * h[inner])
-            c_m = 0.5 * Sigma[a, b][neighbour(-eo)[0]] / (4.0 * h[outer] * h[inner])
-            terms += [(eo + ei, c_p), (eo - ei, -c_p), (-eo + ei, -c_m), (-eo - ei, c_m)]
 
+    def terms():
+        """The stencil's (offset, coefficient) terms in order, each formed when reached."""
+        # The axis component of mu - 1/2 div Sigma, with (div Sigma)_a = sum_b d_b Sigma_ba.
+        div = sum(np.gradient(Sigma[min(a, b), max(a, b)].reshape(shape), h[b], axis=b)
+                  for b in range(n) if (min(a, b), max(a, b)) in Sigma)
+        v = (spec.convection[..., a] - 0.5 * div).ravel()[base]
+        # Upwind convection for the backward generator: positive velocity
+        # pulls the field value from the positive neighbor.
+        vp = np.maximum(v, 0.0) / h[a]
+        vm = np.minimum(v, 0.0) / h[a]
+        yield e, vp
+        yield -e, -vm
+        yield 0 * e, -(vp - vm)
+        # Conservative diffusion with face-averaged coefficients; none without Sigma_aa.
+        if (a, a) in Sigma:
+            saa = Sigma[a, a]
+            wp = 0.25 * (saa[base] + saa[neighbour(e)[0]]) / h[a] ** 2
+            wm = 0.25 * (saa[base] + saa[neighbour(-e)[0]]) / h[a] ** 2
+            yield e, wp
+            yield -e, wm
+            yield 0 * e, -(wp + wm)
+        # Cross-derivative stencil for off-diagonal diffusion.
+        for b in crosses:
+            for outer, inner in ((a, b), (b, a)):
+                eo, ei = unit[outer], unit[inner]
+                c_p = 0.5 * Sigma[a, b][neighbour(eo)[0]] / (4.0 * h[outer] * h[inner])
+                c_m = 0.5 * Sigma[a, b][neighbour(-eo)[0]] / (4.0 * h[outer] * h[inner])
+                yield eo + ei, c_p
+                yield eo - ei, -c_p
+                yield -eo + ei, -c_m
+                yield -eo - ei, c_m
+
+    # Each term adds into its rows' slots as soon as it is formed.
     vals = np.zeros((base.size, size))
-    for offset, coeff in terms:
+    for offset, coeff in terms():
         vals.ravel()[neighbour(offset)[1]] += coeff
-    # Slots a row does not reach hold 0 at the row's own node.
-    cols = np.repeat(base[:, None], size, axis=1)
+
+    # Each slot's column in the interior numbering, -1 at a pinned node; slots a
+    # row does not reach stay at the row's own node.
+    rank = np.full(mask.size, -1, dtype=np.int32)
+    rank[base] = np.arange(base.size, dtype=np.int32)
+    cols = np.repeat(rank[base][:, None], size, axis=1)
     for flat, at in neighbours.values():
-        cols.ravel()[at] = flat
-    pinned = ~mask[cols]
+        cols.ravel()[at] = rank[flat]
+    neighbours.clear()
+    pinned = cols < 0
     sums = sum(vals.T, np.zeros(base.size))
-    load = dt * sum((vals * np.where(pinned, spec.dirichlet_value, 0.0)).T, np.zeros(base.size))
-    entries = -(dt * vals)
-    entries[:, size // 2] = 1.0 - dt * vals[:, size // 2]
-    # The interior columns, in the interior numbering; zero entries drop.
-    keep = (~pinned & (entries != 0.0)).ravel()
-    rank = np.cumsum(mask, dtype=np.int32) - 1
-    indptr = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)[size - 1::size]))
-    return (sp.csr_matrix((entries.ravel()[keep], rank[cols.ravel()[keep]], indptr),
-                          shape=(base.size, base.size)), load, sums)
+    load = dt * sum((col * np.where(p, spec.dirichlet_value, 0.0)
+                     for col, p in zip(vals.T, pinned.T)), np.zeros(base.size))
+    # The entries of A, in place of the coefficients: -dt L off the row's own
+    # slot, 1 - dt L on it.  The interior columns keep them; zero entries drop.
+    vals *= -dt
+    vals[:, size // 2] += 1.0
+    keep = (vals != 0.0) & ~pinned
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1), dtype=np.int32)))
+    return (sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(base.size, base.size)),
+            load, sums)
 
 
 class ThetaStepper:

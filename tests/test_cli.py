@@ -857,7 +857,7 @@ class TestValidateCommand:
             face = base == spec.interior_mask.size - 1
             h = spec.grid.spacing[0]
             weight = (np.maximum(spec.convection.ravel(), 0.0) / h
-                      + 0.5 * spec.Sigma.ravel() / h ** 2)[base]
+                      + 0.5 * spec.Sigma[0, 0] / h ** 2)[base]
             return np.where(face, weight, 0.0), np.zeros(base.size)
 
         rc, out = self._validate_with_operator(tmp_path, monkeypatch, capsys,

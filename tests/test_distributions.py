@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import time
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from safeprob import (
+    GridSpec,
     NumericsConfig,
     Policy,
     QuerySpec,
@@ -316,6 +318,49 @@ class TestQueryHandling:
         assert "refine" not in str(err.value)
 
 
+class TestNearLevelSetWarning:
+    """One warning for each query state with a pinned node within two cells
+    of its own cell along every axis."""
+
+    @staticmethod
+    def _solve(bm, states, lo=0.0):
+        # The shipped grid, h = 0.01: from lo = 0 the padded box starts at the
+        # pinned node -0.01 and the node 0.0 is interior.
+        q = QuerySpec(states=states, horizon=0.1,
+                      numerics=bm_numerics(lo=lo, hi=lo + 8.0, dt=1e-2))
+        return solve_distribution("exit_cdf", bm.system, bm.barrier, bm.policy, q)
+
+    def test_one_warning_per_near_state(self, bm):
+        # The cells of 0.0, 0.005 and 0.015 lie within two cells of -0.01;
+        # those of 0.025 and 1.0 do not.
+        with pytest.warns(SafeProbWarning) as caught:
+            self._solve(bm, [[0.015], [1.0], [0.0], [0.025], [0.005]])
+        assert [str(w.message) for w in caught] == [
+            f"exit_cdf: state [{x}] lies within 2 cells of level 0.0; so close to the "
+            "level set the solve can be off by O(1)" for x in (0.015, 0.0, 0.005)]
+
+    def test_far_states_draw_no_warning(self, bm):
+        self._solve(bm, [[0.025], [1.0]])
+
+    def test_wrong_side_state_draws_only_its_own_warning(self, bm):
+        # Its value is the boundary value, exactly.
+        with pytest.warns(SafeProbWarning) as caught:
+            self._solve(bm, [[-0.005], [1.0]], lo=-1.0)
+        assert len(caught) == 1
+        assert "lies on the wrong side" in str(caught[0].message)
+
+    def test_3d_window_spans_every_axis(self):
+        grid = GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (10, 10, 10))
+        mask = np.ones(grid.shape, dtype=bool)
+        mask[0, 5, 5] = False
+        states = np.array([[0.25, 0.55, 0.55],   # cell (2, 5, 5): reaches node (0, 5, 5)
+                           [0.35, 0.55, 0.55],   # cell (3, 5, 5): does not
+                           [0.25, 0.95, 0.55],   # cell (2, 9, 5): not on axis 1
+                           [0.0, 0.35, 0.75]])   # cell (0, 3, 7): nodes 1..9 on both
+        np.testing.assert_array_equal(distributions._near_level_set(grid, mask, states),
+                                      [True, False, False, True])
+
+
 class TestSummaryStats:
     def test_instant_passage_mean_zero(self, bm):
         # A state already outside: exit CDF is 1 for all t.
@@ -449,7 +494,10 @@ class TestProbeWorker:
         runs = {}
         for cpus in (1, 2):
             pin_cpus(monkeypatch, cpus)
-            res = exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+            # The 3D state lies within two cells of the level set.
+            with pytest.warns(SafeProbWarning, match="within 2 cells") if name == "3d" \
+                    else contextlib.nullcontext():
+                res = exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
             runs[cpus] = (res.values.tobytes(), res.series.final_field.tobytes(),
                           json.dumps(res.diagnostics, sort_keys=True))
         assert len(forks) == 1

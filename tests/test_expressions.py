@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from safeprob.cli import main
 from safeprob.errors import ConfigError
 from safeprob.expressions import MAX_DEPTH, compile_expressions
+
+from conftest import CONFIG_DIR
 
 
 def compile_scalar(expr, n):
@@ -146,6 +151,27 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"nested too deeply \(over \d+ levels\) in "
                                               r"expression .*\(at config key 'barrier.phi'\)$"):
             compile_scalar(expr, 1)
+
+    def test_long_expression_is_quoted_short(self):
+        with pytest.raises(ConfigError) as err:
+            compile_scalar("x1 + " * 20 + "log(x1)", 1)
+        assert str(err.value) == ("unknown function 'log' in expression "
+                                  f"{('x1 + ' * 12)!r}… (107 characters) "
+                                  "(at config key 'barrier.phi')")
+        with pytest.raises(ConfigError, match=r"in expression '2 \+' \(at config key"):
+            compile_scalar("2 +", 1)
+
+    def test_deep_expression_error_is_one_short_stderr_line(self, tmp_path, capsys):
+        deep = "-" * 10_000 + "x1"
+        config = json.loads((CONFIG_DIR / "drifted_bm_exit.json").read_text())
+        config["barrier"] = {"phi": deep}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert len(line) < 200
+        assert "nested too deeply" in line and "(10002 characters)" in line
+        assert line.endswith("(at config key 'barrier.phi')")
 
     def test_deepest_expression_that_compiles_evaluates(self):
         X = np.array([[0.5, -2.0]])

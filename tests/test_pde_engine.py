@@ -1,3 +1,7 @@
+import copy
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -69,13 +73,30 @@ def interior_values(spec):
     return initial_field(spec)[spec.interior_mask]
 
 
+def dense_Sigma(spec):
+    """``spec.Sigma`` as a (nodes, n, n) array: each kept pair at (i, j) and
+    (j, i), zeros where the spec keeps none."""
+    n = spec.grid.ndim
+    Sigma = np.zeros((spec.grid.n_nodes, n, n))
+    for (i, j), pair in spec.Sigma.items():
+        Sigma[:, i, j] = Sigma[:, j, i] = pair
+    return Sigma
+
+
+def with_Sigma(spec, Sigma):
+    """A copy of ``spec`` holding ``Sigma`` in place of its own pairs."""
+    spec = copy.copy(spec)
+    object.__setattr__(spec, "Sigma", Sigma)
+    return spec
+
+
 def reference_rows(spec, axis):
     """Axis ``axis``'s rows of the operator L at the interior nodes, shape
     (interior, nodes), built over all nodes: the reference for ``_axis_factor``.
 
     Every stencil term fills every interior row with a clipped neighbour
-    column, ``Sigma`` comes from ``einsum``, and a COO to CSR conversion sums
-    the terms that share a column.
+    column, ``Sigma`` is dense, zeros included, and a COO to CSR conversion
+    sums the terms that share a column.
     """
     grid = spec.grid
     shape = grid.shape
@@ -83,8 +104,7 @@ def reference_rows(spec, axis):
     h = grid.spacing
     a = axis
     base = np.flatnonzero(spec.interior_mask.ravel())
-    sig = spec.sigma.reshape(grid.n_nodes, n, -1)
-    Sigma = np.einsum("bik,bjk->bij", sig, sig)
+    Sigma = dense_Sigma(spec)
     div = sum(np.gradient(Sigma[:, b, a].reshape(shape), h[b], axis=b) for b in range(n))
     v = (spec.convection[..., a] - 0.5 * div).ravel()[base]
     index = np.unravel_index(base, shape)
@@ -336,6 +356,11 @@ class TestIbvpSpecValidation:
 def factor_spec(ndim, sigma_kind, dirichlet, seed=0):
     """A small spec whose mask cuts every box face and has pinned holes, with
     a random drift and a noise matrix of the given kind."""
+    return IbvpSpec(*factor_fields(ndim, sigma_kind, seed), dirichlet, 0.1, 1e-2)
+
+
+def factor_fields(ndim, sigma_kind, seed=0):
+    """``factor_spec``'s grid, mask, drift and noise matrix."""
     rng = np.random.default_rng(seed)
     grid = GridSpec(tuple(-1.0 - 0.1 * a for a in range(ndim)),
                     tuple(1.0 + 0.2 * a for a in range(ndim)), (9, 10, 8)[:ndim])
@@ -353,7 +378,7 @@ def factor_spec(ndim, sigma_kind, dirichlet, seed=0):
         sigma = sigma[..., :2]
     else:
         sigma = rng.standard_normal(grid.shape + (ndim, {"column": 1, "full": 2}[sigma_kind]))
-    return IbvpSpec(grid, mask, conv, sigma, dirichlet, 0.1, 1e-2)
+    return grid, mask, conv, sigma
 
 
 class TestAxisFactor:
@@ -388,10 +413,64 @@ class TestAxisFactor:
     @pytest.mark.parametrize("k", [1, 2])
     def test_sigma_equals_einsum(self, k):
         # Products summed over k in order are einsum's values for k <= 2.
-        spec = factor_spec(3, {1: "column", 2: "full"}[k], 1.0)
-        sig = spec.sigma.reshape(spec.grid.n_nodes, 3, k)
+        grid, mask, conv, sigma = factor_fields(3, {1: "column", 2: "full"}[k])
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
+        sig = sigma.reshape(grid.n_nodes, 3, k)
         expected = np.einsum("bik,bjk->bij", sig, sig)
-        np.testing.assert_array_equal(np.moveaxis(spec.Sigma, -1, 0), expected)
+        assert set(spec.Sigma) == set(itertools.combinations_with_replacement(range(3), 2))
+        for (i, j), pair in spec.Sigma.items():
+            np.testing.assert_array_equal(pair, expected[:, i, j])
+            assert not pair.flags.writeable
+        assert not hasattr(spec, "sigma")
+
+    @pytest.mark.parametrize("ndim, sigma_kind, pairs", [
+        (2, "diagonal", {(0, 0), (1, 1)}),
+        (3, "diagonal", {(0, 0), (1, 1), (2, 2)}),
+        (3, "one_pair", {(0, 0), (0, 2), (1, 1), (2, 2)}),
+    ])
+    def test_sigma_keeps_only_the_nonzero_pairs(self, ndim, sigma_kind, pairs):
+        assert set(factor_spec(ndim, sigma_kind, 1.0).Sigma) == pairs
+
+    @pytest.mark.parametrize("case", ["correlated_2d", "zero_axis_2d", "diagonal_3d",
+                                      "one_pair_3d"])
+    def test_factors_equal_those_of_a_dense_Sigma(self, case):
+        # Absent pairs add no term; a dense Sigma, formed from sigma by einsum
+        # with every pair present, adds their zeros: the same bytes.
+        if case.endswith("_3d"):
+            grid, mask, conv, sigma = factor_fields(3, case[:-3])
+        else:
+            grid, mask, conv, _ = factor_fields(2, "diagonal")
+            sigma = const_sigma(grid, [[1.0, 0.6], [0.6, 0.5]]) if case == "correlated_2d" \
+                else np.broadcast_to([[0.7], [0.0]], grid.shape + (2, 1))
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
+        n = grid.ndim
+        if case == "correlated_2d":
+            assert (0, 1) in spec.Sigma
+        sig = np.reshape(sigma, (grid.n_nodes, n, -1))
+        dense = np.einsum("bik,bjk->bij", sig, sig)
+        dense_spec = with_Sigma(spec, {(i, j): dense[:, i, j] for i, j in
+                                       itertools.combinations_with_replacement(range(n), 2)})
+        for a in range(n):
+            ours, ref = _axis_factor(spec, a), _axis_factor(dense_spec, a)
+            for got, want in zip((ours[0].indptr, ours[0].indices, ours[0].data) + ours[1:],
+                                 (ref[0].indptr, ref[0].indices, ref[0].data) + ref[1:]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_zero_noise_axis_has_no_diagonal_pair_and_marches(self):
+        # No noise along axis 1: its factor is upwind convection only.
+        grid = GridSpec((-1.0, -1.0), (1.0, 1.0), (20, 24))
+        nodes = grid.nodes()
+        mask = (np.sum(nodes ** 2, axis=1) < 0.8).reshape(grid.shape)
+        conv = np.stack([nodes[:, 1], -0.5 * nodes[:, 0]], axis=1).reshape(grid.shape + (2,))
+        sigma = np.broadcast_to([[0.7], [0.0]], grid.shape + (2, 1))
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
+        assert set(spec.Sigma) == {(0, 0)}
+        marched = split_steps(spec, interior_values(spec), 5)
+        for values, expected in zip(marched, full_node_steps(spec, 5, split=True)):
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+        diag = solve_ibvp(spec).diagnostics
+        assert diag.total_iterations == 2 * diag.n_steps == 20
+        assert 0.0 <= diag.field_min and diag.field_max <= 1.0
 
 
 class TestOperatorDependsOnSigmaSigmaT:
@@ -704,3 +783,24 @@ class TestStepperInternals:
         spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
         diag = solve_ibvp(spec).diagnostics
         assert diag.row_sum_defect == pytest.approx(sum(eps.values()), rel=1e-9)
+
+
+class TestMemory:
+    def test_small_3d_solve_traced_peak_per_node(self):
+        # The spec keeps only Sigma's nonzero pairs, three for the unicycle's
+        # diagonal noise, and each axis factor builds in little scratch:
+        # assembling and marching this 17 x 17 x 9-node solve peaks at 194 B
+        # per node under tracemalloc (388 B when the spec kept sigma and all
+        # nine pairs).  The bound is 20% above.
+        ex = make_example("unicycle_disk")
+        num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=(16, 16, 8), dt=ex.dt)
+        grid = _padded_grid(num)
+        tracemalloc.start()
+        try:
+            spec = _assemble(ex.system, ex.barrier, ex.policy, grid, 0.0, "super", 1.0,
+                             0.05, ex.dt)
+            solve_ibvp(spec, points=[[0.0, 0.0, 0.0]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / grid.n_nodes < 1.2 * 194
