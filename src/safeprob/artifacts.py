@@ -27,8 +27,20 @@ def _fmt(v) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` as UTF-8 to ``path``, leaving a file that already holds
+    exactly those bytes untouched: re-running a config rewrites nothing.
+    Opening an existing file for writing can cost tens of milliseconds on
+    some file systems, far more than comparing it."""
+    data = text.encode("utf-8")
+    try:
+        if os.path.getsize(path) == len(data):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return
+    except OSError:
+        pass
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _dump_json(path: str, payload: dict) -> None:

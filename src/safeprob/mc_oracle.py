@@ -22,10 +22,11 @@ level keeps its linearly interpolated time; one seen by the bridge alone
 is timed at the step end.  For a 1D constant-coefficient system the
 extrema are exact, so the curves are exact at multiples of the step.
 
-The blocks run in contiguous shares, one forked worker per available CPU
+The paths run in contiguous shares, one forked worker each
 (``safeprob.workers``, as the PDE's boundary probe does), or in the calling
-process given one block or one CPU; the bytes do not depend on the worker
-count.  Each process holds one block's draws at a time.
+process given one share; each share runs in the fewest even blocks whose
+draws fit a byte budget, and the bytes depend on neither.  Each process
+holds one block's draws at a time.
 """
 
 from __future__ import annotations
@@ -41,13 +42,18 @@ from .errors import DataError, require_finite
 from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_control_batch
 from .workers import concurrently, worker_cpus
 
-# Paths are simulated in blocks of at most BLOCK_SIZE paths, and a block's
-# noise is capped near _BLOCK_BYTES bytes; the block partition never affects
-# results, only memory.  A block's bridge draws are made BRIDGE_STEPS steps
-# at a time (a multiple of 4), so they add at most 2 kB a path whatever the
-# horizon.
-BLOCK_SIZE = 4096
-_BLOCK_BYTES = 512_000_000
+# An ensemble runs in one worker share per WORKER_PATHS paths or part of
+# them, up to one per CPU, and one under WORKER_PATHS paths stays in the
+# calling process.  Each share runs in the fewest even blocks whose draws fit
+# BLOCK_BYTES, but no block is cut below MIN_BLOCK paths, so a process holds
+# at most BLOCK_BYTES of draws, or MIN_BLOCK paths' worth.  Fewer, larger
+# blocks take fewer numpy calls per path step.  The partition never affects
+# results, only time and memory.  A block's bridge draws are made
+# BRIDGE_STEPS steps at a time (a multiple of 4), so they add at most 2 kB a
+# path whatever the horizon.
+WORKER_PATHS = 4096
+BLOCK_BYTES = 128_000_000
+MIN_BLOCK = 64
 BRIDGE_STEPS = 256
 # The confidence of every DKW band (Massart, Ann. Probab. 18, 1990).
 DKW_CONFIDENCE = 0.95
@@ -276,6 +282,26 @@ def _simulate_block(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     return b_min, b_max, passage, diverged, infeasible_flag
 
 
+def _block_plan(n_paths: int, per_path_bytes: int,
+                cpus: int) -> list[list[tuple[int, int]]]:
+    """The blocks ``(start, count)`` of an ensemble whose paths draw
+    ``per_path_bytes`` each, in contiguous shares, one per process.
+
+    The share count is fixed before any block size: one share under
+    WORKER_PATHS paths, else ``min(cpus, ceil(n_paths / WORKER_PATHS))``.
+    Shares and the blocks within a share differ in size by one path at most.
+    """
+    workers = 1 if n_paths < WORKER_PATHS else min(cpus, math.ceil(n_paths / WORKER_PATHS))
+    cap = max(MIN_BLOCK, BLOCK_BYTES // per_path_bytes)
+    shares = []
+    for w in range(workers):
+        lo, hi = w * n_paths // workers, (w + 1) * n_paths // workers
+        per = math.ceil((hi - lo) / cap)
+        bounds = [lo + i * (hi - lo) // per for i in range(per + 1)]
+        shares.append([(a, b - a) for a, b in zip(bounds, bounds[1:])])
+    return shares
+
+
 def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                    x0, cfg: PathConfig, level: float = 0.0) -> PathEnsemble:
     """Euler-Maruyama ensemble recording barrier extrema and crossing times,
@@ -287,10 +313,10 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     is infeasible are likewise flagged and counted separately.  An excluded
     path freezes at its last state and records nothing more.
 
-    The blocks run in contiguous shares, one forked worker per available
-    CPU (``safeprob.workers.concurrently``), or in the calling process when
-    there is one share; the result does not depend on which.  A worker that
-    dies raises ``SolverError``.
+    The paths run in contiguous shares, one forked worker each
+    (``safeprob.workers.concurrently``), or in the calling process when
+    there is one share (``_block_plan``); the result does not depend on
+    which.  A worker that dies raises ``SolverError``.
     """
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if not np.all(np.isfinite(x0)):
@@ -298,22 +324,15 @@ def simulate_paths(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     level = float(level)
     phi0 = float(bar.finite_phi_at(x0[None], "initial state")[0])
 
-    n_steps = cfg.n_steps
-    per_path_bytes = 8 * (n_steps * sys.k + min(n_steps, BRIDGE_STEPS))
-    block = max(64, min(BLOCK_SIZE, int(_BLOCK_BYTES // max(per_path_bytes, 1))))
-
-    # Even out the blocks so that every worker runs ``per`` of them.
-    n = cfg.n_paths
-    workers = min(math.ceil(n / block), worker_cpus())
-    per = math.ceil(n / (block * workers))
-    size = math.ceil(n / (workers * per))
-    blocks = [(start, min(size, n - start)) for start in range(0, n, size)]
+    n, n_steps = cfg.n_paths, cfg.n_steps
+    # A path's noise and one chunk of its bridge draws.
+    shares = _block_plan(n, 8 * (n_steps * sys.k + min(n_steps, BRIDGE_STEPS)),
+                         worker_cpus())
     simulator = functools.partial(_simulate_block, sys, bar, policy, x0, phi0, level,
                                   cfg.seed, n_steps, cfg.horizon)
-    if workers == 1:
-        parts = list(map(simulator, blocks))
+    if len(shares) == 1:
+        parts = list(map(simulator, shares[0]))
     else:
-        shares = [blocks[i:i + per] for i in range(0, len(blocks), per)]
         with concurrently(*(lambda share=share: list(map(simulator, share))
                             for share in shares)) as results:
             parts = [part for share in results() for part in share]

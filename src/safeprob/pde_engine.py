@@ -58,6 +58,7 @@ The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import InitVar, asdict, dataclass, field as dc_field
 from typing import Sequence
 
@@ -403,15 +404,17 @@ class ThetaStepper:
         """Apply the factor to the interior values; returns (values, relative residual).
 
         The residual is relative to the full-node right-hand side, pinned
-        rows included, and is summed without BLAS so it is thread-count
-        independent.
+        rows included.  Its squares add by ``ndarray.sum``'s pairwise sum,
+        never BLAS, so it is thread-count independent.
         """
         b = u + self._load
-        b_norm = np.sqrt(np.sum(u * u) + self._pinned_sq)
+        b_norm = math.sqrt((u * u).sum() + self._pinned_sq)
         x = self._lu.solve(b)
         self.solves += 1
-        r = self.A @ x - b
-        residual = float(np.sqrt(np.sum(r * r)) / max(b_norm, 1e-300))
+        r = self.A @ x
+        r -= b
+        r *= r
+        residual = math.sqrt(r.sum()) / max(b_norm, 1e-300)
         if residual > LINEAR_RTOL:
             raise SolverError(f"linear solve failed to reach residual {LINEAR_RTOL:.1e} "
                               f"(achieved {residual:.3e})", residual=residual)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from safeprob import cli, distributions, expressions, mc_oracle, pde_engine
+from safeprob import artifacts, cli, distributions, expressions, mc_oracle, pde_engine
 from safeprob.artifacts import export_snapshot_csv
 from safeprob.cli import main
 from safeprob.config import REQUIRED, SCHEMA, ExperimentConfig, config_hash, validate_config
@@ -535,6 +535,50 @@ class TestSolveCommand:
         cfg = ExperimentConfig.from_file(path)
         for name in (f"exit_cdf_{cfg.hash}.csv", f"exit_cdf_{cfg.hash}.json"):
             assert (Path(out1) / name).read_bytes() == (Path(out2) / name).read_bytes()
+
+    def test_identical_rewrite_leaves_files_alone(self, tmp_path):
+        # A second identical write opens no file for writing, so each file
+        # keeps its inode and modification time; a changed payload is written.
+        path = write_config(tmp_path, small_bm_doc(str(tmp_path / "unused")))
+        cfg = ExperimentConfig.from_file(path)
+        q = QuerySpec(states=[[1.0]], horizon=1.0, numerics=cfg.numerics(),
+                      times=cfg.query_times())
+        result = solve_distribution("exit_cdf", *cfg.models(), q)
+        out = str(tmp_path / "out")
+        written = artifacts.write_result(result, out, cfg.hash)
+        # Backdated, so that a rewrite would show within the clock's tick.
+        for p in written:
+            os.utime(p, ns=(10**18, 10**18))
+        before = {p: os.stat(p) for p in written}
+        assert artifacts.write_result(result, out, cfg.hash) == written
+        for p, st in before.items():
+            now = os.stat(p)
+            assert (now.st_ino, now.st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
+        result.values[0, -1] = 0.5
+        artifacts.write_result(result, out, cfg.hash)
+        csv_path, json_path, fields_path = written
+        assert Path(csv_path).read_text().endswith(",0.0,0.5\n")
+        assert json.loads(Path(json_path).read_text())["values"][0][-1] == 0.5
+        assert os.stat(fields_path).st_mtime_ns == before[fields_path].st_mtime_ns
+
+    @pytest.mark.xfail(strict=True, reason="the four-point cross-diffusion stencil is not "
+                       "monotone: the field dips to -1.2e-8 and the solve exits 3 "
+                       "(ROADMAP item 9)")
+    def test_weakly_correlated_noise_solves(self, tmp_path, capsys):
+        # rho = 0.2 between the two noise rows, in the unit disk.
+        doc = {
+            "system": {"dim_state": 2, "dim_input": 1, "dim_noise": 2, "f": ["x2", "-x1"],
+                       "g": [["0"], ["0"]], "sigma": [["0.5", "0.05"], ["0.05", "0.5"]]},
+            "barrier": {"phi": "1 - x1^2 - x2^2"},
+            "policy": {"kind": "none"},
+            "query": {"kind": "exit_cdf", "states": [[0.0, 0.0]], "horizon": 1.0,
+                      "times": {"start": 0.0, "stop": 1.0, "num": 101}},
+            "numerics": {"box_lo": [-1.2, -1.2], "box_hi": [1.2, 1.2], "cells": [48, 48],
+                         "dt": 0.005},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 0, \
+            capsys.readouterr().err
 
     def test_row_sum_defect_reported_on_2d_zero_cbf_solve(self, tmp_path):
         out = tmp_path / "out"

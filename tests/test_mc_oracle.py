@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import time
@@ -126,7 +127,8 @@ class TestReproducibility:
 
     def test_block_partition_does_not_change_results(self, monkeypatch):
         a = self._ensemble()
-        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        # Blocks of at most 97 paths of 100 steps: five of 80.
+        monkeypatch.setattr(mc_oracle, "BLOCK_BYTES", 97 * 8 * (100 + 100))
         b = self._ensemble()
         np.testing.assert_array_equal(a.min_phi, b.min_phi)
         np.testing.assert_array_equal(a.max_phi, b.max_phi)
@@ -191,7 +193,7 @@ class TestPathNoise:
         # may be held at a time.  One CPU keeps the blocks in this process,
         # where tracemalloc sees their draws.
         pin_cpus(monkeypatch, 1)
-        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 64)
+        monkeypatch.setattr(mc_oracle, "BLOCK_BYTES", 64 * 8 * (500 + mc_oracle.BRIDGE_STEPS))
         ex = make_example("drifted_bm_1d")
         cfg = PathConfig(dt=2e-3, horizon=1.0, n_paths=3 * 64 + 10, seed=3)
         block_bytes = 64 * 500 * 1 * 8
@@ -297,7 +299,8 @@ class TestExcludedPaths:
         sys, policy, x0, cfg = getattr(self, case)()
         a = simulate_paths(sys, identity_barrier(), policy, x0, cfg)
         assert 0 < a.n_diverged + a.n_infeasible < cfg.n_paths
-        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        # Blocks of at most 97 paths of 10 steps.
+        monkeypatch.setattr(mc_oracle, "BLOCK_BYTES", 97 * 8 * (10 + 10))
         b = simulate_paths(sys, identity_barrier(), policy, x0, cfg)
         for field in ("min_phi", "max_phi", "exit_time", "entry_time", "excluded"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
@@ -340,9 +343,16 @@ def _fields(ens):
     return fields
 
 
+def _small_shares(monkeypatch):
+    """One worker share per 97 paths, up to one per CPU, in blocks of at
+    most 97 paths of 10 steps (64, the floor, at 100 steps)."""
+    monkeypatch.setattr(mc_oracle, "WORKER_PATHS", 97)
+    monkeypatch.setattr(mc_oracle, "BLOCK_BYTES", 97 * 8 * (10 + 10))
+
+
 class TestWorkerProcesses:
-    """Blocks run in contiguous shares, one forked worker per available CPU;
-    the ensemble's bytes do not depend on how many."""
+    """Blocks run in contiguous shares, one forked worker each, up to one per
+    available CPU; the ensemble's bytes do not depend on how many."""
 
     @staticmethod
     def _reproducibility():
@@ -365,7 +375,7 @@ class TestWorkerProcesses:
     def test_bytes_do_not_depend_on_cpu_count(self, case, monkeypatch):
         args = (self._excluded(case) if case in ("_diverging", "_infeasible")
                 else getattr(self, case)())
-        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        _small_shares(monkeypatch)
         fork = os.fork
         runs, forks = {}, {}
         for cpus in (1, 2, 3):
@@ -395,7 +405,8 @@ class TestWorkerProcesses:
         sys = ControlSystem(n=1, m=1, k=1, f=f, g=lambda X: np.zeros(X.shape + (1,)),
                             sigma=lambda X: np.ones(X.shape + (1,)))
         pin_cpus(monkeypatch, 2)
-        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 64)
+        monkeypatch.setattr(mc_oracle, "WORKER_PATHS", 64)
+        monkeypatch.setattr(mc_oracle, "BLOCK_BYTES", 64 * 8 * (10 + 10))
         simulate_paths(sys, identity_barrier(), NONE_POLICY, [1.0],
                        PathConfig(dt=0.1, horizon=1.0, n_paths=200, seed=1))
 
@@ -429,7 +440,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(mc_oracle, "_simulate_block", block)
         args = self._reproducibility()
         pin_cpus(monkeypatch, 2)
-        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        _small_shares(monkeypatch)
         start = time.monotonic()
         with pytest.raises(ShapeError, match="^first block failed$"):
             simulate_paths(*args)
@@ -470,7 +481,7 @@ class TestWorkerProcesses:
         # keeps its blocks in process; the child below sends its ensemble.
         args = self._reproducibility()
         pin_cpus(monkeypatch, 2)
-        monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 97)
+        _small_shares(monkeypatch)
         want = _fields(simulate_paths(*args))
         ctx = multiprocessing.get_context("fork")
         receiver, sender = ctx.Pipe(duplex=False)
@@ -486,6 +497,71 @@ class TestWorkerProcesses:
         finally:
             proc.join(timeout=60)
         assert not proc.is_alive() and proc.exitcode == 0
+
+
+class TestBlockPlan:
+    """The ensemble splits into worker shares first, then each share into the
+    fewest even blocks whose draws fit ``BLOCK_BYTES``."""
+
+    @staticmethod
+    def _path_bytes(n_steps, k):
+        return 8 * (n_steps * k + min(n_steps, mc_oracle.BRIDGE_STEPS))
+
+    def test_small_ensemble_is_one_block_in_the_calling_process(self, monkeypatch):
+        assert mc_oracle._block_plan(mc_oracle.WORKER_PATHS - 1, 1600, 8) == [
+            [(0, mc_oracle.WORKER_PATHS - 1)]]
+        pin_cpus(monkeypatch, 2)
+        forks, blocks = [], []
+        fork, original = os.fork, mc_oracle._simulate_block
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(mc_oracle, "_simulate_block",
+                            lambda *args: blocks.append(args[-1]) or original(*args))
+        cfg = PathConfig(dt=0.1, horizon=0.2, n_paths=mc_oracle.WORKER_PATHS - 1, seed=4)
+        simulate_paths(const_system_1d(1.0, 0.0, 1.0), identity_barrier(), NONE_POLICY,
+                       [1.0], cfg)
+        assert forks == []
+        assert blocks == [(0, cfg.n_paths)]
+
+    def test_1d_ensemble_on_two_cpus_is_one_block_per_worker(self):
+        # The shipped drifted_bm_exit ensemble: 20,000 paths of 100 steps.
+        # One block of all of them would fit the budget too, but the worker
+        # count is fixed first.
+        assert mc_oracle._block_plan(20_000, self._path_bytes(100, 1), 2) == [
+            [(0, 10_000)], [(10_000, 10_000)]]
+
+    def test_shares_over_budget_split_into_fewest_even_blocks(self, monkeypatch):
+        # The unicycle's 20,000 paths of 500 steps and 3 noise columns, under
+        # a 64-MB budget: 4555 paths a block at most.
+        monkeypatch.setattr(mc_oracle, "BLOCK_BYTES", 64_000_000)
+        assert mc_oracle._block_plan(20_000, self._path_bytes(500, 3), 2) == [
+            [(0, 3333), (3333, 3333), (6666, 3334)],
+            [(10_000, 3333), (13_333, 3333), (16_666, 3334)]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_paths=st.integers(1, 10**6), n_steps=st.integers(1, 10**5),
+           k=st.integers(1, 4), cpus=st.integers(1, 64))
+    def test_plan_invariants(self, n_paths, n_steps, k, cpus):
+        per_path = self._path_bytes(n_steps, k)
+        shares = mc_oracle._block_plan(n_paths, per_path, cpus)
+        workers = (1 if n_paths < mc_oracle.WORKER_PATHS
+                   else min(cpus, -(-n_paths // mc_oracle.WORKER_PATHS)))
+        assert len(shares) == workers
+        blocks = [block for share in shares for block in share]
+        assert [start for start, _ in blocks] == list(
+            itertools.accumulate([0] + [count for _, count in blocks[:-1]]))
+        assert sum(count for _, count in blocks) == n_paths
+        per_share = [[count for _, count in share] for share in shares]
+        sizes = [sum(counts) for counts in per_share]
+        assert max(sizes) - min(sizes) <= 1
+        for counts, size in zip(per_share, sizes):
+            assert max(counts) - min(counts) <= 1
+            # No block over budget but at the floor, and one block fewer
+            # would put one over it.
+            assert all(c * per_path <= mc_oracle.BLOCK_BYTES or c <= mc_oracle.MIN_BLOCK
+                       for c in counts)
+            if len(counts) > 1:
+                fewer = -(-size // (len(counts) - 1))
+                assert fewer * per_path > mc_oracle.BLOCK_BYTES and fewer > mc_oracle.MIN_BLOCK
 
 
 class TestPathwiseDuality:
