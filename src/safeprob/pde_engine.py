@@ -40,27 +40,31 @@ columns in ascending order.  Sigma adds sigma's products over its columns
 and keeps only the pairs that are nonzero somewhere: an absent pair adds no
 term, which is the same as adding its zeros.
 
-Linear solves: each factor's matrix is LU-factorized once and each step
-solves once with it.  Without cross terms a factor is a set of
-independent tridiagonal line systems and the LU has no fill.  The LU
-takes a minimum-degree column order on the structure of A^T + A and
-prefers diagonal pivots (threshold 0.1), the standard choice for a
-stencil matrix that is diagonally dominant by rows; partial pivoting
-would move pivots off the diagonal, because upwind convection makes A
-not column-dominant, and fill more.  A panel of one column keeps SuperLU's
-transient work area small, which matters with one factor per axis.  No
-solve makes a threaded BLAS call, so fields do not depend on the BLAS
-thread count.
+Linear solves: each factor's matrix is LU-factorized once per distinct
+operator in a process, keyed by grid, effective dt and a digest of mask,
+drift and Sigma, and kept for the last ``FACTOR_SETS`` operators, so a
+kind and its complement share it; each step solves once with it.  Without
+cross terms a factor is a set of independent tridiagonal line systems and
+the LU has no fill.  The LU takes a minimum-degree column order on the
+structure of A^T + A and prefers diagonal pivots (threshold 0.1), the
+standard choice for a stencil matrix that is diagonally dominant by rows;
+partial pivoting would move pivots off the diagonal, because upwind
+convection makes A not column-dominant, and fill more.  A panel of one
+column keeps SuperLU's transient work area small, which matters with one
+factor per axis.  No solve makes a threaded BLAS call, so fields do not
+depend on the BLAS thread count or on whether a factor was kept.
 
 The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import InitVar, asdict, dataclass, field as dc_field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,6 +80,8 @@ MIN_CELLS = 8
 LINEAR_RTOL = 1e-10
 # How far a probability field may leave [0, 1] through rounding.
 RANGE_TOL = 1e-8
+# Operators whose factors stay built: a solve's and its boundary probe's two.
+FACTOR_SETS = 3
 
 
 @dataclass(frozen=True)
@@ -282,11 +288,12 @@ class FieldSeries:
         return GridSampler(self.grid, states)(self.final_field.ravel())
 
 
-def _axis_factor(spec: IbvpSpec, a: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+def _axis_factor(spec: IbvpSpec, a: int,
+                 dt: float) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Axis ``a``'s factor over the interior nodes in C order, built in one pass
     over their rows (see Assembly above): ``A = I - dt L_a,II``, the pinned load
-    ``dt L_a,IP g`` and the row sums of ``L_a``."""
-    shape, n, h, dt = spec.grid.shape, spec.grid.ndim, spec.grid.spacing, spec.dt
+    ``dt L_a,IP 1`` for g = 1 and the row sums of ``L_a``."""
+    shape, n, h = spec.grid.shape, spec.grid.ndim, spec.grid.spacing
     mask = spec.interior_mask.ravel()
     # Node and slot numbers fit 32 bits: at most DEFAULT_NODE_CAP nodes of 27 slots.
     base = np.flatnonzero(mask).astype(np.int32)
@@ -364,8 +371,7 @@ def _axis_factor(spec: IbvpSpec, a: int) -> tuple[sp.csr_matrix, np.ndarray, np.
     neighbours.clear()
     pinned = cols < 0
     sums = sum(vals.T, np.zeros(base.size))
-    load = dt * sum((col * np.where(p, spec.dirichlet_value, 0.0)
-                     for col, p in zip(vals.T, pinned.T)), np.zeros(base.size))
+    load = dt * sum((col * p for col, p in zip(vals.T, pinned.T)), np.zeros(base.size))
     # The entries of A, in place of the coefficients: -dt L off the row's own
     # slot, 1 - dt L on it.  The interior columns keep them; zero entries drop.
     vals *= -dt
@@ -376,29 +382,61 @@ def _axis_factor(spec: IbvpSpec, a: int) -> tuple[sp.csr_matrix, np.ndarray, np.
             load, sums)
 
 
+class AxisFactor(NamedTuple):
+    """One axis's factor shared by the solves of its operator; ``load`` is for g = 1."""
+
+    A: sp.csr_matrix
+    lu: spla.SuperLU
+    row_sum_defect: float
+    load: np.ndarray
+
+
+# (grid, dt, operator digest) -> its AxisFactor per axis, least recently used first.
+_factor_sets: OrderedDict = OrderedDict()
+
+
+def _axis_factors(spec: IbvpSpec, dt: float) -> tuple:
+    """Each axis's factor of ``spec``'s operator at time step ``dt``, built on the
+    first solve of that operator (see Linear solves above).  The key leaves out
+    the Dirichlet value, horizon, times and states; a miss evicts before it
+    builds, and a factorization that raises keeps nothing."""
+    digest = hashlib.blake2b(repr(list(spec.Sigma)).encode())
+    for arr in (spec.interior_mask, spec.convection, *spec.Sigma.values()):
+        digest.update(np.ascontiguousarray(arr))
+    key = (spec.grid, dt, digest.digest())
+    if key not in _factor_sets:
+        while len(_factor_sets) >= FACTOR_SETS:
+            _factor_sets.popitem(last=False)
+        factors = []
+        for a in range(spec.grid.ndim):
+            A, load, sums = _axis_factor(spec, a, dt)
+            try:
+                lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                               panel_size=1, options={"SymmetricMode": True})
+            except RuntimeError as err:
+                raise SolverError(f"step matrix is singular: {err}") from err
+            # Zero up to rounding: the generator sends constants to zero.
+            factors.append(AxisFactor(A, lu, float(np.max(np.abs(sums))), load))
+        _factor_sets[key] = tuple(factors)
+    _factor_sets.move_to_end(key)
+    return _factor_sets[key]
+
+
 class ThetaStepper:
-    """Owns one axis's backward-Euler factor over the interior nodes and its solves.
+    """One solve's steps with one axis's factor over the interior nodes.
 
     Pinned nodes hold the Dirichlet value g for all time, so each call of
-    ``step`` solves ``A u_I' = u_I + c`` for the interior values, with ``A``
-    and the constant load ``c`` from ``_axis_factor``.  ``A`` is LU-factorized
-    once; ``solves`` counts the solves with that factorization, one per step.
-    The spec needs at least one interior node.
+    ``step`` solves ``A u_I' = u_I + c`` for the interior values, with the
+    factor's ``A`` and LU, and ``c`` its pinned load for g = 1, zero for
+    g = 0.  ``solves`` counts this solve's solves, one per step.
     """
 
-    def __init__(self, spec: IbvpSpec, axis: int):
-        self.A, self._load, sums = _axis_factor(spec, axis)
-        # Zero up to rounding: the generator sends constants to zero.
-        self.row_sum_defect = float(np.max(np.abs(sums)))
+    def __init__(self, spec: IbvpSpec, factor: AxisFactor):
+        self.A, self._lu = factor.A, factor.lu
+        self._load = factor.load if spec.dirichlet_value else np.zeros(factor.load.size)
         # ||b||^2 of the full-node right-hand side contributed by pinned rows.
         self._pinned_sq = (spec.grid.n_nodes - self.A.shape[0]) * float(spec.dirichlet_value) ** 2
         self.solves = 0
-        try:
-            self._lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.1, panel_size=1,
-                                 options={"SymmetricMode": True})
-        except RuntimeError as err:
-            raise SolverError(f"step matrix is singular: {err}") from err
 
     def step(self, u: np.ndarray) -> tuple[np.ndarray, float]:
         """Apply the factor to the interior values; returns (values, relative residual).
@@ -455,7 +493,8 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
     diag.field_max = float(field.max())
 
     if n_steps > 0 and interior.size:
-        steppers = [ThetaStepper(spec, a) for a in range(spec.grid.ndim)]
+        factors = _axis_factors(spec, dt_eff)
+        steppers = [ThetaStepper(spec, factor) for factor in factors]
         u = field[interior]
         col = 1
         for k in range(1, n_steps + 1):
@@ -473,7 +512,7 @@ def solve_ibvp(spec: IbvpSpec, snapshot_times: Sequence[float] | None = None,
                 col += 1
         diag.total_iterations = sum(s.solves for s in steppers)
         # A step moves F + G - 1 by at most dt times each factor's defect.
-        diag.row_sum_defect = sum(s.row_sum_defect for s in steppers)
+        diag.row_sum_defect = sum(factor.row_sum_defect for factor in factors)
     else:
         # No interior node: nothing marches and every recorded time holds
         # the Dirichlet field.

@@ -75,3 +75,10 @@ def zero_nominal(m: int):
 def drifted_bm():
     from safeprob import make_example
     return make_example("drifted_bm_1d")
+
+
+@pytest.fixture(autouse=True)
+def cold_factor_memo():
+    """Each test starts with no axis factor kept from an earlier test's solves."""
+    from safeprob import pde_engine
+    pde_engine._factor_sets.clear()

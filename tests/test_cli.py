@@ -867,11 +867,11 @@ class TestValidateCommand:
         would; returns (exit code, stdout)."""
         original = pde_engine._axis_factor
 
-        def changed(spec, axis):
-            A, load, sums = original(spec, axis)
+        def changed(spec, axis, dt):
+            A, load, sums = original(spec, axis, dt)
             own, pinned = shift(spec)
-            A = A + sp.diags(spec.dt * own)
-            return A.tocsr(), load - spec.dt * spec.dirichlet_value * pinned, sums - own - pinned
+            A = A + sp.diags(dt * own)
+            return A.tocsr(), load - dt * pinned, sums - own - pinned
 
         monkeypatch.setattr(pde_engine, "_axis_factor", changed)
         doc = small_bm_doc(str(tmp_path / "out"))

@@ -201,6 +201,22 @@ class TestQueryHandling:
             ref = analytic_first_passage(x0, 1.0, 1.0, 0.0, 1.0)
             assert res.values[i, -1] == pytest.approx(ref, abs=5e-3)
 
+    def test_solve_marches_with_the_adjusted_time_step(self, bm):
+        # dt 0.4 does not divide the horizon 1: the solve takes round(2.5) = 2
+        # steps of 0.5, the solve at dt 0.5 bit for bit.
+        def solve(dt):
+            q = QuerySpec(states=[[1.0]], horizon=1.0,
+                          numerics=bm_numerics(dt=dt, boundary_probe=False))
+            return exit_time_cdf(bm.system, bm.barrier, bm.policy, q)
+
+        adjusted, exact = solve(0.4), solve(0.5)
+        assert adjusted.diagnostics["notes"] == [
+            "dt adjusted from 0.4 to 0.5 to divide the horizon"]
+        assert adjusted.diagnostics["dt_effective"] == 0.5
+        assert adjusted.times.tobytes() == exact.times.tobytes()
+        assert adjusted.values.tobytes() == exact.values.tobytes()
+        assert adjusted.series.final_field.tobytes() == exact.series.final_field.tobytes()
+
     def test_states_outside_box_rejected(self, bm):
         with pytest.raises(DataError, match="inside the truncation box"):
             QuerySpec(states=[[9.0]], horizon=1.0, numerics=bm_numerics())

@@ -13,6 +13,8 @@ from safeprob import (
     BarrierProblem,
     GridSpec,
     IbvpSpec,
+    Policy,
+    QuerySpec,
     build_mask,
     make_example,
     pde_engine,
@@ -20,12 +22,15 @@ from safeprob import (
 )
 from safeprob.artifacts import export_snapshot_csv, series_to_json
 from safeprob.distributions import (
+    KIND_TABLE,
+    KINDS,
     PROBE_TOLERANCE,
     NumericsConfig,
     _assemble,
     _padded_grid,
     _probe_grids,
     _probe_sensitivity,
+    solve_distribution,
 )
 from safeprob.errors import DataError, SolverError
 from safeprob.pde_engine import (
@@ -33,9 +38,10 @@ from safeprob.pde_engine import (
     GridSampler,
     ThetaStepper,
     _axis_factor,
+    _axis_factors,
 )
 
-from conftest import HEAT_HALFLINE, identity_barrier
+from conftest import HEAT_HALFLINE, identity_barrier, pin_cpus
 
 
 def const_fields(grid, mu, sig2, axis=0):
@@ -180,9 +186,14 @@ def full_node_steps(spec, n_steps, split=False):
         yield field[~pinned]
 
 
+def axis_stepper(spec, axis):
+    """The solver's stepper for ``axis`` of ``spec`` at the spec's own dt."""
+    return ThetaStepper(spec, _axis_factors(spec, spec.dt)[axis])
+
+
 def split_steps(spec, values, n_steps):
     """The solver's own march: one ThetaStepper per axis; yields the interior values."""
-    steppers = [ThetaStepper(spec, a) for a in range(spec.grid.ndim)]
+    steppers = [axis_stepper(spec, a) for a in range(spec.grid.ndim)]
     for _ in range(n_steps):
         for stepper in steppers:
             values, residual = stepper.step(values)
@@ -392,7 +403,9 @@ class TestAxisFactor:
     def test_matches_the_all_node_reference(self, ndim, sigma_kind, dirichlet):
         spec = factor_spec(ndim, sigma_kind, dirichlet)
         for a in range(ndim):
-            A, load, sums = _axis_factor(spec, a)
+            A, load, sums = _axis_factor(spec, a, spec.dt)
+            # The factor's load is for g = 1; a solve's is g times it.
+            load = spec.dirichlet_value * load
             A_ref, load_ref, sums_ref = reference_factor(spec, a)
             np.testing.assert_array_equal(A.indptr, A_ref.indptr)
             np.testing.assert_array_equal(A.indices, A_ref.indices)
@@ -451,7 +464,7 @@ class TestAxisFactor:
         dense_spec = with_Sigma(spec, {(i, j): dense[:, i, j] for i, j in
                                        itertools.combinations_with_replacement(range(n), 2)})
         for a in range(n):
-            ours, ref = _axis_factor(spec, a), _axis_factor(dense_spec, a)
+            ours, ref = _axis_factor(spec, a, spec.dt), _axis_factor(dense_spec, a, spec.dt)
             for got, want in zip((ours[0].indptr, ours[0].indices, ours[0].data) + ours[1:],
                                  (ref[0].indptr, ref[0].indices, ref[0].data) + ref[1:]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -479,7 +492,7 @@ class TestOperatorDependsOnSigmaSigmaT:
     @staticmethod
     def _factors(grid, mask, conv, sigma):
         spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
-        return [_axis_factor(spec, a) for a in range(grid.ndim)]
+        return [_axis_factor(spec, a, spec.dt) for a in range(grid.ndim)]
 
     @settings(max_examples=30, deadline=None)
     @given(ndim=st.integers(1, 3), k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
@@ -514,15 +527,15 @@ class TestStep:
     def test_zero_operator_leaves_field_unchanged(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 0.0, lambda x: x >= 0.0, 0.0)
         start = interior_values(spec)
-        out, _ = ThetaStepper(spec, 0).step(start)
+        out, _ = axis_stepper(spec, 0).step(start)
         np.testing.assert_array_equal(out, start)
 
     def test_constants_are_solutions(self):
         spec = line_spec(-2.0, 2.0, 16, 0.7, 1.3, lambda x: x >= 0.0, 1.0)
-        stepper = ThetaStepper(spec, 0)
+        step = axis_stepper(spec, 0).step
         values = np.ones(int(spec.interior_mask.sum()))
         for _ in range(5):
-            values, _ = stepper.step(values)
+            values, _ = step(values)
         np.testing.assert_allclose(values, 1.0, atol=1e-12)
 
     def test_half_line_heat_kernel(self):
@@ -609,7 +622,8 @@ class TestCrossDerivativeStencil:
         sigma = const_sigma(grid, [[1.0, r], [r, 1.0]])
         spec = IbvpSpec(grid, mask, conv, sigma, 0.0, 1.0, 0.1)
         # Every node is interior, so each factor's A is I - dt L_a.
-        L = sum(sp.identity(grid.n_nodes) - _axis_factor(spec, a)[0] for a in range(2)) / spec.dt
+        L = sum(sp.identity(grid.n_nodes) - _axis_factor(spec, a, spec.dt)[0]
+                for a in range(2)) / spec.dt
         xs, ys = np.meshgrid(*grid.axes(), indexing="ij")
         F = (xs * ys).ravel()
         out = (L @ F).reshape(grid.shape)
@@ -683,8 +697,7 @@ class TestExports:
 class TestStepperInternals:
     def test_warm_start_converges_immediately_on_steady_state(self):
         spec = line_spec(-2.0, 2.0, 16, 0.0, 0.0, lambda x: x >= 0.0, 0.0)
-        stepper = ThetaStepper(spec, 0)
-        out, residual = stepper.step(interior_values(spec))
+        out, residual = axis_stepper(spec, 0).step(interior_values(spec))
         assert residual <= 1e-10
         np.testing.assert_array_equal(out, interior_values(spec))
 
@@ -695,7 +708,7 @@ class TestStepperInternals:
         monkeypatch.setattr(pde_engine.spla, "splu", singular)
         spec = line_spec(-2.0, 2.0, 16, 0.0, 1.0, lambda x: x >= 0.0, 0.0)
         with pytest.raises(SolverError, match="singular"):
-            ThetaStepper(spec, 0)
+            solve_ibvp(spec)
 
     def test_factor_solve_missing_the_residual_raises_solver_error(self, monkeypatch):
         # A factor whose solve is off by 1e-6 fails the residual check of its step.
@@ -721,9 +734,8 @@ class TestStepperInternals:
         num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=ex.cells, dt=ex.dt)
         spec = _assemble(ex.system, ex.barrier, ex.policy, _padded_grid(num), 0.0,
                          "super", 1.0, ex.horizon, ex.dt)
-        for axis in range(2):
-            stepper = ThetaStepper(spec, axis)
-            assert stepper._lu.L.nnz + stepper._lu.U.nnz == stepper.A.nnz + stepper.A.shape[0]
+        for A, lu, _, _ in _axis_factors(spec, spec.dt):
+            assert lu.L.nnz + lu.U.nnz == A.nnz + A.shape[0]
 
     def test_direct_steps_match_spsolve_with_cross_diffusion(self):
         # Off-diagonal diffusion puts positive off-diagonal entries in the
@@ -735,7 +747,7 @@ class TestStepperInternals:
         conv = np.stack([nodes[:, 1], -0.5 * nodes[:, 0]], axis=1).reshape(grid.shape + (2,))
         sigma = const_sigma(grid, [[1.0, 0.6], [0.6, 0.5]])
         spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
-        assert _axis_factor(spec, 1)[0].nnz < _axis_factor(spec, 0)[0].nnz
+        assert _axis_factor(spec, 1, spec.dt)[0].nnz < _axis_factor(spec, 0, spec.dt)[0].nnz
         marched = split_steps(spec, interior_values(spec), 5)
         for values, expected in zip(marched, full_node_steps(spec, 5, split=True)):
             np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
@@ -768,11 +780,11 @@ class TestStepperInternals:
         # so the reported defect is the sum over the factors.
         original = pde_engine._axis_factor
 
-        def perturbed(spec, axis):
+        def perturbed(spec, axis, dt):
             # The first row's own entry of L_a loses eps: A gains dt eps there.
-            A, load, sums = original(spec, axis)
+            A, load, sums = original(spec, axis, dt)
             A, sums = A.tolil(), sums.copy()
-            A[0, 0] += spec.dt * eps.get(axis, 0.0)
+            A[0, 0] += dt * eps.get(axis, 0.0)
             sums[0] -= eps.get(axis, 0.0)
             return A.tocsr(), load, sums
 
@@ -804,3 +816,139 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / grid.n_nodes < 1.2 * 194
+
+
+def count_factorizations(monkeypatch):
+    """Route ``splu`` through a recorder; returns the list of the number of
+    operators ``pde_engine`` kept at each factorization."""
+    kept = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        kept.append(len(pde_engine._factor_sets))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(pde_engine.spla, "splu", counting)
+    return kept
+
+
+def two_sided_problem(ndim, boundary_probe=False):
+    """A model whose level set parts the box, and a query from each side:
+    (system, barrier, policy, {side: QuerySpec})."""
+    if ndim == 1:
+        ex = make_example("drifted_bm_1d")
+        policy = ex.policy
+        box, cells, states = 4.0, (160,), {"super": [[1.0]], "sub": [[-1.0]]}
+    else:
+        # The unit disk in (p, v) without the filter, which has no input outside it.
+        ex = make_example("double_integrator")
+        policy = Policy(nominal=lambda X: np.zeros(X.shape[:-1] + (1,)))
+        box, cells, states = 2.0, (40, 40), {"super": [[0.0, 0.0]], "sub": [[1.5, 0.0]]}
+    num = NumericsConfig(box_lo=(-box,) * ndim, box_hi=(box,) * ndim, cells=cells, dt=1e-2,
+                         boundary_probe=boundary_probe)
+    return ex.system, ex.barrier, policy, {
+        side: QuerySpec(states=x, horizon=0.5, numerics=num) for side, x in states.items()}
+
+
+class TestFactorMemo:
+    """A process factors each distinct operator once, for every solve of it."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_a_kind_and_its_complement_factor_once(self, ndim, monkeypatch):
+        sys, bar, policy, q = two_sided_problem(ndim)
+        kept = count_factorizations(monkeypatch)
+        for kind in ("exit_cdf", "invariance_ccdf"):
+            solve_distribution(kind, sys, bar, policy, q["super"])
+        assert len(kept) == ndim
+        for kind in ("entry_cdf", "convergence_cdf"):
+            solve_distribution(kind, sys, bar, policy, q["sub"])
+        assert len(kept) == 2 * ndim
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_warm_results_equal_cold_ones(self, ndim, monkeypatch):
+        # The 1D queries run the boundary probe, whose operators are kept too.
+        sys, bar, policy, q = two_sided_problem(ndim, boundary_probe=ndim == 1)
+
+        def solve(kind):
+            res = solve_distribution(kind, sys, bar, policy, q[KIND_TABLE[kind].side])
+            return res.values.tobytes(), res.series.final_field.tobytes(), res.diagnostics
+
+        cold = {}
+        for kind in KINDS:
+            pde_engine._factor_sets.clear()
+            cold[kind] = solve(kind)
+        kept = count_factorizations(monkeypatch)
+        for kind in KINDS:
+            # Warm for a side's second kind, then warm for every kind.
+            assert solve(kind) == cold[kind]
+            built = len(kept)
+            assert solve(kind) == cold[kind]
+            assert len(kept) == built
+
+    def test_a_changed_operator_misses(self, monkeypatch):
+        base = dict(lo=-2.0, hi=2.0, cells=32, mu=0.5, sig2=1.0, mask_fn=lambda x: x >= 0.0,
+                    dirichlet=1.0, horizon=0.1, dt=1e-2)
+        kept = count_factorizations(monkeypatch)
+        solve_ibvp(line_spec(**base))
+        # The Dirichlet value, horizon and times are not the operator's.
+        solve_ibvp(line_spec(**{**base, "dirichlet": 0.0, "horizon": 0.2}),
+                   snapshot_times=[0.1])
+        assert len(kept) == 1
+        for change in ({"mask_fn": lambda x: x >= 0.25}, {"cells": 40}, {"dt": 5e-3},
+                       {"mu": 0.6}, {"sig2": 1.1}):
+            solve_ibvp(line_spec(**base))
+            built = len(kept)
+            solve_ibvp(line_spec(**{**base, **change}))
+            assert len(kept) == built + 1, change
+
+    def test_a_singular_factor_raises_every_time_and_is_not_kept(self, monkeypatch):
+        # Axis 0 factors, axis 1 is singular: the set is never kept.
+        calls = []
+        splu = spla.splu
+
+        def second_singular(*args, **kwargs):
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(pde_engine.spla, "splu", second_singular)
+        grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (16, 16))
+        conv, sigma = const_fields(grid, 0.5, 1.0)
+        mask = grid.nodes()[:, 0].reshape(grid.shape) >= 0.0
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
+        for attempt in (1, 2):
+            with pytest.raises(SolverError, match="singular"):
+                solve_ibvp(spec)
+            assert len(calls) == 2 * attempt
+            assert not pde_engine._factor_sets
+
+    def test_the_least_recent_operator_goes_first_before_a_build(self, monkeypatch):
+        assert pde_engine.FACTOR_SETS == 3
+        kept = count_factorizations(monkeypatch)
+        specs = [line_spec(-2.0, 2.0, 32, mu, 1.0, lambda x: x >= 0.0, 1.0, horizon=0.1,
+                           dt=1e-2) for mu in (0.1, 0.2, 0.3, 0.4)]
+        for spec in specs[:3]:
+            solve_ibvp(spec)
+        solve_ibvp(specs[0])
+        # Full: the fourth operator's miss evicts the second, then factors.
+        solve_ibvp(specs[3])
+        assert kept == [0, 1, 2, 2]
+        assert len(pde_engine._factor_sets) == 3
+        for spec in (specs[0], specs[2], specs[3]):
+            solve_ibvp(spec)
+        assert len(kept) == 4
+        solve_ibvp(specs[1])
+        assert kept == [0, 1, 2, 2, 2]
+
+    def test_the_in_process_probe_keeps_the_main_operator(self, monkeypatch):
+        # On one CPU the probe's two operators are factored after the march,
+        # in this process; the main one stays kept for the complement.
+        pin_cpus(monkeypatch, 1)
+        sys, bar, policy, q = two_sided_problem(1, boundary_probe=True)
+        kept = count_factorizations(monkeypatch)
+        exit_res = solve_distribution("exit_cdf", sys, bar, policy, q["super"])
+        assert exit_res.diagnostics["boundary_sensitivity"] is not None
+        assert len(kept) == 3
+        solve_distribution("invariance_ccdf", sys, bar, policy, q["super"])
+        assert len(kept) == 3
