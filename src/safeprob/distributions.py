@@ -18,7 +18,12 @@ Dirichlet value; the solve starts from 1 minus that value on the mask:
     entry_cdf         P(first time phi >= l <= t)  sub side,   pinned 1
 
 The two kinds of a side share mask and generator and their data sum to 1,
-so their values sum to 1 within horizon times the solve's ``row_sum_defect``.
+so in exact arithmetic their values sum to 1 within horizon times the
+solve's ``row_sum_defect``, which bounds the operator's row sums; the
+solves' rounding adds to that, 3e-13 at most on the shipped configs.  They
+share one assembled problem too: ``_problem`` keeps the mask, drift,
+``Sigma`` and axis factors of each (models, grid, level, side, time step)
+for every kind, horizon, time grid and state set on it.
 
 Whether the solve box truncates the level set is checked here too, by the
 boundary probe: when a box face cuts through the interior, the problem is
@@ -39,6 +44,8 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 
@@ -53,6 +60,7 @@ from .pde_engine import (
     GridSpec,
     IbvpSpec,
     build_mask,
+    sigma_pairs,
     solve_ibvp,
 )
 from .system_model import BarrierProblem, ControlSystem, Policy, closed_loop_control_batch
@@ -105,6 +113,11 @@ TABULATION_TIMES = 101
 # of the state's own cell along every axis: the node-based mask places the level
 # set only to a cell, and values this close to it can be off by O(1).
 NEAR_LEVEL_CELLS = 2
+# Assembly evaluates the models on this many nodes at a time, so its scratch
+# does not grow with the grid.
+NODE_SLAB = 1 << 14
+# Assembled problems kept: a solve's and its boundary probe's two.
+PROBLEMS = 3
 
 
 def tabulation_times(horizon: float, times: np.ndarray | None) -> np.ndarray:
@@ -211,15 +224,16 @@ def _padded_grid(numerics: NumericsConfig) -> GridSpec:
 
 
 def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
-              grid: GridSpec, level: float, side: str, dirichlet: float,
-              horizon: float, dt: float) -> IbvpSpec:
+              grid: GridSpec, level: float, side: str, dt: float) -> IbvpSpec:
+    """The problem on ``grid`` for one side of the ``level`` set, posed with
+    Dirichlet value 0 over horizon 0 (a solve poses its own with ``with_data``)."""
     mask = build_mask(grid, bar, side, level=level)
-    nodes = grid.nodes()
     n = grid.ndim
     convection = np.zeros((grid.n_nodes, n))
     interior_idx = np.flatnonzero(mask.ravel())
-    if interior_idx.size:
-        pts = nodes[interior_idx]
+    for start in range(0, interior_idx.size, NODE_SLAB):
+        idx = interior_idx[start:start + NODE_SLAB]
+        pts = grid.nodes_at(idx)
         U, infeasible = closed_loop_control_batch(policy, sys, bar, pts)
         if np.any(infeasible):
             bad = pts[np.argmax(infeasible)]
@@ -227,11 +241,49 @@ def _assemble(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
                 bad, f"L_g phi vanishes at interior grid node {bad.tolist()} while the "
                 "rate constraint is violated there, so the zero-CBF filter has no "
                 "admissible input")
-        convection[interior_idx] = sys.f_at(pts) + np.einsum("bim,bm->bi", sys.g_at(pts), U)
+        convection[idx] = sys.f_at(pts) + np.einsum("bim,bm->bi", sys.g_at(pts), U)
+    # Sigma's pairs slab by slab; a pair zero so far has no vector yet.
+    Sigma = {}
+    for start in range(0, grid.n_nodes, NODE_SLAB):
+        slab = np.arange(start, min(start + NODE_SLAB, grid.n_nodes))
+        for key, pair in sigma_pairs(sys.sigma_at(grid.nodes_at(slab))).items():
+            if key in Sigma or np.any(pair):
+                Sigma.setdefault(key, np.zeros(grid.n_nodes))[slab] = pair
     return IbvpSpec(grid=grid, interior_mask=mask,
-                    convection=convection.reshape(grid.shape + (n,)),
-                    sigma=sys.sigma_at(nodes).reshape(grid.shape + (n, sys.k)),
-                    dirichlet_value=dirichlet, horizon=horizon, dt=dt)
+                    convection=convection.reshape(grid.shape + (n,)), sigma=Sigma,
+                    dirichlet_value=0.0, horizon=0.0, dt=dt)
+
+
+# (model ids, grid, level, side, dt) -> (weak references to the three models,
+# the assembled spec), least recently used first.
+_problems: OrderedDict = OrderedDict()
+
+
+def _problem(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
+             grid: GridSpec, level: float, side: str, dt: float) -> IbvpSpec:
+    """The assembled problem of these models on ``grid`` for one side of the
+    ``level`` set at time step ``dt``, assembled on its first query.
+
+    Every kind, horizon, time grid and state set on it shares the spec and
+    the axis factors it keeps.  ``PROBLEMS`` stay kept, least recently used
+    first out, and each only while its three model objects are alive; a
+    miss evicts before it assembles, and an assembly that raises keeps nothing.
+    """
+    models = (sys, bar, policy)
+    key = (*map(id, models), grid, level, side, dt)
+    entry = _problems.get(key)
+    if entry is None:
+        while len(_problems) >= PROBLEMS:
+            _problems.popitem(last=False)
+        spec = _assemble(sys, bar, policy, grid, level, side, dt)
+
+        def drop(_, key=key, problems=_problems):
+            problems.pop(key, None)
+
+        # An evicted entry's references die with it, and their callbacks with them.
+        entry = _problems[key] = (tuple(weakref.ref(m, drop) for m in models), spec)
+    _problems.move_to_end(key)
+    return entry[1]
 
 
 def _probe_grids(grid: GridSpec, mask: np.ndarray) -> tuple[GridSpec, GridSpec] | None:
@@ -311,11 +363,11 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
             f"the boundary condition fixes its value to {dirichlet}", SafeProbWarning,
             stacklevel=2)
 
-    def assemble(grid: GridSpec, dt: float) -> IbvpSpec:
-        return _assemble(sys, bar, policy, grid, level, side, dirichlet, q.horizon, dt)
+    def problem(grid: GridSpec, dt: float) -> IbvpSpec:
+        return _problem(sys, bar, policy, grid, level, side, dt).with_data(dirichlet, q.horizon)
 
     grid = _padded_grid(q.numerics)
-    spec = assemble(grid, q.numerics.dt)
+    spec = problem(grid, q.numerics.dt)
     if spec.interior_mask.all() or not spec.interior_mask.any():
         warnings.warn(
             f"{kind}: the level set does not intersect the solve box; the mask is "
@@ -333,7 +385,7 @@ def solve_distribution(kind: str, sys: ControlSystem, bar: BarrierProblem,
     if q.numerics.boundary_probe and q.horizon > 0:
         grids = _probe_grids(grid, spec.interior_mask)
         if grids is not None:
-            specs = [assemble(g, q.numerics.dt * PROBE_COARSEN) for g in grids]
+            specs = [problem(g, q.numerics.dt * PROBE_COARSEN) for g in grids]
             probe = [partial(_probe_sensitivity, *specs,
                              states[on_side] if np.any(on_side) else states)]
 

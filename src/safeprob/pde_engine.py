@@ -40,10 +40,13 @@ columns in ascending order.  Sigma adds sigma's products over its columns
 and keeps only the pairs that are nonzero somewhere: an absent pair adds no
 term, which is the same as adding its zeros.
 
-Linear solves: each factor's matrix is LU-factorized once per distinct
-operator in a process, keyed by grid, effective dt and a digest of mask,
-drift and Sigma, and kept for the last ``FACTOR_SETS`` operators, so a
-kind and its complement share it; each step solves once with it.  Without
+Linear solves: each factor's matrix is LU-factorized on a spec's first
+solve at an effective dt and kept in the spec's ``factors`` for as long as
+the spec lives.  A copy that ``with_data`` poses under another Dirichlet
+value or horizon shares them, so every kind, horizon and state set solved
+on one spec factors once; ``safeprob.distributions`` finds the spec of a
+query through the problems it keeps, not by comparing arrays.  Each step
+solves once with each factor, and the g = 0 step has no load.  Without
 cross terms a factor is a set of independent tridiagonal line systems and
 the LU has no fill.  The LU takes a minimum-degree column order on the
 structure of A^T + A and prefers diagonal pivots (threshold 0.1), the
@@ -59,10 +62,9 @@ The module does no I/O: ``safeprob.artifacts`` writes fields to files.
 
 from __future__ import annotations
 
-import hashlib
+import copy
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import InitVar, asdict, dataclass, field as dc_field
 from typing import NamedTuple, Sequence
 
@@ -80,8 +82,6 @@ MIN_CELLS = 8
 LINEAR_RTOL = 1e-10
 # How far a probability field may leave [0, 1] through rounding.
 RANGE_TOL = 1e-8
-# Operators whose factors stay built: a solve's and its boundary probe's two.
-FACTOR_SETS = 3
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,18 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, ndim), C-ordered."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        nodes = np.empty(self.shape + (self.ndim,))
+        for a, x in enumerate(self.axes()):
+            nodes[..., a] = x.reshape((-1,) + (1,) * (self.ndim - 1 - a))
+        return nodes.reshape(-1, self.ndim)
+
+    def nodes_at(self, flat: np.ndarray) -> np.ndarray:
+        """The coordinates of the nodes at C-order flat indices ``flat``, shape
+        (len(flat), ndim): ``nodes()[flat]`` without forming every node."""
+        out = np.empty((len(flat), self.ndim))
+        for a, (x, i) in enumerate(zip(self.axes(), np.unravel_index(flat, self.shape))):
+            out[:, a] = x[i]
+        return out
 
 
 def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
@@ -152,6 +162,14 @@ def build_mask(grid: GridSpec, bar: BarrierProblem, side: str,
     return phi >= level if side == "super" else phi < level
 
 
+def sigma_pairs(sig: np.ndarray) -> dict:
+    """Each pair (i, j), i <= j, of ``sigma sigma^T`` over stacked noise matrices
+    ``sig`` (m, n, k): the products of sigma's rows i and j added in column order."""
+    n, k = sig.shape[1:]
+    return {(i, j): sum(sig[:, i, c] * sig[:, j, c] for c in range(k))
+            for i, j in itertools.combinations_with_replacement(range(n), 2)}
+
+
 @dataclass(frozen=True)
 class IbvpSpec:
     """A discretized masked-Dirichlet convection-diffusion problem.
@@ -160,54 +178,78 @@ class IbvpSpec:
     the noise matrix per node (shape + (n, k)), is an argument only: the
     spec keeps ``Sigma``, which maps each pair (i, j), i <= j, of the
     diffusion tensor ``sigma sigma^T`` that is nonzero at some node to its
-    read-only node vector, the products of sigma's rows i and j added in
-    column order.  An absent pair is zero everywhere.  Nodes outside
-    ``interior_mask`` are pinned to ``dirichlet_value`` g, 0 or 1, for all
-    time, and the march starts from 1 - g on the interior.
+    read-only node vector, ``sigma_pairs``'s values.  An absent pair is zero
+    everywhere.  ``sigma`` may also be given as those pairs already formed,
+    each a vector over the nodes.  Nodes outside ``interior_mask`` are
+    pinned to ``dirichlet_value`` g, 0 or 1, for all time, and the march
+    starts from 1 - g on the interior.  ``factors`` keeps the axis factors
+    of each effective time step solved at, for every solve of the operator.
     """
 
     grid: GridSpec
     interior_mask: np.ndarray
     convection: np.ndarray
-    sigma: InitVar[np.ndarray]
+    sigma: InitVar[np.ndarray | dict]
     dirichlet_value: float
     horizon: float
     dt: float
     Sigma: dict = dc_field(init=False, repr=False, compare=False)
+    factors: dict = dc_field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, sigma):
         shape = self.grid.shape
         n = self.grid.ndim
         mask = np.asarray(self.interior_mask, dtype=bool)
         conv = np.asarray(self.convection, dtype=float)
-        sig = np.asarray(sigma, dtype=float)
         if mask.shape != shape:
             raise DataError(f"interior_mask shape {mask.shape} != grid shape {shape}")
         if conv.shape != shape + (n,):
             raise DataError(f"convection shape {conv.shape} != {shape + (n,)}")
-        if sig.shape[:-1] != shape + (n,):
-            raise DataError(f"sigma shape {sig.shape} is not {shape + (n,)} + (k,)")
-        if not np.all(np.isfinite(conv)) or not np.all(np.isfinite(sig)):
+        if isinstance(sigma, dict):
+            pairs = {key: np.asarray(pair, dtype=float) for key, pair in sigma.items()}
+            if any(pair.shape != (self.grid.n_nodes,) for pair in pairs.values()):
+                raise DataError(f"Sigma pairs must be vectors over the {self.grid.n_nodes} nodes")
+            fields = (conv, *pairs.values())
+        else:
+            sig = np.asarray(sigma, dtype=float)
+            if sig.shape[:-1] != shape + (n,):
+                raise DataError(f"sigma shape {sig.shape} is not {shape + (n,)} + (k,)")
+            pairs = None
+            fields = (conv, sig)
+        if not all(np.all(np.isfinite(f)) for f in fields):
             raise DataError("convection/sigma fields contain non-finite values")
-        if self.dirichlet_value not in (0.0, 1.0):
-            raise DataError(f"dirichlet_value must be 0 or 1, got {self.dirichlet_value}")
-        require_finite(horizon=self.horizon, dt=self.dt)
-        if self.horizon < 0:
-            raise DataError("horizon must be >= 0")
-        if self.dt <= 0:
-            raise DataError("dt must be > 0")
+        self._check_data(self.dirichlet_value, self.horizon, self.dt)
         for name, arr in (("interior_mask", mask), ("convection", conv)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        k = sig.shape[-1]
-        sig = sig.reshape(-1, n, k)
+        if pairs is None:
+            pairs = sigma_pairs(sig.reshape(-1, n, sig.shape[-1]))
         Sigma = {}
-        for i, j in itertools.combinations_with_replacement(range(n), 2):
-            pair = sum(sig[:, i, c] * sig[:, j, c] for c in range(k))
+        for key, pair in pairs.items():
             if np.any(pair):
                 pair.setflags(write=False)
-                Sigma[i, j] = pair
+                Sigma[key] = pair
         object.__setattr__(self, "Sigma", Sigma)
+
+    @staticmethod
+    def _check_data(dirichlet_value: float, horizon: float, dt: float) -> None:
+        if dirichlet_value not in (0.0, 1.0):
+            raise DataError(f"dirichlet_value must be 0 or 1, got {dirichlet_value}")
+        require_finite(horizon=horizon, dt=dt)
+        if horizon < 0:
+            raise DataError("horizon must be >= 0")
+        if dt <= 0:
+            raise DataError("dt must be > 0")
+
+    def with_data(self, dirichlet_value: float, horizon: float) -> IbvpSpec:
+        """This operator under another Dirichlet value and horizon: the copy
+        shares the spec's arrays and kept factors, so its fields are not
+        checked again."""
+        self._check_data(dirichlet_value, horizon, self.dt)
+        spec = copy.copy(self)
+        object.__setattr__(spec, "dirichlet_value", dirichlet_value)
+        object.__setattr__(spec, "horizon", horizon)
+        return spec
 
 
 @dataclass
@@ -391,22 +433,11 @@ class AxisFactor(NamedTuple):
     load: np.ndarray
 
 
-# (grid, dt, operator digest) -> its AxisFactor per axis, least recently used first.
-_factor_sets: OrderedDict = OrderedDict()
-
-
 def _axis_factors(spec: IbvpSpec, dt: float) -> tuple:
     """Each axis's factor of ``spec``'s operator at time step ``dt``, built on the
-    first solve of that operator (see Linear solves above).  The key leaves out
-    the Dirichlet value, horizon, times and states; a miss evicts before it
-    builds, and a factorization that raises keeps nothing."""
-    digest = hashlib.blake2b(repr(list(spec.Sigma)).encode())
-    for arr in (spec.interior_mask, spec.convection, *spec.Sigma.values()):
-        digest.update(np.ascontiguousarray(arr))
-    key = (spec.grid, dt, digest.digest())
-    if key not in _factor_sets:
-        while len(_factor_sets) >= FACTOR_SETS:
-            _factor_sets.popitem(last=False)
+    first solve of the spec at that step and kept in its ``factors`` (see Linear
+    solves above); a factorization that raises keeps nothing."""
+    if dt not in spec.factors:
         factors = []
         for a in range(spec.grid.ndim):
             A, load, sums = _axis_factor(spec, a, dt)
@@ -417,9 +448,8 @@ def _axis_factors(spec: IbvpSpec, dt: float) -> tuple:
                 raise SolverError(f"step matrix is singular: {err}") from err
             # Zero up to rounding: the generator sends constants to zero.
             factors.append(AxisFactor(A, lu, float(np.max(np.abs(sums))), load))
-        _factor_sets[key] = tuple(factors)
-    _factor_sets.move_to_end(key)
-    return _factor_sets[key]
+        spec.factors[dt] = tuple(factors)
+    return spec.factors[dt]
 
 
 class ThetaStepper:
@@ -427,13 +457,14 @@ class ThetaStepper:
 
     Pinned nodes hold the Dirichlet value g for all time, so each call of
     ``step`` solves ``A u_I' = u_I + c`` for the interior values, with the
-    factor's ``A`` and LU, and ``c`` its pinned load for g = 1, zero for
-    g = 0.  ``solves`` counts this solve's solves, one per step.
+    factor's ``A`` and LU, and ``c`` its pinned load for g = 1; for g = 0
+    there is no load and ``u_I`` is the right-hand side.  ``solves`` counts
+    this solve's solves, one per step.
     """
 
     def __init__(self, spec: IbvpSpec, factor: AxisFactor):
         self.A, self._lu = factor.A, factor.lu
-        self._load = factor.load if spec.dirichlet_value else np.zeros(factor.load.size)
+        self._load = factor.load if spec.dirichlet_value else None
         # ||b||^2 of the full-node right-hand side contributed by pinned rows.
         self._pinned_sq = (spec.grid.n_nodes - self.A.shape[0]) * float(spec.dirichlet_value) ** 2
         self.solves = 0
@@ -445,7 +476,7 @@ class ThetaStepper:
         rows included.  Its squares add by ``ndarray.sum``'s pairwise sum,
         never BLAS, so it is thread-count independent.
         """
-        b = u + self._load
+        b = u if self._load is None else u + self._load
         b_norm = math.sqrt((u * u).sum() + self._pinned_sq)
         x = self._lu.solve(b)
         self.solves += 1

@@ -79,6 +79,7 @@ def drifted_bm():
 
 @pytest.fixture(autouse=True)
 def cold_factor_memo():
-    """Each test starts with no axis factor kept from an earlier test's solves."""
-    from safeprob import pde_engine
-    pde_engine._factor_sets.clear()
+    """Each test starts with no assembled problem, and so no axis factor, kept
+    from an earlier test's solves."""
+    from safeprob import distributions
+    distributions._problems.clear()

@@ -146,8 +146,8 @@ class TestIdentities:
             assert len(pair) == 2
             assert pair[0].dirichlet + pair[1].dirichlet == 1.0
             assert pair[0].increasing != pair[1].increasing
-            init = [solve_ibvp(_assemble(bm.system, bm.barrier, bm.policy, grid, 0.0, side,
-                                         k.dirichlet, 0.0, 1e-2)).final_field for k in pair]
+            spec = _assemble(bm.system, bm.barrier, bm.policy, grid, 0.0, side, 1e-2)
+            init = [solve_ibvp(spec.with_data(k.dirichlet, 0.0)).final_field for k in pair]
             assert np.array_equal(init[0] + init[1], np.ones(grid.shape))
 
     def test_monotone_tabulations(self, invariance_result, exit_result, recovery_results):
@@ -282,9 +282,9 @@ class TestQueryHandling:
         q = self._trivial_query(lo, hi, x)
         grid = _padded_grid(q.numerics)
         spec = _assemble(bm.system, bm.barrier, bm.policy, grid, 0.0,
-                         KIND_TABLE[kind].side, KIND_TABLE[kind].dirichlet, q.horizon,
-                         q.numerics.dt)
-        series = solve_ibvp(spec, snapshot_times=q.times, points=grid.nodes())
+                         KIND_TABLE[kind].side, q.numerics.dt)
+        series = solve_ibvp(spec.with_data(KIND_TABLE[kind].dirichlet, q.horizon),
+                            snapshot_times=q.times, points=grid.nodes())
         assert series.values.shape == (grid.n_nodes, 6)
         assert np.all(series.values == value)
 
@@ -594,5 +594,8 @@ class TestProbeWorker:
         monkeypatch.setattr(distributions, "_assemble", assemble)
         self._fail_solves(monkeypatch, lambda spec: pytest.fail("marched"))
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        with pytest.raises(InfeasibilityError, match="probe grid infeasible"):
-            exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+        for _ in range(2):
+            with pytest.raises(InfeasibilityError, match="probe grid infeasible"):
+                exit_time_cdf(ex.system, ex.barrier, ex.policy, q)
+            # The main problem is kept; the probe grid's keeps nothing.
+            assert len(distributions._problems) == 1

@@ -1,6 +1,11 @@
 import copy
+import dataclasses
+import gc
 import itertools
+import runpy
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from safeprob import (
     Policy,
     QuerySpec,
     build_mask,
+    distributions,
     make_example,
     pde_engine,
     solve_ibvp,
@@ -32,7 +38,7 @@ from safeprob.distributions import (
     _probe_sensitivity,
     solve_distribution,
 )
-from safeprob.errors import DataError, SolverError
+from safeprob.errors import DataError, InfeasibilityError, SolverError
 from safeprob.pde_engine import (
     LINEAR_RTOL,
     GridSampler,
@@ -41,7 +47,7 @@ from safeprob.pde_engine import (
     _axis_factors,
 )
 
-from conftest import HEAT_HALFLINE, identity_barrier, pin_cpus
+from conftest import HEAT_HALFLINE, REPO_ROOT, identity_barrier, pin_cpus
 
 
 def const_fields(grid, mu, sig2, axis=0):
@@ -260,6 +266,16 @@ class TestGridSpec:
         np.testing.assert_allclose(nodes[0], [0.0, -1.0])
         np.testing.assert_allclose(nodes[-1], [1.0, 1.0])
 
+    @pytest.mark.parametrize("cells", [(9,), (9, 12), (9, 12, 10)])
+    def test_nodes_are_the_axes_in_c_order(self, cells):
+        # The coordinates are the axes' values, as meshgrid and stack gave them.
+        grid = GridSpec((-1.0,) * len(cells), (np.pi,) * len(cells), cells)
+        mesh = np.meshgrid(*grid.axes(), indexing="ij")
+        reference = np.stack([m.ravel() for m in mesh], axis=1)
+        np.testing.assert_array_equal(grid.nodes(), reference)
+        flat = np.array([0, 7, grid.n_nodes // 2, grid.n_nodes - 1])
+        np.testing.assert_array_equal(grid.nodes_at(flat), reference[flat])
+
     def test_rejects_too_few_cells(self):
         with pytest.raises(ValueError, match="below minimum"):
             GridSpec((0.0,), (1.0,), (4,))
@@ -362,6 +378,39 @@ class TestIbvpSpecValidation:
         conv, sigma = const_fields(grid, 0.0, 1.0)
         with pytest.raises(DataError, match=f"^{name} must be finite$"):
             IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, sigma, 0.0, horizon, dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_pair_rejected(self, bad):
+        grid = GridSpec((-2.0,), (2.0,), (8,))
+        conv, _ = const_fields(grid, 0.0, 1.0)
+        pair = np.ones(grid.n_nodes)
+        pair[3] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, {(0, 0): pair}, 0.0, 1.0, 0.1)
+
+    def test_sigma_pairs_equal_sigma(self):
+        # Given as its pairs, sigma makes the same spec; a zero pair is dropped.
+        grid, mask, conv, sigma = factor_fields(3, "full")
+        sigma[..., 1, :] = 0.0
+        pairs = pde_engine.sigma_pairs(sigma.reshape(grid.n_nodes, 3, -1))
+        spec = IbvpSpec(grid, mask, conv, sigma, 1.0, 0.1, 1e-2)
+        from_pairs = IbvpSpec(grid, mask, conv, pairs, 1.0, 0.1, 1e-2)
+        assert list(from_pairs.Sigma) == list(spec.Sigma) == [(0, 0), (0, 2), (2, 2)]
+        for key, pair in spec.Sigma.items():
+            assert from_pairs.Sigma[key].tobytes() == pair.tobytes()
+
+    def test_with_data_shares_the_operator_and_checks_the_data(self):
+        grid = GridSpec((-2.0,), (2.0,), (8,))
+        conv, sigma = const_fields(grid, 0.5, 1.0)
+        spec = IbvpSpec(grid, grid.axes()[0] >= 0.0, conv, sigma, 1.0, 1.0, 0.1)
+        posed = spec.with_data(0.0, 2.0)
+        assert (posed.dirichlet_value, posed.horizon, posed.dt) == (0.0, 2.0, 0.1)
+        assert (spec.dirichlet_value, spec.horizon) == (1.0, 1.0)
+        assert posed.convection is spec.convection and posed.factors is spec.factors
+        with pytest.raises(DataError, match="0 or 1"):
+            spec.with_data(0.5, 1.0)
+        with pytest.raises(DataError, match="horizon must be >= 0"):
+            spec.with_data(1.0, -1.0)
 
 
 def factor_spec(ndim, sigma_kind, dirichlet, seed=0):
@@ -733,7 +782,7 @@ class TestStepperInternals:
         ex = make_example("double_integrator")
         num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=ex.cells, dt=ex.dt)
         spec = _assemble(ex.system, ex.barrier, ex.policy, _padded_grid(num), 0.0,
-                         "super", 1.0, ex.horizon, ex.dt)
+                         "super", ex.dt)
         for A, lu, _, _ in _axis_factors(spec, spec.dt):
             assert lu.L.nnz + lu.U.nnz == A.nnz + A.shape[0]
 
@@ -797,6 +846,38 @@ class TestStepperInternals:
         assert diag.row_sum_defect == pytest.approx(sum(eps.values()), rel=1e-9)
 
 
+class TestSlabAssembly:
+    """Assembly evaluates the models a slab of nodes at a time; the spec does
+    not depend on the slab size."""
+
+    @pytest.mark.parametrize("name", ["double_integrator", "unicycle_disk"])
+    def test_slabs_assemble_the_one_piece_spec(self, name, monkeypatch):
+        ex = make_example(name)
+        grid = _padded_grid(NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi,
+                                           cells=ex.cells, dt=ex.dt))
+
+        def assemble(slab):
+            monkeypatch.setattr(distributions, "NODE_SLAB", slab)
+            return _assemble(ex.system, ex.barrier, ex.policy, grid, 0.0, "super", ex.dt)
+
+        whole, sliced = assemble(grid.n_nodes), assemble(997)
+        np.testing.assert_array_equal(sliced.interior_mask, whole.interior_mask)
+        assert sliced.convection.tobytes() == whole.convection.tobytes()
+        assert list(sliced.Sigma) == list(whole.Sigma)
+        for key, pair in whole.Sigma.items():
+            assert sliced.Sigma[key].tobytes() == pair.tobytes(), key
+
+    def test_the_first_infeasible_node_is_named_whatever_the_slab(self, monkeypatch):
+        # As in test_distributions: the node (-1, 0) on 84 x 84 cells.
+        ex = make_example("double_integrator")
+        num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=(84, 84), dt=ex.dt)
+        for slab in (distributions.NODE_SLAB, 997):
+            monkeypatch.setattr(distributions, "NODE_SLAB", slab)
+            with pytest.raises(InfeasibilityError, match=r"interior grid node \[-1\.0, 0\.0\]"):
+                _assemble(ex.system, ex.barrier, ex.policy, _padded_grid(num), 0.0, "super",
+                          ex.dt)
+
+
 class TestMemory:
     def test_small_3d_solve_traced_peak_per_node(self):
         # The spec keeps only Sigma's nonzero pairs, three for the unicycle's
@@ -809,26 +890,56 @@ class TestMemory:
         grid = _padded_grid(num)
         tracemalloc.start()
         try:
-            spec = _assemble(ex.system, ex.barrier, ex.policy, grid, 0.0, "super", 1.0,
-                             0.05, ex.dt)
-            solve_ibvp(spec, points=[[0.0, 0.0, 0.0]])
+            spec = _assemble(ex.system, ex.barrier, ex.policy, grid, 0.0, "super", ex.dt)
+            solve_ibvp(spec.with_data(1.0, 0.05), points=[[0.0, 0.0, 0.0]])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / grid.n_nodes < 1.2 * 194
 
+    def test_3d_assembly_traced_peak_per_node(self):
+        # Assembly forms node coordinates by broadcasting the axes and
+        # evaluates the closed loop and sigma a slab of nodes at a time, so on
+        # the 88 x 88 x 24-cell grid it peaks at 67 B per node under
+        # tracemalloc for a spec that keeps 49 B (191 B when it held every
+        # node's coordinates and sigma at once).  The bound is half of that.
+        ex = make_example("unicycle_disk")
+        num = NumericsConfig(box_lo=ex.box_lo, box_hi=ex.box_hi, cells=(88, 88, 24), dt=ex.dt)
+        grid = _padded_grid(num)
+        tracemalloc.start()
+        try:
+            _assemble(ex.system, ex.barrier, ex.policy, grid, 0.0, "super", ex.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / grid.n_nodes < 191 / 2
+
 
 def count_factorizations(monkeypatch):
     """Route ``splu`` through a recorder; returns the list of the number of
-    operators ``pde_engine`` kept at each factorization."""
+    problems ``distributions`` kept at each factorization."""
     kept = []
     splu = spla.splu
 
     def counting(*args, **kwargs):
-        kept.append(len(pde_engine._factor_sets))
+        kept.append(len(distributions._problems))
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(pde_engine.spla, "splu", counting)
+    return kept
+
+
+def count_assemblies(monkeypatch):
+    """Route ``distributions._assemble`` through a recorder; returns the list of
+    (problems kept, (grid, dt)) at each assembly."""
+    kept = []
+    assemble = distributions._assemble
+
+    def counting(sys, bar, policy, grid, level, side, dt):
+        kept.append((len(distributions._problems), (grid, dt)))
+        return assemble(sys, bar, policy, grid, level, side, dt)
+
+    monkeypatch.setattr(distributions, "_assemble", counting)
     return kept
 
 
@@ -851,7 +962,8 @@ def two_sided_problem(ndim, boundary_probe=False):
 
 
 class TestFactorMemo:
-    """A process factors each distinct operator once, for every solve of it."""
+    """A spec keeps its factors for every solve of it, and the kept problems
+    give every solve of one operator the same spec."""
 
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_a_kind_and_its_complement_factor_once(self, ndim, monkeypatch):
@@ -875,7 +987,7 @@ class TestFactorMemo:
 
         cold = {}
         for kind in KINDS:
-            pde_engine._factor_sets.clear()
+            distributions._problems.clear()
             cold[kind] = solve(kind)
         kept = count_factorizations(monkeypatch)
         for kind in KINDS:
@@ -889,14 +1001,14 @@ class TestFactorMemo:
         base = dict(lo=-2.0, hi=2.0, cells=32, mu=0.5, sig2=1.0, mask_fn=lambda x: x >= 0.0,
                     dirichlet=1.0, horizon=0.1, dt=1e-2)
         kept = count_factorizations(monkeypatch)
-        solve_ibvp(line_spec(**base))
+        spec = line_spec(**base)
+        solve_ibvp(spec)
         # The Dirichlet value, horizon and times are not the operator's.
-        solve_ibvp(line_spec(**{**base, "dirichlet": 0.0, "horizon": 0.2}),
-                   snapshot_times=[0.1])
+        solve_ibvp(spec.with_data(0.0, 0.2), snapshot_times=[0.1])
         assert len(kept) == 1
         for change in ({"mask_fn": lambda x: x >= 0.25}, {"cells": 40}, {"dt": 5e-3},
                        {"mu": 0.6}, {"sig2": 1.1}):
-            solve_ibvp(line_spec(**base))
+            solve_ibvp(spec)
             built = len(kept)
             solve_ibvp(line_spec(**{**base, **change}))
             assert len(kept) == built + 1, change
@@ -921,25 +1033,30 @@ class TestFactorMemo:
             with pytest.raises(SolverError, match="singular"):
                 solve_ibvp(spec)
             assert len(calls) == 2 * attempt
-            assert not pde_engine._factor_sets
+            assert not spec.factors
 
     def test_the_least_recent_operator_goes_first_before_a_build(self, monkeypatch):
-        assert pde_engine.FACTOR_SETS == 3
-        kept = count_factorizations(monkeypatch)
-        specs = [line_spec(-2.0, 2.0, 32, mu, 1.0, lambda x: x >= 0.0, 1.0, horizon=0.1,
-                           dt=1e-2) for mu in (0.1, 0.2, 0.3, 0.4)]
-        for spec in specs[:3]:
-            solve_ibvp(spec)
-        solve_ibvp(specs[0])
-        # Full: the fourth operator's miss evicts the second, then factors.
-        solve_ibvp(specs[3])
-        assert kept == [0, 1, 2, 2]
-        assert len(pde_engine._factor_sets) == 3
-        for spec in (specs[0], specs[2], specs[3]):
-            solve_ibvp(spec)
+        assert distributions.PROBLEMS == 3
+        kept = count_assemblies(monkeypatch)
+        sys, bar, policy, q = two_sided_problem(1)
+
+        def solve(level):
+            solve_distribution("exit_cdf", sys, bar, policy,
+                               dataclasses.replace(q["super"], level=level))
+
+        levels = (0.0, 0.1, 0.2, 0.3)
+        for level in levels[:3]:
+            solve(level)
+        solve(levels[0])
+        # Full: the fourth problem's miss evicts the second, then assembles.
+        solve(levels[3])
+        assert [k for k, _ in kept] == [0, 1, 2, 2]
+        assert len(distributions._problems) == 3
+        for level in (levels[0], levels[2], levels[3]):
+            solve(level)
         assert len(kept) == 4
-        solve_ibvp(specs[1])
-        assert kept == [0, 1, 2, 2, 2]
+        solve(levels[1])
+        assert [k for k, _ in kept] == [0, 1, 2, 2, 2]
 
     def test_the_in_process_probe_keeps_the_main_operator(self, monkeypatch):
         # On one CPU the probe's two operators are factored after the march,
@@ -952,3 +1069,158 @@ class TestFactorMemo:
         assert len(kept) == 3
         solve_distribution("invariance_ccdf", sys, bar, policy, q["super"])
         assert len(kept) == 3
+
+
+class TestProblemStore:
+    """``distributions`` keeps one assembled problem per (models, grid, level,
+    side, dt), while its models live, and every kind, horizon, time grid and
+    state set on it shares it."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_a_kind_and_its_complement_assemble_once(self, ndim, monkeypatch):
+        # Two CPUs: the probe solves in a worker, so this process factors only
+        # the main problem.  The 1D mask meets a box face and runs the probe.
+        pin_cpus(monkeypatch, 2)
+        sys_, bar, policy, q = two_sided_problem(ndim, boundary_probe=True)
+        assembled = count_assemblies(monkeypatch)
+        factored = count_factorizations(monkeypatch)
+        for kind in ("exit_cdf", "invariance_ccdf"):
+            res = solve_distribution(kind, sys_, bar, policy, q["super"])
+        assert (res.diagnostics["boundary_sensitivity"] is not None) == (ndim == 1)
+        assert len(assembled) == (3 if ndim == 1 else 1)
+        assert len({key for _, key in assembled}) == len(assembled)
+        assert len(factored) == ndim
+
+    def test_the_reference_study_assembles_two_problems(self, monkeypatch, capsys):
+        # Its four kinds, two a side: two problems and their probes' four.
+        assembled = count_assemblies(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["run_reference_1d.py", "--paths", "200"])
+        runpy.run_path(str(REPO_ROOT / "scripts" / "run_reference_1d.py"),
+                       run_name="__main__")
+        assert "distribution" in capsys.readouterr().out
+        keys = [key for _, key in assembled]
+        assert len(keys) == len(set(keys)) == 6
+        assert len([dt for _, dt in keys if dt == 1e-3]) == 2
+
+    def test_what_misses_and_what_does_not(self, monkeypatch):
+        sys_, bar, policy, q = two_sided_problem(1)
+        base = q["super"]
+        assembled = count_assemblies(monkeypatch)
+        solve_distribution("exit_cdf", sys_, bar, policy, base)
+        # The Dirichlet value, horizon, times and states are the call's own.
+        solve_distribution("invariance_ccdf", sys_, bar, policy, base)
+        for change in ({"horizon": 0.3}, {"times": [0.0, 0.1, 0.2]},
+                       {"states": [[1.5], [2.0]]}):
+            solve_distribution("exit_cdf", sys_, bar, policy,
+                               dataclasses.replace(base, **change))
+        assert len(assembled) == 1
+        num = base.numerics
+        misses = [
+            ("exit_cdf", dataclasses.replace(sys_), bar, policy, base),
+            ("exit_cdf", sys_, dataclasses.replace(bar), policy, base),
+            ("exit_cdf", sys_, bar, dataclasses.replace(policy), base),
+            ("exit_cdf", sys_, bar, policy, dataclasses.replace(base, level=0.1)),
+            ("entry_cdf", sys_, bar, policy, q["sub"]),
+            ("exit_cdf", sys_, bar, policy,
+             dataclasses.replace(base, numerics=dataclasses.replace(num, cells=(200,)))),
+            ("exit_cdf", sys_, bar, policy,
+             dataclasses.replace(base, numerics=dataclasses.replace(num, dt=5e-3))),
+        ]
+        for args in misses:
+            solve_distribution("exit_cdf", sys_, bar, policy, base)
+            built = len(assembled)
+            solve_distribution(*args)
+            assert len(assembled) == built + 1, args
+
+    def test_another_effective_step_factors_again_on_the_same_problem(self, monkeypatch):
+        # Horizon 0.505 at dt 1e-2 takes 50 steps of 1.01e-2.
+        sys_, bar, policy, q = two_sided_problem(1)
+
+        def solve(horizon):
+            return solve_distribution("exit_cdf", sys_, bar, policy,
+                                      dataclasses.replace(q["super"], horizon=horizon))
+
+        cold = {}
+        for horizon in (0.5, 0.505):
+            distributions._problems.clear()
+            cold[horizon] = solve(horizon).values.tobytes()
+        distributions._problems.clear()
+        assembled = count_assemblies(monkeypatch)
+        factored = count_factorizations(monkeypatch)
+        for horizon in (0.5, 0.505, 0.5, 0.505):
+            assert solve(horizon).values.tobytes() == cold[horizon], horizon
+        assert len(assembled) == 1
+        assert len(factored) == 2
+
+    def test_dropping_the_models_drops_the_problem(self):
+        ex = make_example("drifted_bm_1d")
+        _, _, _, q = two_sided_problem(1)
+        solve_distribution("exit_cdf", ex.system, ex.barrier, ex.policy, q["super"])
+        assert len(distributions._problems) == 1
+        policy = ex.policy
+        del ex
+        gc.collect()
+        # The system and barrier are gone; the policy alone keeps nothing.
+        assert not distributions._problems
+        assert policy is not None
+
+    def test_an_infeasible_interior_node_raises_every_time_and_keeps_nothing(self,
+                                                                              monkeypatch):
+        # As in test_distributions' infeasibility test: nodes on v = 0 where the
+        # filter's actuated direction vanishes, under a weak rate gain.
+        from safeprob.system_model import linear_rate
+        ex = make_example("double_integrator")
+        weak = Policy(nominal=ex.policy.nominal, kind="zero_cbf", alpha=linear_rate(0.2))
+        num = NumericsConfig(box_lo=(-1.05, -1.05), box_hi=(1.05, 1.05),
+                             cells=(40, 40), dt=1e-2)
+        q = QuerySpec(states=[[0.0, 0.0]], horizon=0.1, numerics=num)
+        assembled = count_assemblies(monkeypatch)
+        for attempt in (1, 2):
+            with pytest.raises(InfeasibilityError):
+                solve_distribution("exit_cdf", ex.system, ex.barrier, weak, q)
+            assert len(assembled) == attempt
+            assert not distributions._problems
+
+    def test_warnings_fire_on_a_hit(self, monkeypatch):
+        ex = make_example("drifted_bm_1d")
+        # A wrong-side state and a state two cells from the level set; then a
+        # box the level set does not cross.
+        near = QuerySpec(states=[[-0.005], [0.015], [1.0]], horizon=0.1,
+                         numerics=NumericsConfig((-1.0,), (3.0,), (400,), dt=1e-2))
+        trivial = QuerySpec(states=[[3.0]], horizon=0.1,
+                            numerics=NumericsConfig((1.0,), (5.0,), (40,), dt=1e-2))
+        assembled = count_assemblies(monkeypatch)
+        said = {}
+        for name, q in (("near", near), ("trivial", trivial)):
+            runs = []
+            for _ in range(2):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    solve_distribution("exit_cdf", ex.system, ex.barrier, ex.policy, q)
+                runs.append([str(w.message) for w in caught
+                             if issubclass(w.category, distributions.SafeProbWarning)])
+            assert runs[1] == runs[0]
+            said[name] = runs[0]
+        # Each query's second solve found its problem kept.
+        assert [dt for _, (_, dt) in assembled].count(1e-2) == 2
+        assert any("lies on the wrong side" in m for m in said["near"])
+        assert any("lies within 2 cells" in m for m in said["near"])
+        assert any("does not intersect the solve box" in m for m in said["trivial"])
+
+
+class TestColdStore:
+    """The autouse ``cold_factor_memo`` fixture empties the problem store."""
+
+    kept_alive = []
+
+    def test_a_solve_keeps_its_problem(self):
+        ex = make_example("drifted_bm_1d")
+        _, _, _, q = two_sided_problem(1)
+        solve_distribution("exit_cdf", ex.system, ex.barrier, ex.policy, q["super"])
+        type(self).kept_alive.append(ex)
+        assert len(distributions._problems) == 1
+
+    def test_the_next_test_starts_with_none(self):
+        assert self.kept_alive
+        assert not distributions._problems
+        self.kept_alive.clear()
