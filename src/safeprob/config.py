@@ -9,10 +9,10 @@ type, a rule ``(test, message)`` that a present value must pass.
 ``validate_config`` rejects unknown, missing, non-finite and out-of-range
 values by key, and adds only the rules that join two or more keys.
 ``ExperimentConfig.get("a.b.c")`` returns a value or its default, never
-writing defaults into the hashed document.  A built-in ``example`` supplies
-the system, barrier, policy and numerics; explicit sections replace its
-system, barrier and policy, and a ``numerics`` section overrides only the
-keys it names.
+writing defaults into the hashed document.  A built-in ``example`` is a
+model document of ``safeprob.library`` that supplies the system, barrier,
+policy and numerics; explicit sections replace its system, barrier and
+policy, and a ``numerics`` section overrides only the keys it names.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import numpy as np
 
 from .distributions import KINDS, NumericsConfig
 from .errors import ConfigError
-from .expressions import compile_expressions
-from .library import example_names, make_example
-from .system_model import POLICY_KINDS, BarrierProblem, ControlSystem, Policy, linear_rate
+from .library import EXAMPLES, build_models, example_names
+from .system_model import POLICY_KINDS, BarrierProblem, ControlSystem, Policy
 
 _NUMBER = (int, float)
 # The default of a key that must be present whenever its section is.
@@ -108,7 +107,7 @@ SCHEMA: dict = {
 }
 
 # The numerics keys a named example supplies where its numerics section
-# omits them; ExampleBundle holds each under the same name.
+# omits them.
 _EXAMPLE_NUMERICS = frozenset(f"numerics.{key}" for key in ("box_lo", "box_hi", "cells", "dt"))
 
 
@@ -159,7 +158,7 @@ def _lookup(doc: dict, dotted: str):
         default, schema = schema[key][:2]
         if key not in node:
             if dotted in _EXAMPLE_NUMERICS and "example" in doc:
-                return getattr(make_example(doc["example"]), keys[-1])
+                return EXAMPLES[doc["example"]]["numerics"][keys[-1]]
             for inner in keys[i + 1:]:
                 default, schema = schema[inner][:2]
             if default is REQUIRED:
@@ -195,8 +194,8 @@ def validate_config(doc: dict) -> dict:
     if "policy" in doc and doc["policy"]["kind"] == "gradient" and "c" not in doc["policy"]:
         raise ConfigError("gradient policy requires key", "policy.c")
     if "numerics" in doc or named:
-        n = (doc["system"]["dim_state"] if "system" in doc
-             else make_example(doc["example"]).system.n)
+        system = doc["system"] if "system" in doc else EXAMPLES[doc["example"]]["system"]
+        n = system["dim_state"]
         num = {key: _lookup(doc, f"numerics.{key}") for key in ("box_lo", "box_hi", "cells")}
         for key, axes in num.items():
             if len(axes) != n:
@@ -237,25 +236,6 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _system_from_doc(section: dict) -> ControlSystem:
-    n, m, k = section["dim_state"], section["dim_input"], section["dim_noise"]
-    return ControlSystem(n=n, m=m, k=k,
-                         f=compile_expressions(section["f"], n, (n,), "system.f"),
-                         g=compile_expressions(section["g"], n, (n, m), "system.g"),
-                         sigma=compile_expressions(section["sigma"], n, (n, k), "system.sigma"))
-
-
-def _policy_from_doc(section: dict, n: int, m: int) -> Policy:
-    if "nominal" in section:
-        nominal = compile_expressions(section["nominal"], n, (m,), "policy.nominal")
-    else:
-        def nominal(X):
-            return np.zeros((len(X), m))
-    alpha = linear_rate(float(_lookup({"policy": section}, "policy.alpha_gain")))
-    c = compile_expressions(section["c"], n, (), "policy.c") if "c" in section else None
-    return Policy(nominal=nominal, kind=section["kind"], alpha=alpha, c=c)
-
-
 @dataclass
 class ExperimentConfig:
     """A validated configuration document plus resolution helpers."""
@@ -286,22 +266,7 @@ class ExperimentConfig:
         return _lookup(self.doc, dotted)
 
     def models(self) -> tuple[ControlSystem, BarrierProblem, Policy]:
-        # validate_config requires system and barrier when no example is named.
-        bundle = make_example(self.doc["example"]) if "example" in self.doc else None
-        system = (_system_from_doc(self.doc["system"]) if "system" in self.doc
-                  else bundle.system)
-        if "barrier" in self.doc:
-            barrier = BarrierProblem(phi=compile_expressions(self.get("barrier.phi"), system.n,
-                                                             (), "barrier.phi"))
-        else:
-            barrier = bundle.barrier
-        if "policy" in self.doc:
-            policy = _policy_from_doc(self.doc["policy"], system.n, system.m)
-        elif bundle is not None:
-            policy = bundle.policy
-        else:
-            policy = _policy_from_doc({"kind": "none"}, system.n, system.m)
-        return system, barrier, policy
+        return build_models(self.doc)
 
     def numerics(self) -> NumericsConfig:
         return NumericsConfig(box_lo=tuple(self.get("numerics.box_lo")),

@@ -56,7 +56,7 @@ class ConfigError(SafeProbError, ValueError):
     """Experiment configuration failed schema validation."""
 
     def __init__(self, message: str, pointer: str | None = None):
-        self.pointer = pointer
+        self.reason, self.pointer = message, pointer
         if pointer is not None:
             message = f"{message} (at config key '{pointer}')"
         super().__init__(message)

@@ -239,9 +239,10 @@ def _simulate_block(sys: ControlSystem, bar: BarrierProblem, policy: Policy,
     pending = np.isnan(passage)
     entering = phi0 < level
 
-    # Diverging paths legitimately overflow before they are caught and
-    # flagged below; keep the arithmetic quiet.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Diverging paths legitimately overflow, and a derivative without a value
+    # divides by zero, before the path is caught and flagged below; keep the
+    # arithmetic quiet.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s in range(n_steps):
             if s % chunk == 0:
                 # The chunk's draws -ln(1 - U), in a C-contiguous view of

@@ -8,7 +8,10 @@ together with a scalar barrier ``phi`` whose zero super-level set
 ``{phi >= 0}`` is the safe region; a distribution query picks the level
 ``l`` of the set ``{phi >= l}`` it asks about.  This module builds the
 closed-loop control law K for the supported policy kinds and the
-generator drift of ``phi`` used by the distribution solvers.
+generator drift of ``phi`` used by the distribution solvers.  The barrier
+carries its gradient and Hessian, which give that drift, ``L_g phi`` and
+the variance rate of ``phi``; a model document's barrier gets them exactly
+from its expression (``safeprob.expressions``).
 
 Evaluators are callables on stacked states of shape ``(B, n)`` that
 return outputs with a leading batch axis.  The ``*_at`` helpers and the
@@ -31,7 +34,7 @@ from .errors import DataError, InfeasibilityError, ShapeError
 # vanished, making a violated rate constraint infeasible.
 _LG_FLOOR = 1e-24
 
-# Step for finite-difference gradients/Hessians generated from phi alone.
+# Step of the finite-difference gradients that check hand-written ones.
 FD_STEP = 1e-5
 
 POLICY_KINDS = ("none", "zero_cbf", "gradient")
@@ -62,26 +65,6 @@ def fd_gradient_batch(fn: Callable, X: np.ndarray, step: float = FD_STEP) -> np.
         cols.append((np.asarray(fn(X + e), dtype=float)
                      - np.asarray(fn(X - e), dtype=float)) / (2.0 * step))
     return np.stack(cols, axis=1)
-
-
-def fd_hessian_batch(fn: Callable, X: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Symmetric finite-difference Hessians of a batch-capable scalar function."""
-    X = _as_batch(X)
-    n = X.shape[1]
-    out = np.empty((X.shape[0], n, n))
-    f0 = np.asarray(fn(X), dtype=float)
-    steps = step * np.eye(n)
-    for i, ei in enumerate(steps):
-        out[:, i, i] = (np.asarray(fn(X + ei), dtype=float) - 2.0 * f0
-                        + np.asarray(fn(X - ei), dtype=float)) / step**2
-        for j, ej in enumerate(steps[i + 1:], start=i + 1):
-            v = (np.asarray(fn(X + ei + ej), dtype=float)
-                 - np.asarray(fn(X + ei - ej), dtype=float)
-                 - np.asarray(fn(X - ei + ej), dtype=float)
-                 + np.asarray(fn(X - ei - ej), dtype=float)) / (4.0 * step**2)
-            out[:, i, j] = v
-            out[:, j, i] = v
-    return out
 
 
 @dataclass(frozen=True)
@@ -116,16 +99,17 @@ class ControlSystem:
 
 @dataclass(frozen=True)
 class BarrierProblem:
-    """Barrier function with derivative evaluators.
+    """Barrier function with its gradient and Hessian evaluators.
 
-    ``grad_phi``/``hess_phi`` may be omitted; central finite differences
-    with step ``FD_STEP`` are substituted.  The zero super-level set
-    ``{x : phi(x) >= 0}`` is the safe region; the query picks the level.
+    A model document's barrier carries the exact derivatives of its
+    expression; ``validate_barrier`` checks hand-written ones.  The zero
+    super-level set ``{x : phi(x) >= 0}`` is the safe region; the query
+    picks the level.
     """
 
     phi: Callable
-    grad_phi: Callable | None = None
-    hess_phi: Callable | None = None
+    grad_phi: Callable
+    hess_phi: Callable
 
     def phi_at(self, X) -> np.ndarray:
         return _eval_batch(self.phi, _as_batch(X), (), "phi")
@@ -141,14 +125,10 @@ class BarrierProblem:
 
     def grad_at(self, X) -> np.ndarray:
         X = _as_batch(X)
-        if self.grad_phi is None:
-            return fd_gradient_batch(self.phi, X)
         return _eval_batch(self.grad_phi, X, (X.shape[1],), "grad_phi")
 
     def hess_at(self, X) -> np.ndarray:
         X = _as_batch(X)
-        if self.hess_phi is None:
-            return fd_hessian_batch(self.phi, X)
         return _eval_batch(self.hess_phi, X, (X.shape[1], X.shape[1]), "hess_phi")
 
 
@@ -255,7 +235,9 @@ def closed_loop_control_batch(policy: Policy, sys: ControlSystem, bar: BarrierPr
     # otherwise apply the minimum-norm correction along L_g(phi)^T.
     d_nom = _d_phi(sys, bar, Xb, U, grad, lg)
     slack = policy.rate_at(bar.phi_at(Xb))
-    violated = d_nom < -slack
+    # A derivative without a value makes d_nom NaN, which counts as violated:
+    # its correction is NaN too, so the state ends as a non-finite phi does.
+    violated = ~(d_nom >= -slack)
     if np.any(violated):
         lg2 = np.einsum("bm,bm->b", lg, lg)
         dead = violated & (lg2 <= _LG_FLOOR)

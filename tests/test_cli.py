@@ -16,7 +16,7 @@ from safeprob.cli import main
 from safeprob.config import REQUIRED, SCHEMA, ExperimentConfig, config_hash, validate_config
 from safeprob.distributions import NumericsConfig, QuerySpec, solve_distribution
 from safeprob.errors import ConfigError
-from safeprob.library import make_example
+from safeprob.library import EXAMPLES, example_names, make_example
 from safeprob.pde_engine import GridSpec
 
 from conftest import CONFIG_DIR, EXIT_DRIFTED, REPO_ROOT, assert_no_child_left, pin_cpus
@@ -182,6 +182,68 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, system, numerics, states, key", [
+        # The example's disk barrier names x2, which a 1D system lacks.
+        ("double_integrator_exit", {"dim_state": 1, "dim_input": 1, "dim_noise": 1,
+                                    "f": ["1"], "g": [["0"]], "sigma": [["1"]]},
+         {"box_lo": [0.0], "box_hi": [4.0], "cells": [100], "dt": 0.01}, [[1.0]],
+         "barrier.phi"),
+        # The example's nominal has two inputs, the 2D system one.
+        ("unicycle_disk_exit", {"dim_state": 2, "dim_input": 1, "dim_noise": 1,
+                                "f": ["x2", "0"], "g": [["0"], ["1"]], "sigma": [["0"], ["1"]]},
+         {"box_lo": [-1.1, -1.1], "box_hi": [1.1, 1.1], "cells": [20, 21], "dt": 0.01},
+         [[0.0, 0.0]], "policy.nominal"),
+    ])
+    def test_example_section_of_another_dimension_exits_2(self, tmp_path, capsys, config,
+                                                           system, numerics, states, key):
+        doc = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        doc.update(system=system, numerics=numerics, output={"dir": str(tmp_path / "out")})
+        doc["query"]["states"] = states
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        section = key.split(".")[0]
+        assert (f"; the {section} section comes from example '{doc['example']}' "
+                f"(at config key '{key}')") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("always::RuntimeWarning")
+    @pytest.mark.parametrize("policy", [{"kind": "zero_cbf"}, {"kind": "gradient", "c": "1"}])
+    def test_derivative_not_finite_on_grid_exits_2(self, tmp_path, capsys, policy):
+        # At the interior node x1 = 0 the slope of sqrt(abs(x1)) is 0.5 / 0
+        # times sign(0), NaN: the control there is not finite, and no problem
+        # is posed with it.
+        doc = small_bm_doc(str(tmp_path / "out"))
+        doc.update(system={"dim_state": 1, "dim_input": 1, "dim_noise": 1,
+                           "f": ["1"], "g": [["1"]], "sigma": [["1"]]},
+                   barrier={"phi": "x1 + 1 + sqrt(abs(x1)) / 10"}, policy=policy,
+                   numerics={"box_lo": [-2.0], "box_hi": [2.0], "cells": [8], "dt": 0.01})
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "error: convection/sigma fields contain non-finite values" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_derivative_nested_too_deeply_exits_2(self, tmp_path, capsys, monkeypatch):
+        # phi compiles at 300 levels; the product rule nests its slope deeper
+        # than MAX_DEPTH.
+        phi = "x1" + " * x1" * 300
+        err = _refused_stderr(tmp_path, capsys, monkeypatch, "solve",
+                              f'barrier={{"phi": "{phi}"}}')
+        assert "nested too deeply" in err
+        assert err.rstrip().endswith("(at config key 'barrier.phi')")
+        assert "RecursionError" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", example_names())
+    def test_example_document_is_a_config(self, name):
+        # Each example states its model in a configuration's own sections.
+        doc = {key: value for key, value in EXAMPLES[name].items()
+               if key not in ("x0", "horizon")}
+        ex = make_example(name)
+        assert ExperimentConfig.from_doc(doc).numerics() == NumericsConfig(
+            ex.box_lo, ex.box_hi, ex.cells, ex.dt)
+        assert ex.system.n == doc["system"]["dim_state"] == len(ex.x0)
+
     def test_partial_numerics_without_example_exits_2(self, tmp_path, capsys):
         doc = small_bm_doc(str(tmp_path / "out"))
         del doc["example"]
@@ -312,9 +374,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", ["solve", "mc"])
     def test_deepest_expression_that_compiles_runs(self, tmp_path, capsys, command):
-        # It is evaluated deeper in the stack than it is compiled: in the
-        # solve's mask and in every simulated step.  An even count of signs
-        # leaves x1, so the run prints what phi = x1 prints.
+        # It is taped and differentiated at the full depth, then evaluated in
+        # the solve's mask and in every simulated step.  An even count of
+        # signs leaves x1, so the run prints what phi = x1 prints.
         printed = []
         for phi in ("-" * expressions.MAX_DEPTH + "x1", "x1"):
             doc = small_bm_doc(str(tmp_path / "out"), horizon=0.1)

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from safeprob.cli import main
 from safeprob.errors import ConfigError
-from safeprob.expressions import MAX_DEPTH, compile_expressions
+from safeprob.expressions import MAX_DEPTH, compile_barrier, compile_expressions
 
 from conftest import CONFIG_DIR
 
@@ -214,3 +216,101 @@ class TestVectorAndMatrix:
             compile_expressions([["1", "0"], ["x1", "sin()"]], 2, (2, 2), "system.g")
         assert err.value.pointer == "system.g[1][1]"
         assert "in expression 'sin()'" in str(err.value)
+
+
+# Templates of one and two subexpressions: every rule of the grammar, with
+# quotients, roots and variable exponents guarded; abs and norm keep their kinks.
+_UNARY = ["sin({})", "cos({})", "exp({})", "tanh({})", "abs({})", "norm({})", "-({})", "+({})",
+          "sqrt(1 + ({})^2)", "2^tanh({})", "({})^2", "({})^3", "({})^(2 - 5)"]
+_BINARY = ["({} + {})", "({} - {})", "({} * {})", "({}) / (1 + ({})^2)",
+           "(1 + ({})^2)^tanh({})", "norm({}, {})"]
+
+
+def _expressions(n):
+    """Random expressions of the grammar over x1..xn, finite and smooth on
+    most of [-1.5, 1.5]^n."""
+    leaves = st.sampled_from([f"x{i + 1}" for i in range(n)] + ["0.5", "2", "pi", "e"])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.sampled_from(_UNARY), inner).map(lambda t: t[0].format(t[1])),
+        st.tuples(st.sampled_from(_BINARY), inner, inner).map(lambda t: t[0].format(*t[1:]))),
+        max_leaves=6)
+
+
+def _central(fn, X, h=1e-6):
+    """Central differences of a batch map along each state axis, last axis."""
+    return np.stack([(fn(X + e) - fn(X - e)) / (2 * h) for e in h * np.eye(X.shape[1])],
+                    axis=-1)
+
+
+class TestDerivatives:
+    # States come from a drawn seed, not from Hypothesis floats, which favour
+    # 0 and the box's ends, where many slopes vanish or agree by accident.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), _expressions(n))),
+           st.integers(0, 2**32 - 1))
+    def test_match_central_differences(self, case, seed):
+        n, expr = case
+        X = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(4, n))
+        phi, grad, hess = compile_barrier(expr, n, "barrier.phi")
+        with np.errstate(all="ignore"):
+            G, H = grad(X), hess(X)
+            G_fd, H_fd = _central(phi, X), _central(grad, X)
+        assume(np.all(np.isfinite(G_fd)) and np.all(np.isfinite(H_fd)))
+        assume(np.max(np.abs(H_fd)) < 1e4)
+        np.testing.assert_allclose(G, G_fd, rtol=1e-6, atol=1e-6 * (1 + np.max(np.abs(G))))
+        np.testing.assert_allclose(H, H_fd, rtol=1e-5, atol=1e-5 * (1 + np.max(np.abs(H))))
+        assert np.array_equal(H, np.swapaxes(H, 1, 2), equal_nan=True)
+
+    # The examples' barrier, 1 - x1^2 - x2^2, and its derivatives as the
+    # hand-written numpy forms compute them, bit for bit.
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_disk_barrier_matches_handwritten_numpy(self, n):
+        X = np.random.default_rng(4).normal(size=(500, n))
+        phi, grad, hess = compile_barrier("1 - x1^2 - x2^2", n, "barrier.phi")
+        want_grad = np.zeros_like(X)
+        want_grad[:, :2] = -2.0 * X[:, :2]
+        want_hess = np.zeros((500, n, n))
+        want_hess[:, [0, 1], [0, 1]] = -2.0
+        assert np.array_equal(phi(X), 1.0 - X[:, 0] ** 2 - X[:, 1] ** 2)
+        # array_equal ignores the sign of zero, which the filter's sums keep.
+        for got, want in ((grad(X), want_grad), (hess(X), want_hess)):
+            assert np.array_equal(got, want) and not np.signbit(got[want == 0]).any()
+
+    def test_kinks_take_the_zero_slope(self):
+        # abs at 0 and norm at the origin: slope and curvature 0.
+        at0 = np.zeros((1, 2))
+        for expr in ("abs(x1) + abs(x2)", "norm(x1, x2)", "norm(x1)", "norm(x1, x2)^2"):
+            _, grad, hess = compile_barrier(expr, 2, "barrier.phi")
+            assert np.array_equal(grad(at0), np.zeros((1, 2))), expr
+            assert np.array_equal(hess(at0), np.zeros((1, 2, 2))), expr
+        _, grad, hess = compile_barrier("norm(x1, x2)^2", 2, "barrier.phi")
+        np.testing.assert_array_equal(hess(np.array([[0.3, -0.4]])), [2.0 * np.eye(2)])
+
+    def test_sqrt_slope_is_infinite_at_zero(self):
+        _, grad, hess = compile_barrier("sqrt(x1) + x2", 2, "barrier.phi")
+        with np.errstate(divide="ignore"):
+            assert grad(np.zeros((1, 2))).tolist() == [[np.inf, 1.0]]
+            assert hess(np.zeros((1, 2))).tolist() == [[[-np.inf, 0.0], [0.0, 0.0]]]
+
+    def test_rule_functions_stay_outside_the_grammar(self):
+        # The rules write a logarithm and a sign; a user's expression cannot.
+        _, grad, _ = compile_barrier("2^x1", 1, "barrier.phi")
+        np.testing.assert_allclose(grad([[1.0]]), [[2.0 * np.log(2.0)]])
+        for name in ("log", "sign"):
+            with pytest.raises(ConfigError, match=f"unknown function '{name}'"):
+                compile_barrier(f"{name}(x1)", 1, "barrier.phi")
+
+    # phi compiles; the product rule nests its slope about twice as deep.
+    @pytest.mark.parametrize("levels", [300, MAX_DEPTH])
+    def test_derivative_nested_too_deeply_refused_at_its_key(self, levels):
+        expr = "x1" + " * x1" * levels
+        compile_scalar(expr, 1)
+        with pytest.raises(ConfigError, match=r"nested too deeply \(over \d+ levels\) in "
+                                              r"expression .*\(at config key 'barrier.phi'\)$"):
+            compile_barrier(expr, 1, "barrier.phi")
+
+    def test_long_sum_refused_not_overflowed(self):
+        # Past MAX_DEPTH a flat sum is refused, at any depth the parser takes.
+        for terms in (MAX_DEPTH + 20, 2 * MAX_DEPTH):
+            with pytest.raises(ConfigError, match="nested too deeply"):
+                compile_scalar("+".join(["x1"] * terms), 1)

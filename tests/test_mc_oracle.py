@@ -26,6 +26,7 @@ from safeprob import (
 )
 from safeprob import mc_oracle
 from safeprob.errors import DataError, InfeasibilityError, ShapeError, SolverError
+from safeprob.library import build_models
 from safeprob.system_model import closed_loop_control_batch
 from safeprob.mc_oracle import CdfTable, EmpiricalDistribution
 from safeprob.workers import concurrently, worker_cpus
@@ -319,6 +320,21 @@ class TestExcludedPaths:
                          empirical_cdf_max):
             with pytest.raises(DataError, match="^all paths were excluded; nothing to estimate$"):
                 estimate(ens, [1.0])
+
+    def test_state_without_a_slope_excludes_its_path(self):
+        # x1 steps from -0.5 to 0 in two steps; there the slope of
+        # sqrt(abs(x1)) is 0.5 / 0 times sign(0), NaN, and so is the bridge's
+        # variance rate: each path ends as a non-finite phi would end it.
+        sys, bar, policy = build_models({
+            "system": {"dim_state": 2, "dim_input": 1, "dim_noise": 1, "f": ["1", "0"],
+                       "g": [["0"], ["0"]], "sigma": [["0"], ["1"]]},
+            "barrier": {"phi": "1 + sqrt(abs(x1))"}})
+        cfg = PathConfig(dt=0.25, horizon=1.0, n_paths=20, seed=1)
+        ens = simulate_paths(sys, bar, policy, [-0.5, 0.0], cfg)
+        assert ens.n_diverged == cfg.n_paths and ens.excluded.all()
+        # Frozen where the slope failed: phi fell from 1 + sqrt(0.5) to 1 and stopped.
+        np.testing.assert_array_equal(ens.min_phi, 1.0)
+        np.testing.assert_array_equal(ens.max_phi, 1.0 + np.sqrt(0.5))
 
     @pytest.mark.parametrize("case", ["_diverging", "_infeasible"])
     def test_matches_per_path_reference(self, case):

@@ -317,7 +317,10 @@ class TestBuildMask:
 
     def test_disk_mask_matches_brute_force(self):
         grid = GridSpec((-1.5, -1.5), (1.5, 1.5), (30, 30))
-        bar = BarrierProblem(phi=lambda X: 1.0 - X[..., 0] ** 2 - X[..., 1] ** 2)
+        bar = BarrierProblem(phi=lambda X: 1.0 - X[..., 0] ** 2 - X[..., 1] ** 2,
+                             grad_phi=lambda X: -2.0 * X,
+                             hess_phi=lambda X: np.broadcast_to(-2.0 * np.eye(2),
+                                                                X.shape[:-1] + (2, 2)))
         mask = build_mask(grid, bar, "super")
         xs, ys = grid.axes()
         count = sum(1 for xv in xs for yv in ys if 1.0 - xv**2 - yv**2 >= 0.0)
@@ -338,7 +341,9 @@ class TestBuildMask:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_barrier_node_named(self, side, value):
         grid = GridSpec((-2.0,), (2.0,), (8,))
-        bar = BarrierProblem(phi=lambda X: np.where(X[..., 0] >= 1.0, value, X[..., 0]))
+        bar = BarrierProblem(phi=lambda X: np.where(X[..., 0] >= 1.0, value, X[..., 0]),
+                             grad_phi=lambda X: np.ones_like(X),
+                             hess_phi=lambda X: np.zeros(X.shape[:-1] + (1, 1)))
         with pytest.raises(DataError, match=rf"^barrier phi is {value} at grid node \[1\.0\]; "):
             build_mask(grid, bar, side)
 

@@ -228,15 +228,6 @@ class TestEvaluatorContracts:
 
 
 class TestBarrierValidation:
-    def test_finite_difference_defaults_match_analytic(self):
-        analytic = quadratic_barrier()
-        fd_only = BarrierProblem(phi=lambda X: X[..., 0] ** 2)
-        X = np.array([[0.5], [-1.5], [2.0]])
-        np.testing.assert_allclose(fd_only.grad_at(X), analytic.grad_at(X),
-                                   rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(fd_only.hess_at(X), analytic.hess_at(X),
-                                   rtol=1e-4, atol=1e-4)
-
     def test_validate_barrier_accepts_consistent(self):
         probes = np.linspace(-2, 2, 9)[:, None]
         validate_barrier(identity_barrier(), probes)
@@ -249,7 +240,8 @@ class TestBarrierValidation:
 
     def test_validate_barrier_rejects_wrong_gradient(self):
         bad = BarrierProblem(phi=lambda X: X[..., 0] ** 2,
-                             grad_phi=lambda X: 3.0 * X)  # wrong scale
+                             grad_phi=lambda X: 3.0 * X,  # wrong scale
+                             hess_phi=lambda X: np.full(X.shape[:-1] + (1, 1), 3.0))
         with pytest.raises(ValueError, match="inconsistent"):
             validate_barrier(bad, np.array([[1.0]]))
 
